@@ -7,8 +7,11 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pet-bench-e2e-{}", std::process::id()));
+/// A fresh scratch directory for `test`. The tests in this binary run as
+/// threads of one process, so the pid alone would let them delete each
+/// other's directory.
+fn tmp_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pet-bench-e2e-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -39,7 +42,7 @@ const SNAPSHOT: &str = r#"{"n": 100000, "lane": "avx2", "commit": "aaaaaaa",
 
 #[test]
 fn record_twice_then_gate_passes_and_synthetic_regression_fails() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("record_twice_then_gate_passes_and_synthetic_regression_fails");
     std::fs::write(dir.join("snap.json"), SNAPSHOT).unwrap();
     let ledger = dir.join("ledger.jsonl");
     let ledger = ledger.to_str().unwrap();
@@ -152,7 +155,7 @@ fn record_twice_then_gate_passes_and_synthetic_regression_fails() {
 
 #[test]
 fn migrate_report_round_trip_in_temp_results() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("migrate_report_round_trip_in_temp_results");
     let results = dir.join("results");
     std::fs::create_dir_all(&results).unwrap();
     std::fs::write(results.join("BENCH_kernel.json"), SNAPSHOT).unwrap();
@@ -224,7 +227,7 @@ fn migrate_report_round_trip_in_temp_results() {
 
 #[test]
 fn gate_with_unknown_flags_or_actions_reports_usage_errors() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("gate_with_unknown_flags_or_actions_reports_usage_errors");
     let out = pet(&["bench", "frobnicate"], &dir);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown bench action"));

@@ -1,49 +1,91 @@
-//! Batched estimation kernel: one binary search per round.
+//! Batched estimation kernel: one search per round.
 //!
 //! The reference reader ([`crate::reader`]) locates the gray node by
 //! querying the oracle slot by slot; with the [`crate::oracle::CodeRoster`]
 //! oracle each of the ~5 queries costs two `partition_point` searches over
-//! the sorted code array — ten searches per round. This module computes the
-//! same round outcome from the sorted codes with a **single** search:
+//! the sorted code array — ten searches per round. [`fused_round`] computes
+//! the same round, and its full [`AirMetrics`] accounting, from the sorted
+//! codes with a **single** full-array search:
 //!
-//! 1. Find the estimating path's insertion point in the sorted array.
+//! 1. Find the estimating path's insertion point `at` in the sorted array.
 //! 2. The longest responsive prefix is `L = max(lcp(path, pred),
 //!    lcp(path, succ))`, computed with one `XOR` + `leading_zeros` per
-//!    neighbor.
-//! 3. Replay the configured search strategy *arithmetically*: given `L`,
-//!    every slot's busy/idle answer is `L >= queried_len`, so the slot
-//!    count, the disambiguation flag, and the final prefix length follow
-//!    from pure register arithmetic — no further array access.
+//!    neighbor of `at`.
+//! 3. Replay the configured search strategy once. Given `L`, a query of
+//!    length `j` is busy iff `j <= L`, which fixes the slot count, the
+//!    disambiguation flag and the final prefix length (the
+//!    [`RoundRecord`]). The same replay records every slot into the
+//!    [`AirMetrics`]: an idle query has zero responders by definition of
+//!    `L`, and a busy query's responder count is the run of codes sharing
+//!    its prefix on either side of `at`, found by galloping outward from
+//!    `at` — O(log range) probes next to `at` instead of two O(log n)
+//!    searches over the whole array.
 //!
-//! **Why step 2 is exact.** Codes sharing a `j`-bit prefix with the path
-//! form one contiguous range of the sorted array, and that range contains
-//! the path's insertion point (every member is `>=` the smallest and `<=`
-//! the largest value with that prefix, and the path itself sorts inside the
-//! prefix's span). Hence if *any* code shares a `j`-bit prefix with the
-//! path, so does one of the two codes adjacent to the insertion point, and
-//! the maximum lcp over the whole array equals the maximum over
-//! `{pred, succ}`. A query at length `j` is busy iff `j <= L`, which is
-//! exactly the responder-count criterion `count_prefix(path, j) > 0` the
-//! reference reader applies over a lossless channel.
+//! **Why steps 2 and 3 are exact.** Codes sharing a `j`-bit prefix with the
+//! path form one contiguous range of the sorted array, and that range
+//! contains the path's insertion point (every member is `>=` the smallest
+//! and `<=` the largest value with that prefix, and the path itself sorts
+//! inside the prefix's span). Hence if *any* code shares a `j`-bit prefix
+//! with the path, so does one of the two codes adjacent to the insertion
+//! point, and the maximum lcp over the whole array equals the maximum over
+//! `{pred, succ}`: a query at length `j` is busy iff `j <= L`, exactly the
+//! responder-count criterion `count_prefix(path, j) > 0` the reference
+//! reader applies over a lossless channel. And because the range contains
+//! `at`, its members are precisely the matching codes met walking down from
+//! `at - 1` and up from `at` before the first non-match, which is what the
+//! gallop counts — duplicate codes included.
 //!
-//! [`apply_round_metrics`] additionally reproduces the full
-//! [`AirMetrics`] accounting (idle/singleton/collision tallies, command
-//! bits, tag responses) bit-for-bit: idle queries have zero responders by
-//! definition of `L`, and busy queries are replayed against nested,
-//! monotonically narrowing sub-ranges of the code array (busy lengths are
-//! visited in increasing order by both search strategies), so each count
-//! after the first searches a small window. The equivalence suite in
-//! `tests/kernel_equivalence.rs` and `crates/pet-core/tests/prop.rs` pins
-//! all of this against [`crate::reader::run_round`] over both oracles.
+//! The equivalence suite in `tests/kernel_equivalence.rs` and
+//! `crates/pet-core/tests/prop.rs` pins all of this against
+//! [`crate::reader::run_round`] over both oracles. The perf ledger's
+//! `rounds_per_sec_kernel*` arms time [`locate_prefix_len`] plus
+//! [`round_record`], i.e. steps 1–2 and the record replay without the
+//! metric accounting, so they do not see the cost of step 3's counts.
 
 use crate::bits::BitString;
-use crate::config::{PetConfig, SearchStrategy, TagMode};
+use crate::config::{Mitigation, PetConfig, SearchStrategy, TagMode};
 use crate::reader::RoundRecord;
 use pet_hash::bulk::{hash_codes_par, radix_sort_codes, RadixScratch};
 use pet_hash::family::AnyFamily;
 use pet_hash::simd::{self, Lane};
 use pet_phy::{AirMetrics, SlotOutcome};
 use std::sync::Arc;
+
+/// Runs one round over a lossless channel against the sorted `codes`:
+/// returns the [`RoundRecord`] the reference reader produces for `path`
+/// and adds the round to `metrics` bit-for-bit as
+/// [`crate::reader::run_round`] records it through [`pet_phy::Air`] over a
+/// [`pet_phy::channel::PerfectChannel`] — the round-start broadcast,
+/// per-query command bits, outcome tallies, per-slot responder counts, and
+/// the idle readings [`Mitigation::ReProbe`] repeats.
+///
+/// `codes` must be sorted ascending and hold `config.height()`-bit values.
+pub fn fused_round(
+    codes: &[u64],
+    path: &BitString,
+    config: &PetConfig,
+    metrics: &mut AirMetrics,
+) -> RoundRecord {
+    let height = config.height();
+    let bits = config.encoding().bits_per_query(height);
+    let probes = match config.mitigation() {
+        Mitigation::ReProbe { probes } => probes,
+        _ => 0,
+    };
+    let (at, l) = locate(simd::active_lane(), codes, path);
+    metrics.command_bits += u64::from(config.round_start_bits());
+    replay(height, config.search(), l, probes, |j| {
+        if j <= l {
+            let responders = count_around(codes, at, path, j);
+            metrics.record_slot(bits, responders, SlotOutcome::from_detected(responders));
+        } else {
+            // Perfect-channel re-probes repeat the idle reading verbatim.
+            for _ in 0..=probes {
+                metrics.record_slot(bits, 0, SlotOutcome::Idle);
+            }
+        }
+    })
+}
 
 /// Longest prefix of `path` shared by any code, via one search.
 ///
@@ -61,27 +103,67 @@ pub fn locate_prefix_len(codes: &[u64], path: &BitString) -> u32 {
 /// benchmark arms and differential tests. Bit-for-bit lane-independent.
 #[must_use]
 pub fn locate_prefix_len_with(lane: Lane, codes: &[u64], path: &BitString) -> u32 {
-    if codes.is_empty() {
-        return 0;
-    }
+    locate(lane, codes, path).1
+}
+
+/// Steps 1–2 of the module docs: the path's insertion point in `codes`
+/// and the longest prefix any code shares with the path.
+#[inline]
+fn locate(lane: Lane, codes: &[u64], path: &BitString) -> (usize, u32) {
     let height = path.height();
     let bits = path.bits();
-    let idx = simd::partition_point_less_with(lane, codes, bits);
+    let at = simd::partition_point_less_with(lane, codes, bits);
     let mut l = 0;
-    if idx < codes.len() {
-        l = common_bits(codes[idx], bits, height);
+    if at < codes.len() {
+        l = common_bits(codes[at], bits, height);
     }
-    if idx > 0 {
-        l = l.max(common_bits(codes[idx - 1], bits, height));
+    if at > 0 {
+        l = l.max(common_bits(codes[at - 1], bits, height));
     }
-    l
+    (at, l)
+}
+
+/// Number of codes sharing the first `len >= 1` bits of `path`, where `at`
+/// is the path's insertion point: the matching run below `at` plus the one
+/// from `at` up (exact by the module docs' range argument).
+fn count_around(codes: &[u64], at: usize, path: &BitString, len: u32) -> u64 {
+    debug_assert!(len >= 1);
+    let shift = path.height() - len; // <= 63 since len >= 1
+    let prefix = path.bits() >> shift;
+    let below = gallop(at, |k| codes[at - 1 - k] >> shift == prefix);
+    let above = gallop(codes.len() - at, |k| codes[at + k] >> shift == prefix);
+    (below + above) as u64
+}
+
+/// Length of the run of `0..n` on which `hit` holds, given that `hit`
+/// holds on a prefix of `0..n` and nowhere after it: doubling probes
+/// bracket the run's end, then a binary search inside the bracket finds
+/// it, so `hit` is called O(log run) times.
+#[inline]
+fn gallop(n: usize, hit: impl Fn(usize) -> bool) -> usize {
+    let mut bound = 1;
+    while bound <= n && hit(bound - 1) {
+        bound *= 2;
+    }
+    // `hit` holds below `bound / 2` and fails at `bound - 1`, if that is
+    // below `n`.
+    let (mut lo, mut hi) = (bound / 2, (bound - 1).min(n));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if hit(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Exact number of sorted codes matching the first `len` bits of `path`,
 /// by range counting — the slice-level twin of
 /// [`crate::oracle::CodeRoster::count_prefix`], used by the slot-accurate
-/// engine path where a lossy channel makes query lengths non-monotone (so
-/// [`narrow_to_prefix`]'s nesting precondition does not hold).
+/// engine path, whose oracle answers one query at a time without the
+/// round's insertion point.
 #[must_use]
 pub fn count_prefix_sorted(codes: &[u64], path: &BitString, len: u32) -> u64 {
     if len == 0 {
@@ -115,127 +197,44 @@ fn common_bits(a: u64, b: u64, height: u32) -> u32 {
 }
 
 /// Synthesizes the round outcome for a known longest responsive prefix
-/// `prefix_len`, replaying the strategy's register arithmetic. Bit-for-bit
+/// `prefix_len` by the strategy replay [`fused_round`] uses. Bit-for-bit
 /// identical to [`crate::reader::linear_round`] / `binary_round` over a
 /// lossless channel.
 #[must_use]
 pub fn round_record(height: u32, search: SearchStrategy, prefix_len: u32) -> RoundRecord {
-    round_record_probed(height, search, prefix_len, 0)
+    replay(height, search, prefix_len, 0, |_| {})
 }
 
-/// Like [`round_record`] but accounting for [`Mitigation::ReProbe`]'s
-/// extra readings: on a perfect channel every idle reading repeats
-/// `probes` times (all idle again), so each idle query costs `1 + probes`
-/// slots while the statistic is unchanged. This keeps the arithmetic fast
-/// path bit-for-bit equivalent to the slot-accurate loop under
-/// `Perfect + ReProbe`.
-///
-/// [`Mitigation::ReProbe`]: crate::config::Mitigation::ReProbe
-#[must_use]
-pub fn round_record_probed(
+/// Replays `search` for a round whose longest responsive prefix is `l`,
+/// calling `query(j)` for each queried length `j` in the order the reader
+/// sends them; a query is busy iff `j <= l`. Each idle query costs
+/// `1 + probes` slots: on a perfect channel every idle reading repeats
+/// `probes` times, all idle again, so the statistic is unchanged.
+#[inline]
+fn replay(
     height: u32,
     search: SearchStrategy,
-    prefix_len: u32,
+    l: u32,
     probes: u32,
+    mut query: impl FnMut(u32),
 ) -> RoundRecord {
-    debug_assert!(prefix_len <= height);
-    match search {
-        SearchStrategy::Linear => linear_record(height, prefix_len, probes),
-        SearchStrategy::Binary => binary_record(height, prefix_len, probes),
-    }
-}
-
-fn linear_record(height: u32, l: u32, probes: u32) -> RoundRecord {
-    // Algorithm 1 stops at the first idle query, j = L + 1 (or exhausts all
-    // H queries when every one is busy, hearing no idle slot to re-probe).
-    let slots = if l >= height { height } else { l + 1 + probes };
-    RoundRecord {
-        prefix_len: l,
-        gray_height: height - l,
-        slots,
-        disambiguated: false,
-    }
-}
-
-fn binary_record(height: u32, l: u32, probes: u32) -> RoundRecord {
-    let mut low = 1u32;
-    let mut high = height;
+    debug_assert!(l <= height);
     let mut slots = 0;
-    let mut any_busy = false;
-    while low < high {
-        let mid = (low + high).div_ceil(2);
-        slots += if l >= mid { 1 } else { 1 + probes };
-        if l >= mid {
-            low = mid;
-            any_busy = true;
-        } else {
-            high = mid - 1;
-        }
-    }
+    let mut ask = |j: u32| {
+        query(j);
+        let busy = j <= l;
+        slots += if busy { 1 } else { 1 + probes };
+        busy
+    };
     let mut disambiguated = false;
-    let prefix_len = if low == 1 && !any_busy {
-        disambiguated = true;
-        slots += if l >= 1 { 1 } else { 1 + probes };
-        u32::from(l >= 1)
-    } else {
-        low
-    };
-    debug_assert_eq!(prefix_len, l, "binary replay must converge on L");
-    RoundRecord {
-        prefix_len: l,
-        gray_height: height - l,
-        slots,
-        disambiguated,
-    }
-}
-
-/// Replays one round's slot accounting into `metrics`, bit-for-bit equal
-/// to what [`crate::reader::run_round`] records through [`pet_phy::Air`]
-/// over a [`pet_phy::channel::PerfectChannel`] — including the
-/// round-start broadcast, per-query command bits, outcome tallies, and
-/// per-slot responder counts.
-///
-/// `prefix_len` must be `locate_prefix_len(codes, path)`.
-pub fn apply_round_metrics(
-    codes: &[u64],
-    path: &BitString,
-    config: &PetConfig,
-    prefix_len: u32,
-    metrics: &mut AirMetrics,
-) {
-    let height = config.height();
-    let bits = config.encoding().bits_per_query(height);
-    let probes = match config.mitigation() {
-        crate::config::Mitigation::ReProbe { probes } => probes,
-        _ => 0,
-    };
-    metrics.command_bits += u64::from(config.round_start_bits());
-    // Busy queries narrow this window; see `narrow_to_prefix`.
-    let mut window = 0..codes.len();
-    let mut slot = |queried_len: u32, metrics: &mut AirMetrics| {
-        let responders = if queried_len <= prefix_len {
-            narrow_to_prefix(codes, &mut window, path, queried_len)
-        } else {
-            0
-        };
-        let outcome = SlotOutcome::from_detected(responders);
-        metrics.record_slot(bits, responders, outcome);
-        if outcome.is_idle() {
-            // Perfect-channel re-probes repeat the idle reading verbatim.
-            for _ in 0..probes {
-                metrics.record_slot(bits, responders, outcome);
-            }
-        }
-    };
-    match config.search() {
+    match search {
+        // Algorithm 1 stops at the first idle query, j = L + 1, or after
+        // all H queries are busy (hearing no idle slot to re-probe).
         SearchStrategy::Linear => {
-            let last = if prefix_len >= height {
-                height
-            } else {
-                prefix_len + 1
-            };
-            for j in 1..=last {
-                slot(j, metrics);
+            for j in 1..=height {
+                if !ask(j) {
+                    break;
+                }
             }
         }
         SearchStrategy::Binary => {
@@ -244,8 +243,7 @@ pub fn apply_round_metrics(
             let mut any_busy = false;
             while low < high {
                 let mid = (low + high).div_ceil(2);
-                slot(mid, metrics);
-                if prefix_len >= mid {
+                if ask(mid) {
                     low = mid;
                     any_busy = true;
                 } else {
@@ -253,36 +251,20 @@ pub fn apply_round_metrics(
                 }
             }
             if low == 1 && !any_busy {
-                slot(1, metrics);
+                // The L ∈ {0, 1} disambiguation slot of `crate::reader`.
+                disambiguated = true;
+                ask(1);
+            } else {
+                debug_assert_eq!(low, l, "binary replay must converge on L");
             }
         }
     }
-}
-
-/// Narrows `window` to the codes matching the first `len` bits of `path`
-/// and returns their count. Successive calls must use non-decreasing `len`
-/// (prefix ranges nest), which both search strategies guarantee for their
-/// busy queries.
-fn narrow_to_prefix(
-    codes: &[u64],
-    window: &mut std::ops::Range<usize>,
-    path: &BitString,
-    len: u32,
-) -> u64 {
-    debug_assert!(len >= 1);
-    let height = path.height();
-    let shift = height - len; // <= 63 since len >= 1
-    let lo = (path.bits() >> shift) << shift;
-    let slice = &codes[window.clone()];
-    let start = window.start + simd::partition_point_less(slice, lo);
-    // The exclusive bound lo + 2^shift overflows at the top of a height-64
-    // tree; that range extends past every code (same edge as count_prefix).
-    let end = match lo.checked_add(1u64 << shift) {
-        Some(hi_excl) => window.start + simd::partition_point_less(slice, hi_excl),
-        None => window.end,
-    };
-    *window = start..end;
-    (end - start) as u64
+    RoundRecord {
+        prefix_len: l,
+        gray_height: height - l,
+        slots,
+        disambiguated,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -480,23 +462,48 @@ mod tests {
     }
 
     /// Height-64 top-of-tree edge: codes near u64::MAX must not overflow
-    /// the metric synthesis (same edge count_prefix guards).
+    /// the round's responder counts (same edge count_prefix guards).
     #[test]
     fn height_64_overflow_edge() {
         let config = PetConfig::builder().height(64).build().unwrap();
         let codes = vec![u64::MAX - 3, u64::MAX - 1, u64::MAX];
         let path = BitString::from_bits(u64::MAX - 2, 64).unwrap();
-        let l = locate_prefix_len(&codes, &path);
-        assert!(l >= 62, "L = {l}");
-        let rec = round_record(64, SearchStrategy::Binary, l);
         let mut metrics = AirMetrics::default();
-        apply_round_metrics(&codes, &path, &config, l, &mut metrics);
+        let rec = fused_round(&codes, &path, &config, &mut metrics);
+        assert!(rec.prefix_len >= 62, "L = {}", rec.prefix_len);
+        assert_eq!(
+            rec,
+            round_record(64, SearchStrategy::Binary, rec.prefix_len)
+        );
         assert_eq!(metrics.slots, u64::from(rec.slots));
         assert!(metrics.is_consistent());
     }
 
-    /// Every (height, L) pair replays to the same record the reference
-    /// reader produces when driven by an oracle with that L.
+    /// Small heights force duplicate codes; the gallop around the
+    /// insertion point must count every copy, on both sides.
+    #[test]
+    fn count_around_matches_range_count_with_duplicates() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for height in 1..=10u32 {
+            let config = PetConfig::builder().height(height).build().unwrap();
+            let keys: Vec<u64> = (0..300).collect();
+            let codes = roster_codes(&keys, &config);
+            for _ in 0..100 {
+                let path = BitString::random(height, &mut rng);
+                let (at, l) = locate(Lane::Scalar, &codes, &path);
+                for len in 1..=l {
+                    assert_eq!(
+                        count_around(&codes, at, &path, len),
+                        count_prefix_sorted(&codes, &path, len),
+                        "H = {height}, len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every (height, L) pair replays to the same record and metrics the
+    /// reference reader produces when driven by an oracle with that L.
     #[test]
     fn record_replay_matches_reader_for_all_lengths() {
         for height in 1..=64u32 {
@@ -525,37 +532,66 @@ mod tests {
                     CodeRoster::from_codes(&[BitString::from_bits(code, height).unwrap()], height);
                 assert_eq!(locate_prefix_len(roster.codes(), &path), l);
 
-                let mut air = Air::new(PerfectChannel);
                 let mut rng = StdRng::seed_from_u64(0);
                 roster.begin_round(&RoundStart { path, seed: None });
-                let bin = binary_round(&config, &mut roster, &mut air, &mut rng);
-                assert_eq!(bin, round_record(height, SearchStrategy::Binary, l));
-                let lin = linear_round(&lin_config, &mut roster, &mut air, &mut rng);
-                assert_eq!(lin, round_record(height, SearchStrategy::Linear, l));
+                for (cfg, search) in [
+                    (&config, SearchStrategy::Binary),
+                    (&lin_config, SearchStrategy::Linear),
+                ] {
+                    let mut air = Air::new(PerfectChannel);
+                    air.broadcast(cfg.round_start_bits());
+                    let rec = match search {
+                        SearchStrategy::Binary => {
+                            binary_round(cfg, &mut roster, &mut air, &mut rng)
+                        }
+                        SearchStrategy::Linear => {
+                            linear_round(cfg, &mut roster, &mut air, &mut rng)
+                        }
+                    };
+                    assert_eq!(rec, round_record(height, search, l));
+                    let mut metrics = AirMetrics::default();
+                    assert_eq!(rec, fused_round(roster.codes(), &path, cfg, &mut metrics));
+                    assert_eq!(&metrics, air.metrics(), "H = {height}, L = {l}");
+                }
             }
         }
     }
 
     #[test]
     fn metrics_match_air_for_random_rounds() {
-        for (height, n) in [(8u32, 40u64), (32, 1_000), (32, 3)] {
-            let config = PetConfig::builder().height(height).build().unwrap();
-            let keys: Vec<u64> = (0..n).collect();
-            let codes = roster_codes(&keys, &config);
-            let mut roster = CodeRoster::new(&keys, &config, AnyFamily::default());
-            let mut rng = StdRng::seed_from_u64(42);
-            let mut air = Air::new(PerfectChannel);
-            let mut fast = AirMetrics::default();
-            for _ in 0..200 {
-                let path = BitString::random(height, &mut rng);
-                roster.begin_round(&RoundStart { path, seed: None });
-                air.broadcast(config.round_start_bits());
-                let rec = binary_round(&config, &mut roster, &mut air, &mut rng);
-                let l = locate_prefix_len(&codes, &path);
-                assert_eq!(rec, round_record(height, SearchStrategy::Binary, l));
-                apply_round_metrics(&codes, &path, &config, l, &mut fast);
+        for (height, n) in [(8u32, 40u64), (32, 1_000), (32, 3), (4, 100)] {
+            for (search, mitigation) in [
+                (SearchStrategy::Binary, Mitigation::None),
+                (SearchStrategy::Linear, Mitigation::ReProbe { probes: 2 }),
+            ] {
+                let config = PetConfig::builder()
+                    .height(height)
+                    .search(search)
+                    .mitigation(mitigation)
+                    .build()
+                    .unwrap();
+                let keys: Vec<u64> = (0..n).collect();
+                let codes = roster_codes(&keys, &config);
+                let mut roster = CodeRoster::new(&keys, &config, AnyFamily::default());
+                let mut rng = StdRng::seed_from_u64(42);
+                let mut air = Air::new(PerfectChannel);
+                let mut fast = AirMetrics::default();
+                for _ in 0..200 {
+                    let path = BitString::random(height, &mut rng);
+                    roster.begin_round(&RoundStart { path, seed: None });
+                    air.broadcast(config.round_start_bits());
+                    let rec = match search {
+                        SearchStrategy::Binary => {
+                            binary_round(&config, &mut roster, &mut air, &mut rng)
+                        }
+                        SearchStrategy::Linear => {
+                            linear_round(&config, &mut roster, &mut air, &mut rng)
+                        }
+                    };
+                    assert_eq!(rec, fused_round(&codes, &path, &config, &mut fast));
+                }
+                assert_eq!(&fast, air.metrics(), "H = {height}, n = {n}, {search:?}");
             }
-            assert_eq!(&fast, air.metrics(), "H = {height}, n = {n}");
         }
     }
 

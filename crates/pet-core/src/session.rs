@@ -324,8 +324,8 @@ impl ResponderOracle for BankOracle<'_> {
 /// Produces [`EstimateReport`]s **bit-for-bit identical** to
 /// [`PetSession::run_rounds`] over the [`CodeRoster`] oracle for the same
 /// RNG stream and channel model — estimate, per-round records, and
-/// [`AirMetrics`]. Over the perfect channel each round is one binary
-/// search (see [`crate::kernel`]) with metrics synthesized arithmetically;
+/// [`AirMetrics`]. Over the perfect channel each round is one search plus
+/// local counts around its result (see [`crate::kernel`]);
 /// over a lossy channel the engine replays the slot-accurate protocol
 /// loop through a [`BankOracle`], still reusing hash/sort work through
 /// [`CodeBank`]s. [`Self::try_run_transcribed`] additionally captures the
@@ -437,10 +437,10 @@ impl SessionEngine {
         Ok((report, transcript.expect("transcript was requested")))
     }
 
-    /// The lossless arithmetic fast path: one binary search per round,
-    /// metrics synthesized by [`kernel::apply_round_metrics`]. Bit-for-bit
-    /// identical to the oracle path over [`ChannelModel::Perfect`] (which
-    /// draws no slot-level randomness).
+    /// The lossless arithmetic fast path: one [`kernel::fused_round`] per
+    /// round, which finds the gray node with one search and synthesizes the
+    /// round's metrics. Bit-for-bit identical to the oracle path over
+    /// [`ChannelModel::Perfect`] (which draws no slot-level randomness).
     fn run_fast_lossless<R: Rng + ?Sized>(
         &self,
         bank: &mut CodeBank,
@@ -484,10 +484,8 @@ impl SessionEngine {
                 TagMode::PassivePreloaded => None,
             };
             bank.begin_round(seed, family, height);
-            let l = kernel::locate_prefix_len(bank.codes(), &path);
-            let record = kernel::round_record_probed(height, config.search(), l, probes);
             let before = metrics;
-            kernel::apply_round_metrics(bank.codes(), &path, config, l, &mut metrics);
+            let record = kernel::fused_round(bank.codes(), &path, config, &mut metrics);
             drop(round_span);
             crate::reader::record_round_telemetry(config, &record);
             crate::reader::record_outcome_telemetry(&before, &metrics);

@@ -3,7 +3,7 @@
 use pet_core::bits::BitString;
 use pet_core::config::{Backend, CommandEncoding, Mitigation, PetConfig, SearchStrategy, TagMode};
 use pet_core::front::Estimator;
-use pet_core::kernel::{apply_round_metrics, locate_prefix_len, round_record};
+use pet_core::kernel::{fused_round, round_record};
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart, TagFleet};
 use pet_core::reader::{binary_round, linear_round, run_round};
 use pet_core::tree::Tree;
@@ -133,18 +133,27 @@ proptest! {
         }
     }
 
-    /// The single-search kernel agrees with the slot-by-slot reader over
+    /// The fused kernel round agrees with the slot-by-slot reader over
     /// BOTH oracles on every round-record field, and its synthetic metrics
-    /// equal the Air's, for arbitrary populations, heights, and streams.
+    /// equal the Air's, for arbitrary populations, heights (small ones
+    /// produce the duplicate codes the responder count must include),
+    /// streams, and perfect-channel re-probe counts.
     #[test]
     fn kernel_matches_reader_over_both_oracles(
         keys in proptest::collection::vec(any::<u64>(), 0..60),
         height in 1u32..=64,
         seed in any::<u64>(),
         linear in any::<bool>(),
+        probes in 0u32..3,
     ) {
         let search = if linear { SearchStrategy::Linear } else { SearchStrategy::Binary };
-        let config = PetConfig::builder().height(height).search(search).build().unwrap();
+        let mitigation = if probes > 0 { Mitigation::ReProbe { probes } } else { Mitigation::None };
+        let config = PetConfig::builder()
+            .height(height)
+            .search(search)
+            .mitigation(mitigation)
+            .build()
+            .unwrap();
         let mut roster = CodeRoster::new(&keys, &config, AnyFamily::default());
         let mut fleet = TagFleet::new(&keys, &config, AnyFamily::default());
         let codes = roster.codes().to_vec();
@@ -159,15 +168,16 @@ proptest! {
             let b = run_round(&config, &mut fleet, &mut air_b, &mut rng_b);
             // The kernel consumes the identical stream: one path draw.
             let path = BitString::random(height, &mut rng_k);
-            let l = locate_prefix_len(&codes, &path);
-            let k = round_record(height, search, l);
-            apply_round_metrics(&codes, &path, &config, l, &mut metrics);
+            let k = fused_round(&codes, &path, &config, &mut metrics);
             prop_assert_eq!(
                 (a.prefix_len, a.gray_height, a.slots, a.disambiguated),
                 (k.prefix_len, k.gray_height, k.slots, k.disambiguated)
             );
             prop_assert_eq!(a, k);
             prop_assert_eq!(b, k);
+            if probes == 0 {
+                prop_assert_eq!(k, round_record(height, search, k.prefix_len));
+            }
         }
         prop_assert_eq!(air_a.metrics(), &metrics);
         prop_assert_eq!(air_b.metrics(), &metrics);
@@ -175,8 +185,8 @@ proptest! {
 
     /// Disambiguation edge: when at most the first path bit is shared
     /// (L ∈ {0, 1}), binary search converges to `low = 1` with no busy
-    /// answer and must spend the extra disambiguation slot. The kernel
-    /// replays the same record and the same metrics.
+    /// answer and must spend the extra disambiguation slot. The fused
+    /// kernel round replays the same record and the same metrics.
     #[test]
     fn kernel_disambiguation_edge(height in 2u32..=64, share_one in any::<bool>()) {
         let config = cfg(height);
@@ -187,24 +197,22 @@ proptest! {
         let mut roster =
             CodeRoster::from_codes(&[BitString::from_bits(code, height).unwrap()], height);
         let codes = roster.codes().to_vec();
-        let l = locate_prefix_len(&codes, &path);
-        prop_assert_eq!(l, u32::from(share_one));
         let mut air = Air::new(PerfectChannel);
         let mut rng = StdRng::seed_from_u64(0);
         roster.begin_round(&RoundStart { path, seed: None });
         air.broadcast(config.round_start_bits());
         let rec = binary_round(&config, &mut roster, &mut air, &mut rng);
-        let k = round_record(height, SearchStrategy::Binary, l);
+        let mut metrics = AirMetrics::default();
+        let k = fused_round(&codes, &path, &config, &mut metrics);
+        prop_assert_eq!(k.prefix_len, u32::from(share_one));
         prop_assert_eq!(rec, k);
         prop_assert!(k.disambiguated);
-        let mut metrics = AirMetrics::default();
-        apply_round_metrics(&codes, &path, &config, l, &mut metrics);
         prop_assert_eq!(&metrics, air.metrics());
     }
 
-    /// Height-64 top-of-tree codes (near `u64::MAX`) exercise the metric
-    /// synthesis' exclusive-upper-bound overflow guard under both search
-    /// strategies.
+    /// Height-64 top-of-tree codes (near `u64::MAX`) exercise the fused
+    /// round's responder counts at the top of the code space under both
+    /// search strategies.
     #[test]
     fn kernel_height64_overflow_edge(
         offsets in proptest::collection::btree_set(0u64..16, 1..8),
@@ -220,7 +228,6 @@ proptest! {
         let mut roster = CodeRoster::from_codes(&code_bits, 64);
         let codes = roster.codes().to_vec();
         let path = BitString::from_bits(u64::MAX - path_off, 64).unwrap();
-        let l = locate_prefix_len(&codes, &path);
         let mut air = Air::new(PerfectChannel);
         let mut rng = StdRng::seed_from_u64(1);
         roster.begin_round(&RoundStart { path, seed: None });
@@ -229,9 +236,9 @@ proptest! {
             SearchStrategy::Linear => linear_round(&config, &mut roster, &mut air, &mut rng),
             SearchStrategy::Binary => binary_round(&config, &mut roster, &mut air, &mut rng),
         };
-        prop_assert_eq!(rec, round_record(64, search, l));
         let mut metrics = AirMetrics::default();
-        apply_round_metrics(&codes, &path, &config, l, &mut metrics);
+        prop_assert_eq!(rec, fused_round(&codes, &path, &config, &mut metrics));
+        prop_assert_eq!(rec, round_record(64, search, rec.prefix_len));
         prop_assert_eq!(&metrics, air.metrics());
     }
 

@@ -8,12 +8,14 @@
 //! installed the server's events stream there too.
 //!
 //! This sits on the per-request hot path of both serving backends, so the
-//! known names — the protocol's five verbs and five error codes — are
-//! kept as plain atomic counters and the latency histogram behind one
-//! short mutex; a [`pet_obs::Summary`] is materialized only when
-//! [`ServerMetrics::snapshot`] is asked for one. An unexpected verb name
-//! (future protocol growth) falls back to a locked map so nothing is ever
-//! dropped.
+//! known names — every verb in `proto::VERB_NAMES`, the list
+//! [`Verb::name`] reads, and the five error codes — are kept as plain
+//! atomic counters and the latency histogram behind one short mutex; a
+//! [`pet_obs::Summary`] is materialized only when
+//! [`ServerMetrics::snapshot`] is asked for one. A name outside that list
+//! falls back to a locked map so nothing is ever dropped.
+//!
+//! [`Verb::name`]: crate::proto::Verb::name
 //!
 //! Metric names:
 //!
@@ -23,21 +25,12 @@
 //! - span `server.request` — queue-to-reply latency (duration; log₂
 //!   histogram via [`pet_obs::Histogram`])
 
-use crate::proto::ErrorCode;
+use crate::proto::{ErrorCode, VERB_NAMES};
 use pet_obs::{Event, Histogram, SpanStats, Summary};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// The protocol's verbs, in wire-name order of `server.req.<verb>` keys.
-const VERBS: [(&str, &str); 5] = [
-    ("estimate", "server.req.estimate"),
-    ("reader-round", "server.req.reader-round"),
-    ("robustness", "server.req.robustness"),
-    ("shutdown", "server.req.shutdown"),
-    ("telemetry-snapshot", "server.req.telemetry-snapshot"),
-];
 
 /// Latency span accumulator (count/total live in the histogram's own
 /// fields would drift on saturation; keep them explicit like
@@ -52,7 +45,7 @@ struct LatencyAccum {
 /// The server's metric store. All methods are `&self`; share via `Arc`.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    req: [AtomicU64; VERBS.len()],
+    req: [AtomicU64; VERB_NAMES.len()],
     req_other: Mutex<BTreeMap<&'static str, u64>>,
     ok: AtomicU64,
     overload: AtomicU64,
@@ -67,12 +60,8 @@ impl ServerMetrics {
     /// Records an accepted request of `verb`.
     pub fn request(&self, verb: &'static str) {
         self.events.fetch_add(1, Ordering::Relaxed);
-        if let Some(i) = VERBS.iter().position(|(v, _)| *v == verb) {
+        if let Some(i) = VERB_NAMES.iter().position(|v| *v == verb) {
             self.req[i].fetch_add(1, Ordering::Relaxed);
-            forward(&Event::Counter {
-                name: VERBS[i].1.into(),
-                delta: 1,
-            });
         } else {
             *self
                 .req_other
@@ -80,6 +69,8 @@ impl ServerMetrics {
                 .expect("metrics poisoned")
                 .entry(verb)
                 .or_default() += 1;
+        }
+        if pet_obs::enabled() {
             forward(&Event::Counter {
                 name: format!("server.req.{verb}").into(),
                 delta: 1,
@@ -159,10 +150,10 @@ impl ServerMetrics {
     pub fn snapshot(&self) -> Summary {
         let mut summary = Summary::default();
         summary.set_events(self.events.load(Ordering::Relaxed));
-        for (i, (_, name)) in VERBS.iter().enumerate() {
-            let total = self.req[i].load(Ordering::Relaxed);
+        for (verb, total) in VERB_NAMES.iter().zip(&self.req) {
+            let total = total.load(Ordering::Relaxed);
             if total > 0 {
-                summary.set_counter(name, total);
+                summary.set_counter(&format!("server.req.{verb}"), total);
             }
         }
         for (verb, total) in self.req_other.lock().expect("metrics poisoned").iter() {
@@ -271,6 +262,20 @@ mod tests {
         m.error(ErrorCode::Overloaded); // overload + err counter = 2 events
         m.error(ErrorCode::Internal); // 1 event
         assert_eq!(m.snapshot().events(), 6);
+    }
+
+    #[test]
+    fn every_verb_counts_on_the_fast_path() {
+        let m = ServerMetrics::default();
+        for verb in VERB_NAMES {
+            m.request(verb);
+        }
+        assert!(m.req_other.lock().unwrap().is_empty());
+        assert!(m.req.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        let s = m.snapshot();
+        for verb in VERB_NAMES {
+            assert_eq!(s.counter(&format!("server.req.{verb}")), 1, "{verb}");
+        }
     }
 
     #[test]

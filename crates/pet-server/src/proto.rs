@@ -110,18 +110,35 @@ pub enum Verb {
     Shutdown,
 }
 
+/// Wire names of the verbs, indexed by `Verb::index`. [`Verb::name`]
+/// reads from this list and [`crate::ServerMetrics`] sizes its per-verb
+/// counters by it, so the two cannot drift.
+pub(crate) const VERB_NAMES: [&str; 6] = [
+    "estimate",
+    "robustness",
+    "reader-round",
+    "monitor",
+    "telemetry-snapshot",
+    "shutdown",
+];
+
 impl Verb {
+    /// Position of the verb's wire name in `VERB_NAMES`.
+    fn index(&self) -> usize {
+        match self {
+            Self::Estimate(_) => 0,
+            Self::Robustness(_) => 1,
+            Self::ReaderRound(_) => 2,
+            Self::Monitor(_) => 3,
+            Self::TelemetrySnapshot => 4,
+            Self::Shutdown => 5,
+        }
+    }
+
     /// Wire name of the verb (metrics labels, reply envelopes).
     #[must_use]
     pub fn name(&self) -> &'static str {
-        match self {
-            Self::Estimate(_) => "estimate",
-            Self::Robustness(_) => "robustness",
-            Self::ReaderRound(_) => "reader-round",
-            Self::Monitor(_) => "monitor",
-            Self::TelemetrySnapshot => "telemetry-snapshot",
-            Self::Shutdown => "shutdown",
-        }
+        VERB_NAMES[self.index()]
     }
 }
 
@@ -822,6 +839,25 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(r.verb, Verb::ReaderRound(p) if p.path_bits == u64::MAX));
+    }
+
+    /// Every wire name in `VERB_NAMES` parses to the verb whose `index`
+    /// points back at it.
+    #[test]
+    fn verb_names_round_trip_through_index() {
+        let lines = [
+            r#"{"id":"v","verb":"estimate","tags":10}"#,
+            r#"{"id":"v","verb":"robustness"}"#,
+            r#"{"id":"v","verb":"reader-round","tags":10,"zones":2,"deploy_seed":7,"coverage":[1],"path":3}"#,
+            r#"{"id":"v","verb":"monitor","tags":10}"#,
+            r#"{"id":"v","verb":"telemetry-snapshot"}"#,
+            r#"{"id":"v","verb":"shutdown"}"#,
+        ];
+        for (i, line) in lines.iter().enumerate() {
+            let verb = parse_request(line).unwrap().verb;
+            assert_eq!(verb.index(), i, "{line}");
+            assert_eq!(verb.name(), VERB_NAMES[i]);
+        }
     }
 
     #[test]

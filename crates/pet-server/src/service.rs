@@ -614,6 +614,28 @@ mod tests {
         assert_eq!(Backend::parse("asynchronous"), None);
     }
 
+    /// The `telemetry-snapshot` reply after a `monitor` request is pinned
+    /// byte for byte: the verb's counter name and value must not depend on
+    /// which of the metrics' tables counts it.
+    #[test]
+    fn monitor_requests_count_on_the_fast_path() {
+        let core = ServiceCore::new(&ServerConfig {
+            deterministic: true,
+            ..ServerConfig::default()
+        });
+        assert!(matches!(
+            core.handle_line(br#"{"id":"m","verb":"monitor","tags":100}"#),
+            Some(Dispatch::Work(_))
+        ));
+        match core.handle_line(br#"{"id":"t","verb":"telemetry-snapshot"}"#) {
+            Some(Dispatch::Reply(r)) => assert_eq!(
+                r,
+                r#"{"id":"t","ok":true,"verb":"telemetry-snapshot","snapshot":{"events":2,"counters":{"server.req.monitor":1,"server.req.telemetry-snapshot":1},"gauges":{},"spans":{}}}"#
+            ),
+            _ => panic!("telemetry-snapshot must reply inline"),
+        }
+    }
+
     #[test]
     fn blank_and_garbage_lines_classify() {
         let core = ServiceCore::new(&ServerConfig {

@@ -25,6 +25,13 @@ cargo build --examples
 echo "==> cargo test -q"
 cargo test -q
 
+# Serial re-run: a test that races with its binary's other tests on shared
+# state (a scratch directory, a process-global sink) behaves differently
+# with one thread than with many, so the race fails one of the two runs
+# instead of flaking silently.
+echo "==> cargo test -q -- --test-threads=1"
+cargo test -q -- --test-threads=1
+
 # Statistical conformance gate: fixed-seed empirical checks of the paper's
 # (ε, δ) guarantee, the gray-node law (KS), lossy-channel backend
 # equivalence, and bias bounds under loss. Deterministic, runs in seconds.
