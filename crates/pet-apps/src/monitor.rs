@@ -10,10 +10,7 @@
 //! computable in closed form (and verified empirically in the tests).
 
 use pet_core::config::PetConfig;
-use pet_core::oracle::CodeRoster;
-use pet_core::session::PetSession;
-use pet_phy::channel::PerfectChannel;
-use pet_phy::Air;
+use pet_core::front::Estimator;
 use pet_stats::erf::normal_cdf;
 use pet_stats::gray::{GrayDistribution, SIGMA_H};
 use pet_tags::population::TagPopulation;
@@ -123,11 +120,7 @@ impl MissingTagMonitor {
         population: &TagPopulation,
         rng: &mut R,
     ) -> MonitorVerdict {
-        let session = PetSession::new(self.config);
-        let keys: Vec<u64> = population.keys().collect();
-        let mut oracle = CodeRoster::new(&keys, &self.config, session.family());
-        let mut air = Air::new(PerfectChannel);
-        let report = session.run(&mut oracle, &mut air, rng);
+        let report = Estimator::new(self.config).estimate_population(population, rng);
         self.judge(report.mean_prefix_len, report.rounds)
     }
 

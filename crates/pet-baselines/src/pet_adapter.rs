@@ -2,8 +2,8 @@
 
 use crate::{CardinalityEstimator, Estimate};
 use pet_core::config::PetConfig;
+use pet_core::front::Estimator;
 use pet_core::oracle::CodeRoster;
-use pet_core::session::PetSession;
 use pet_phy::channel::ChannelModel;
 use pet_phy::Air;
 use pet_stats::accuracy::Accuracy;
@@ -64,9 +64,11 @@ impl CardinalityEstimator for PetAdapter {
         air: &mut Air<ChannelModel>,
         rng: &mut dyn RngCore,
     ) -> Estimate {
-        let session = PetSession::new(self.config);
-        let mut oracle = CodeRoster::new(keys, &self.config, session.family());
-        let report = session.run_rounds(rounds, &mut oracle, air, rng);
+        let estimator = Estimator::new(self.config);
+        let mut oracle = CodeRoster::new(keys, &self.config, estimator.family());
+        let report = estimator
+            .try_run_oracle(rounds, &mut oracle, air, rng)
+            .unwrap_or_else(|e| panic!("{e}"));
         Estimate {
             estimate: report.estimate,
             rounds: report.rounds,

@@ -155,8 +155,9 @@ fn server_row(run: &Json) -> Result<LedgerRow, String> {
     Ok(row)
 }
 
-/// The normalized ledger row for one live [`BenchRun`] — the same shape
-/// [`server_rows`] produces when migrating `BENCH_server.json`, so live
+/// The normalized ledger row for one live
+/// [`BenchRun`](pet_server::loadgen::BenchRun) — the same shape
+/// `server_rows` produces when migrating `BENCH_server.json`, so live
 /// recordings and migrated history land in the same trend series.
 ///
 /// # Panics

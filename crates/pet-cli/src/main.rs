@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! pet estimate --tags 50000 [--epsilon 0.05] [--delta 0.01]
-//!              [--protocol pet|fneb|lof|ezb] [--linear] [--adaptive]
-//!              [--rounds M] [--seed S]
+//!              [--protocol pet|fneb|lof|ezb] [--linear]
+//!              [--adaptive | --rounds M] [--seed S]
 //! pet identify --tags 50000 [--protocol aloha|treewalk] [--seed S]
 //! pet compare  --tags 50000 [--epsilon 0.05] [--delta 0.01] [--seed S]
 //! pet monitor  --expected 10000 --present 9000 [--alpha 0.01] [--seed S]
@@ -28,7 +28,6 @@ mod serve;
 
 use args::{ArgError, Args};
 use pet_baselines::{CardinalityEstimator, Ezb, Fneb, Fsa, Lof, PetAdapter};
-use pet_core::adaptive::AdaptiveSession;
 use pet_core::bits::BitString;
 use pet_core::config::{Mitigation, PetConfig, SearchStrategy};
 use pet_core::front::Estimator;
@@ -46,7 +45,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: pet <estimate|identify|compare|monitor|tree|info> [--flags]
   pet estimate --tags 50000 [--epsilon 0.05] [--delta 0.01] [--protocol pet|fneb|lof|ezb|fsa]
-               [--linear] [--adaptive] [--rounds M] [--seed S] [--phy gen2]
+               [--linear] [--adaptive | --rounds M] [--seed S] [--phy gen2]
                [--miss P] [--false-busy P] [--probes R | --trim K]
   pet robustness [--tags 5000] [--rounds 128] [--runs 40] [--miss 0,0.01,0.02,0.05,0.1]
                [--false-busy 0] [--probes 2] [--seed S] [--out target/robustness]
@@ -255,10 +254,18 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
             .phy(phy)
             .build()
             .map_err(|e| ArgError(e.to_string()))?;
+        if args.switch("adaptive") && args.get("rounds").is_some() {
+            return Err(ArgError(
+                "--adaptive and --rounds are mutually exclusive (adaptive runs pick their own \
+                 round count)"
+                    .into(),
+            ));
+        }
+        let estimator = Estimator::with_family(config, pet_hash_family());
         let report = if args.switch("adaptive") {
-            let mut oracle = CodeRoster::new(&keys, &config, pet_hash_family());
+            let mut oracle = CodeRoster::new(&keys, &config, estimator.family());
             let mut air = Air::new(channel);
-            AdaptiveSession::new(config).run(&mut oracle, &mut air, &mut rng)
+            estimator.run_adaptive(&mut oracle, &mut air, &mut rng)
         } else {
             // The unified front door: the configured backend (kernel by
             // default) produces reports bit-for-bit equal to the oracle
@@ -269,7 +276,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
                     .map_err(|_| ArgError("--rounds: not an integer".into()))?,
                 None => config.rounds(),
             };
-            Estimator::with_family(config, pet_hash_family())
+            estimator
                 .try_estimate_keys_rounds(&keys, rounds, &mut rng)
                 .map_err(|e| ArgError(e.to_string()))?
         };
@@ -1145,6 +1152,10 @@ mod cli_tests {
         );
         assert!(exec(&["estimate", "--tags", "10", "--frobnicate"]).is_err());
         assert!(exec(&["estimate", "--tags", "10", "--protocol", "upx"]).is_err());
+        assert!(
+            exec(&["estimate", "--tags", "10", "--adaptive", "--rounds", "100"]).is_err(),
+            "--rounds cannot bound an adaptive run"
+        );
         assert!(exec(&["tree", "--tags", "4", "--height", "9"]).is_err());
         assert!(
             exec(&["tree", "--tags", "4", "--path", "01"]).is_err(),

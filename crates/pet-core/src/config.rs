@@ -28,17 +28,17 @@ pub enum TagMode {
     PassivePreloaded,
 }
 
-/// Which execution backend the unified [`crate::Estimator`] front door
-/// drives. Both produce **bit-for-bit identical** [`crate::EstimateReport`]s
-/// for the same configuration and RNG stream (pinned by the kernel
-/// equivalence suite); they differ only in speed and generality.
+/// Which execution backend [`crate::Estimator`] drives. Both produce
+/// **bit-for-bit identical** [`crate::EstimateReport`]s for the same
+/// configuration and RNG stream (pinned by the kernel equivalence suite);
+/// they differ only in speed and generality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The slot-by-slot oracle reader ([`crate::PetSession`]): every query
-    /// goes through the [`crate::oracle::ResponderOracle`] trait and the
-    /// radio [`pet_phy::Air`], so transcripts and lossy channels work.
+    /// The slot-by-slot oracle reader: every query goes through the
+    /// [`crate::oracle::ResponderOracle`] trait and the radio
+    /// [`pet_phy::Air`], so transcripts and lossy channels work.
     Oracle,
-    /// The batched gray-node kernel ([`crate::SessionEngine`]): one binary
+    /// The batched gray-node kernel ([`crate::kernel`]): one binary
     /// search per round over sorted codes — ~5× faster at paper scale, the
     /// default for sweeps.
     #[default]

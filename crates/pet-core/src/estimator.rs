@@ -1,6 +1,5 @@
 //! Aggregating round statistics into a cardinality estimate (Eq. (12)–(14)),
-//! plus the lossy-channel mitigation variants (see
-//! [`Mitigation`](crate::config::Mitigation)).
+//! plus the lossy-channel mitigation variants (see [`Mitigation`]).
 
 use crate::config::Mitigation;
 use crate::reader::RoundRecord;

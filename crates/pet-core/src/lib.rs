@@ -20,26 +20,26 @@
 //!   the exact sorted-roster fast path.
 //! - [`reader`]: Algorithm 1 (linear) and Algorithm 3 (binary search).
 //! - [`estimator`]: Eq. (12)–(14) aggregation.
-//! - [`session`]: end-to-end `m`-round estimation with air-cost accounting.
-//! - [`front`]: the unified [`Estimator`] entry point dispatching on the
-//!   configured [`Backend`].
+//! - [`front`]: [`Estimator`], the one estimation driver — `m` rounds with
+//!   air-cost accounting, dispatching on the configured [`Backend`], plus
+//!   sequential early stopping (extension).
+//! - [`session`]: [`EstimateReport`], the result of one estimation.
 //! - [`monitor`]: continuous-monitoring estimation over a churning
 //!   population — sliding windows, Δn differentials, missing-tag alarm
 //!   (extension).
 //! - [`error`]: [`PetError`] for the fallible (`try_*`) API surface.
-//! - [`adaptive`]: sequential early-stopping sessions (extension).
 //!
 //! # Quick start
 //!
 //! ```
-//! use pet_core::{PetConfig, PetSession};
+//! use pet_core::{Estimator, PetConfig};
 //! use pet_tags::population::TagPopulation;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(42);
 //! let warehouse = TagPopulation::sequential(25_000);
-//! let session = PetSession::new(PetConfig::paper_default());
-//! let report = session.estimate_population(&warehouse, &mut rng);
+//! let estimator = Estimator::new(PetConfig::paper_default());
+//! let report = estimator.estimate_population(&warehouse, &mut rng);
 //! // ±5% with 99% confidence (the paper's default requirement).
 //! assert!((report.estimate - 25_000.0).abs() < 0.05 * 25_000.0);
 //! // O(log log n): exactly 5 slots per round at H = 32.
@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod bits;
 pub mod config;
 pub mod error;
@@ -62,7 +61,6 @@ pub mod reader;
 pub mod session;
 pub mod tree;
 
-pub use adaptive::AdaptiveSession;
 pub use bits::BitString;
 pub use config::{Backend, CommandEncoding, PetConfig, SearchStrategy, TagMode};
 pub use error::PetError;
@@ -72,4 +70,4 @@ pub use kernel::CodeBank;
 pub use monitor::{Monitor, MonitorConfig, MonitorUpdate};
 pub use oracle::{CodeRoster, ResponderOracle, TagFleet};
 pub use reader::RoundRecord;
-pub use session::{EstimateReport, PetSession, SessionEngine};
+pub use session::EstimateReport;

@@ -72,7 +72,7 @@ where
 }
 
 /// Emits the per-round slot/bit counters shared by the oracle reader and
-/// the batched kernel (`SessionEngine::run_fast`), so traces from either
+/// the batched kernel (`Estimator`'s lossless path), so traces from either
 /// backend aggregate under the same names. Costs one branch when telemetry
 /// is disabled.
 pub(crate) fn record_round_telemetry(config: &PetConfig, record: &RoundRecord) {

@@ -68,7 +68,7 @@ pub fn hash_codes_into<F: HashFamily>(
 }
 
 /// Like [`hash_codes_into`], but fans contiguous chunks across threads for
-/// large populations (same [`choose_threads`] chooser, unbounded cap).
+/// large populations (same `choose_threads` chooser, unbounded cap).
 /// Output is byte-identical to the sequential path.
 pub fn hash_codes_par<F: HashFamily + Sync>(
     family: &F,

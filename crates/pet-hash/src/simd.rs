@@ -317,7 +317,7 @@ pub fn truncate_slice(lane: Lane, values: &mut [u64], bits: u32) {
 /// using the process-wide [`active_lane`].
 ///
 /// Drop-in for `codes.partition_point(|&c| c < bound)`: binary search
-/// narrows the window to at most [`SWEEP_WINDOW`] elements, then a
+/// narrows the window to at most `SWEEP_WINDOW` elements, then a
 /// branchless compare+count sweep (SIMD compare + popcount on AVX2)
 /// replaces the final probes — those last comparisons are coin-flips the
 /// branch predictor keeps missing, and the per-prefix responder counts of

@@ -15,7 +15,7 @@
 //! direction, so survivor counts at each tree depth become path-dependent).
 //!
 //! The family is pure `(seed, id)` → bits like every other
-//! [`HashFamily`](crate::family::HashFamily), so both estimator backends
+//! [`HashFamily`], so both estimator backends
 //! (roster oracle and batched kernel) consume it through the same trait and
 //! stay bit-for-bit equivalent.
 

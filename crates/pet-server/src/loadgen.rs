@@ -567,7 +567,7 @@ fn raw_key(item: &Json) -> Option<RowKey> {
 /// configuration; rewriting a configuration replaces its row and leaves
 /// the others intact, so threaded and evented measurements accumulate in
 /// one artifact — a partial rerun never loses rows it didn't measure.
-/// Rows a future (or past) schema dialect that [`BenchRun::from_json`]
+/// Rows a future (or past) schema dialect that `BenchRun::from_json`
 /// cannot parse are preserved verbatim, keyed when their (backend,
 /// connections, pipeline) fields are extractable. A pre-v2 flat file is
 /// migrated into a keyed v2 row instead of being discarded, so seed-era

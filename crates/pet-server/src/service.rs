@@ -4,7 +4,7 @@
 //! enforcement, deterministic seeding, RED metrics, the roster caches —
 //! and nothing about how bytes arrive. The two serving backends
 //! ([`crate::server`]'s thread-per-connection driver and
-//! [`crate::event_loop`]'s sharded readiness loop) are thin transports
+//! `event_loop`'s sharded readiness loop) are thin transports
 //! over one [`ServiceCore`]: each feeds raw request lines in and writes
 //! the returned reply lines out. Because every reply string is produced
 //! by this module from the request alone (plus the core's deterministic

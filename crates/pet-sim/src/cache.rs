@@ -257,7 +257,8 @@ impl RosterCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pet_core::session::{PetSession, SessionEngine};
+    use pet_core::config::Backend;
+    use pet_core::front::Estimator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -267,16 +268,22 @@ mod tests {
             .manufacture_seed(0xCAFE)
             .build()
             .unwrap();
+        let oracle = Estimator::new(
+            PetConfig::builder()
+                .manufacture_seed(0xCAFE)
+                .backend(Backend::Oracle)
+                .build()
+                .unwrap(),
+        );
+        let kernel = Estimator::new(config);
         let cache = RosterCache::default();
-        let session = PetSession::new(config);
-        let engine = SessionEngine::from_session(session.clone());
         let pop = TagPopulation::sequential(1_500);
         for round in 0..3 {
-            let mut bank = cache.sequential_bank(1_500, &config, session.family());
+            let mut bank = cache.sequential_bank(1_500, &config, kernel.family());
             let mut rng_a = StdRng::seed_from_u64(round);
             let mut rng_b = StdRng::seed_from_u64(round);
-            let slow = session.estimate_population_rounds(&pop, 16, &mut rng_a);
-            let fast = engine.run_fast(&mut bank, 16, &mut rng_b);
+            let slow = oracle.estimate_population_rounds(&pop, 16, &mut rng_a);
+            let fast = kernel.run_bank(&mut bank, 16, &mut rng_b);
             assert_eq!(slow.estimate.to_bits(), fast.estimate.to_bits());
             assert_eq!(slow.metrics, fast.metrics);
         }

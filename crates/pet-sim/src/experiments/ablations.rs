@@ -9,9 +9,9 @@ use crate::cache::RosterCache;
 use crate::runner::run_trials;
 use pet_baselines::{CardinalityEstimator, Fidelity, Lof};
 use pet_core::config::{CommandEncoding, PetConfig, SearchStrategy};
+use pet_core::front::Estimator;
 use pet_core::kernel::CodeBank;
 use pet_core::oracle::CodeRoster;
-use pet_core::session::{PetSession, SessionEngine};
 use pet_hash::bulk::{hash_codes_into, radix_sort_codes, RadixScratch};
 use pet_hash::family::{AnyFamily, HashKind};
 use pet_phy::channel::{ChannelModel, LossyChannel};
@@ -44,11 +44,11 @@ pub fn search_strategy(tag_counts: &[usize], rounds: u32, seed: u64) -> Vec<Sear
                 let config = PetConfig::builder().search(strategy).build().unwrap();
                 // Both strategies read the same preloaded codes, so the
                 // cached bank is hashed and sorted once per `n`.
-                let engine = SessionEngine::new(config);
+                let estimator = Estimator::new(config);
                 let mut bank =
                     RosterCache::global().sequential_bank(n, &config, AnyFamily::default());
                 let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
-                let report = engine.run_fast(&mut bank, rounds, &mut rng);
+                let report = estimator.run_bank(&mut bank, rounds, &mut rng);
                 per_round[i] = report.metrics.slots as f64 / f64::from(rounds);
             }
             SearchCostRow {
@@ -81,10 +81,9 @@ pub fn command_encoding(n: usize, rounds: u32, seed: u64) -> Vec<EncodingRow> {
     .into_iter()
     .map(|(label, encoding)| {
         let config = PetConfig::builder().encoding(encoding).build().unwrap();
-        let engine = SessionEngine::new(config);
         let keys: Vec<u64> = (0..n as u64).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let report = engine.estimate_keys_rounds(&keys, rounds, &mut rng);
+        let report = Estimator::new(config).estimate_keys_rounds(&keys, rounds, &mut rng);
         EncodingRow {
             encoding: label.to_string(),
             slots: report.metrics.slots,
@@ -123,9 +122,9 @@ pub fn lossy_channel(
                     .manufacture_seed(trial_seed)
                     .build()
                     .unwrap();
-                let session = PetSession::new(config);
+                let estimator = Estimator::new(config);
                 let keys: Vec<u64> = (0..n as u64).collect();
-                let mut oracle = CodeRoster::new(&keys, &config, session.family());
+                let mut oracle = CodeRoster::new(&keys, &config, estimator.family());
                 let channel = if miss == 0.0 {
                     ChannelModel::Perfect
                 } else {
@@ -133,8 +132,9 @@ pub fn lossy_channel(
                 };
                 let mut air = Air::new(channel);
                 let mut rng = StdRng::seed_from_u64(trial_seed);
-                session
-                    .run_rounds(rounds, &mut oracle, &mut air, &mut rng)
+                estimator
+                    .try_run_oracle(rounds, &mut oracle, &mut air, &mut rng)
+                    .unwrap_or_else(|e| panic!("{e}"))
                     .estimate
             });
             let truth = n as f64;
@@ -224,7 +224,7 @@ pub fn hash_families(n: usize, rounds: u32, runs: usize, seed: u64) -> Vec<HashF
                 .build()
                 .unwrap();
             let family = AnyFamily::new(kind);
-            let engine = SessionEngine::with_family(config, family);
+            let estimator = Estimator::with_family(config, family);
             // Per-trial manufacture seeds defeat caching, and the trial
             // workers already hold every core, so hash sequentially here.
             let mut codes = Vec::new();
@@ -239,7 +239,7 @@ pub fn hash_families(n: usize, rounds: u32, runs: usize, seed: u64) -> Vec<HashF
             radix_sort_codes(&mut codes, config.height(), &mut scratch);
             let mut bank = CodeBank::passive_shared(Arc::new(codes));
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            engine.run_fast(&mut bank, rounds, &mut rng).estimate
+            estimator.run_bank(&mut bank, rounds, &mut rng).estimate
         });
         HashFamilyRow {
             family: label.to_string(),
@@ -337,7 +337,6 @@ pub fn adaptive_stopping(
     runs: usize,
     seed: u64,
 ) -> Vec<AdaptiveRow> {
-    use pet_core::adaptive::AdaptiveSession;
     let accuracy = pet_stats::accuracy::Accuracy::new(epsilon, delta).expect("valid accuracy");
     let keys: Vec<u64> = (0..n as u64).collect();
     let (lo, hi) = accuracy.interval(n as f64);
@@ -350,13 +349,14 @@ pub fn adaptive_stopping(
                 .manufacture_seed(trial_seed)
                 .build()
                 .unwrap();
-            let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
-            let mut air = Air::new(ChannelModel::Perfect);
+            let estimator = Estimator::new(config);
             let mut rng = StdRng::seed_from_u64(trial_seed);
             let report = if adaptive {
-                AdaptiveSession::new(config).run(&mut oracle, &mut air, &mut rng)
+                let mut oracle = CodeRoster::new(&keys, &config, estimator.family());
+                let mut air = Air::new(ChannelModel::Perfect);
+                estimator.run_adaptive(&mut oracle, &mut air, &mut rng)
             } else {
-                PetSession::new(config).run(&mut oracle, &mut air, &mut rng)
+                estimator.estimate_keys_rounds(&keys, config.rounds(), &mut rng)
             };
             rounds_sum.fetch_add(
                 u64::from(report.rounds),

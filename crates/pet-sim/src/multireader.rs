@@ -470,7 +470,7 @@ impl ResponderOracle for ControllerOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pet_core::session::PetSession;
+    use pet_core::front::Estimator;
     use pet_phy::channel::LossyChannel;
     use pet_stats::accuracy::Accuracy;
 
@@ -549,7 +549,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let multi = deployment.estimate(&config(), 256, ChannelModel::Perfect, &mut rng);
         let mut rng = StdRng::seed_from_u64(8);
-        let single = PetSession::new(config()).estimate_population_rounds(&pop, 256, &mut rng);
+        let single = Estimator::new(config()).estimate_population_rounds(&pop, 256, &mut rng);
         // Same seed, same rounds — identical statistic path.
         assert!((multi.estimate - single.estimate).abs() < 1e-9);
         assert_eq!(multi.controller_slots, single.metrics.slots);

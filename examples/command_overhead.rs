@@ -10,7 +10,6 @@
 //! cargo run --release --example command_overhead
 //! ```
 
-use pet::core::oracle::CodeRoster;
 use pet::prelude::*;
 
 fn main() {
@@ -34,12 +33,9 @@ fn main() {
             .encoding(encoding)
             .build()
             .expect("valid config");
-        let session = PetSession::new(config);
         let keys: Vec<u64> = (0..n as u64).collect();
-        let mut oracle = CodeRoster::new(&keys, &config, session.family());
-        let mut air = Air::new(ChannelModel::Perfect);
         let mut rng = StdRng::seed_from_u64(0xC0DE);
-        let report = session.run(&mut oracle, &mut air, &mut rng);
+        let report = Estimator::new(config).estimate_keys_rounds(&keys, config.rounds(), &mut rng);
         let time = TimeModel::gen2().elapsed(&report.metrics);
         println!(
             "{:<16} {:>8} {:>10} {:>14} {:>12.1} {:>10.2} s",

@@ -231,4 +231,10 @@ cargo clippy --workspace --all-targets \
     --exclude rand --exclude proptest --exclude criterion \
     -- -D warnings
 
+# Rustdoc gate: a stale intra-doc link (say, to a deleted type) or public
+# docs linking a private item fail here instead of rotting silently.
+echo "==> cargo doc -D warnings (first-party crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+    --exclude rand --exclude proptest --exclude criterion
+
 echo "==> ci.sh: all checks passed"

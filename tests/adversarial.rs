@@ -34,11 +34,9 @@ fn cloned_tags_count_once() {
             .manufacture_seed(trial_seed)
             .build()
             .unwrap();
-        let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
-        let mut air = Air::new(ChannelModel::Perfect);
         let mut rng = StdRng::seed_from_u64(trial_seed);
-        PetSession::new(config)
-            .run_rounds(256, &mut oracle, &mut air, &mut rng)
+        Estimator::new(config)
+            .estimate_keys_rounds(&keys, 256, &mut rng)
             .estimate
     });
     let _ = config;
@@ -70,11 +68,9 @@ fn key_structure_invariance() {
                 .manufacture_seed(trial_seed)
                 .build()
                 .unwrap();
-            let mut oracle = CodeRoster::new(keys, &config, AnyFamily::default());
-            let mut air = Air::new(ChannelModel::Perfect);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
-                .run_rounds(128, &mut oracle, &mut air, &mut rng)
+            Estimator::new(config)
+                .estimate_keys_rounds(keys, 128, &mut rng)
                 .estimate
         });
         means.push(summary.mean / n as f64);
@@ -100,11 +96,9 @@ fn saturation_bias_is_bounded_not_hidden() {
                 .build()
                 .unwrap();
             let keys: Vec<u64> = (0..n as u64).collect();
-            let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
-            let mut air = Air::new(ChannelModel::Perfect);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
-                .run_rounds(512, &mut oracle, &mut air, &mut rng)
+            Estimator::new(config)
+                .estimate_keys_rounds(&keys, 512, &mut rng)
                 .estimate
         });
         let acc = summary.mean / n as f64;
@@ -154,11 +148,9 @@ fn single_tag_is_estimated_sanely() {
                 .build()
                 .unwrap();
             let keys = [42u64];
-            let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
-            let mut air = Air::new(PerfectChannel);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
-                .run_rounds(64, &mut oracle, &mut air, &mut rng)
+            Estimator::new(config)
+                .estimate_keys_rounds(&keys, 64, &mut rng)
                 .estimate
         });
         assert!(
@@ -191,8 +183,9 @@ fn false_busy_biases_up_boundedly() {
             };
             let mut air = Air::new(channel);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
-                .run_rounds(256, &mut oracle, &mut air, &mut rng)
+            Estimator::new(config)
+                .try_run_oracle(256, &mut oracle, &mut air, &mut rng)
+                .unwrap()
                 .estimate
         });
         summary.mean / n as f64
@@ -216,12 +209,16 @@ fn sessions_do_not_leak_state() {
     let config = quick_config();
     let keys: Vec<u64> = (0..2_000).collect();
     let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
-    let session = PetSession::new(config);
+    let estimator = Estimator::new(config);
     let mut air = Air::new(PerfectChannel);
     let mut rng = StdRng::seed_from_u64(0x0AD7);
-    let first = session.run_rounds(128, &mut oracle, &mut air, &mut rng);
+    let first = estimator
+        .try_run_oracle(128, &mut oracle, &mut air, &mut rng)
+        .unwrap();
     let slots_after_first = air.metrics().slots;
-    let second = session.run_rounds(128, &mut oracle, &mut air, &mut rng);
+    let second = estimator
+        .try_run_oracle(128, &mut oracle, &mut air, &mut rng)
+        .unwrap();
     assert_eq!(air.metrics().slots, slots_after_first * 2);
     for report in [&first, &second] {
         let rel = (report.estimate - 2_000.0).abs() / 2_000.0;

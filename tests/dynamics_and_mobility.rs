@@ -16,7 +16,7 @@ fn quick_config() -> PetConfig {
 /// Estimates track a churning population snapshot by snapshot.
 #[test]
 fn estimates_track_churn() {
-    let session = PetSession::new(quick_config());
+    let estimator = Estimator::new(quick_config());
     let mut timeline = Timeline::new(TagPopulation::sequential(4_000));
     let mut rng = StdRng::seed_from_u64(1);
     for (event, expected) in [
@@ -26,7 +26,7 @@ fn estimates_track_churn() {
     ] {
         let size = timeline.apply(event);
         assert_eq!(size, expected);
-        let report = session.estimate_population_rounds(timeline.population(), 384, &mut rng);
+        let report = estimator.estimate_population_rounds(timeline.population(), 384, &mut rng);
         let rel = (report.estimate - expected as f64).abs() / expected as f64;
         assert!(rel < 0.2, "after {event:?}: estimate {}", report.estimate);
     }

@@ -25,7 +25,7 @@ fn accuracy_guarantee_holds() {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(trial_seed);
-        PetSession::new(config)
+        Estimator::new(config)
             .estimate_population_rounds(&TagPopulation::sequential(n), rounds, &mut rng)
             .estimate
     });
@@ -51,7 +51,7 @@ fn slots_per_round_independent_of_population() {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let report = PetSession::new(config).estimate_population_rounds(
+        let report = Estimator::new(config).estimate_population_rounds(
             &TagPopulation::sequential(n),
             32,
             &mut rng,
@@ -81,13 +81,10 @@ fn hash_families_are_interchangeable() {
                 .manufacture_seed(trial_seed)
                 .build()
                 .unwrap();
-            let session = PetSession::with_family(config, AnyFamily::new(kind));
             let keys: Vec<u64> = (0..n as u64).collect();
-            let mut oracle = pet_core::oracle::CodeRoster::new(&keys, &config, session.family());
-            let mut air = Air::new(ChannelModel::Perfect);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            session
-                .run_rounds(128, &mut oracle, &mut air, &mut rng)
+            Estimator::with_family(config, AnyFamily::new(kind))
+                .estimate_keys_rounds(&keys, 128, &mut rng)
                 .estimate
         });
         means.push(summary.mean / n as f64);
@@ -112,7 +109,7 @@ fn active_and_passive_modes_equivalent() {
                 .build()
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
+            Estimator::new(config)
                 .estimate_population_rounds(&TagPopulation::sequential(n), 128, &mut rng)
                 .estimate
         });
@@ -138,9 +135,9 @@ fn estimation_never_touches_tag_identity() {
         .accuracy(Accuracy::new(0.2, 0.2).unwrap())
         .build()
         .unwrap();
-    let session = PetSession::new(config);
-    let ra = session.estimate_population_rounds(&a, 256, &mut StdRng::seed_from_u64(9));
-    let rb = session.estimate_population_rounds(&b, 256, &mut StdRng::seed_from_u64(9));
+    let estimator = Estimator::new(config);
+    let ra = estimator.estimate_population_rounds(&a, 256, &mut StdRng::seed_from_u64(9));
+    let rb = estimator.estimate_population_rounds(&b, 256, &mut StdRng::seed_from_u64(9));
     assert!((ra.estimate - 2_000.0).abs() / 2_000.0 < 0.2);
     assert!((rb.estimate - 2_000.0).abs() / 2_000.0 < 0.2);
 }
@@ -154,7 +151,7 @@ fn million_tag_estimate() {
     let config = PetConfig::paper_default();
     let mut rng = StdRng::seed_from_u64(0x0E2E_0004);
     let report =
-        PetSession::new(config).estimate_population(&TagPopulation::sequential(n), &mut rng);
+        Estimator::new(config).estimate_population(&TagPopulation::sequential(n), &mut rng);
     let rel = (report.estimate - n as f64).abs() / n as f64;
     assert!(
         rel < 0.05,

@@ -102,7 +102,7 @@ fn pet_estimate_law_is_seed_invariant() {
                     .build()
                     .unwrap();
                 let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(t));
-                PetSession::new(config)
+                Estimator::new(config)
                     .estimate_population_rounds(&TagPopulation::sequential(n), 16, &mut rng)
                     .estimate
             })

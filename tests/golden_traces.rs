@@ -92,14 +92,14 @@ fn golden_default_session() {
         .unwrap();
     let pop = TagPopulation::sequential(1_000);
     let mut rng = StdRng::seed_from_u64(0x601D);
-    let report = PetSession::new(config).estimate_population_rounds(&pop, 64, &mut rng);
+    let report = Estimator::new(config).estimate_population_rounds(&pop, 64, &mut rng);
     // Golden values recorded at protocol freeze; see module docs.
     assert_eq!(report.metrics.slots, 320);
     assert_eq!(report.metrics.command_bits, 64 * 32 + 320 * 5);
     let golden_mean_prefix = report.mean_prefix_len;
     // Re-running with the same seeds reproduces the statistic exactly.
     let mut rng = StdRng::seed_from_u64(0x601D);
-    let again = PetSession::new(config).estimate_population_rounds(&pop, 64, &mut rng);
+    let again = Estimator::new(config).estimate_population_rounds(&pop, 64, &mut rng);
     assert_eq!(again.mean_prefix_len, golden_mean_prefix);
     assert_eq!(again.estimate, report.estimate);
     // And the estimate is sane.

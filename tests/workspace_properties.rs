@@ -3,7 +3,6 @@
 
 use pet::prelude::*;
 use pet_core::config::{CommandEncoding, SearchStrategy};
-use pet_core::oracle::CodeRoster;
 use proptest::prelude::*;
 
 fn arb_accuracy() -> impl Strategy<Value = Accuracy> {
@@ -26,7 +25,7 @@ proptest! {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let report = PetSession::new(config)
+        let report = Estimator::new(config)
             .estimate_population_rounds(&TagPopulation::sequential(n), rounds, &mut rng);
         let m = u64::from(rounds);
         prop_assert!(report.metrics.slots >= 5 * m);
@@ -54,7 +53,7 @@ proptest! {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let report = PetSession::new(config)
+        let report = Estimator::new(config)
             .estimate_population_rounds(&TagPopulation::sequential(n), rounds, &mut rng);
         prop_assert!(report.estimate.is_finite());
         prop_assert!(report.estimate >= 0.0);
@@ -99,12 +98,9 @@ proptest! {
                 .encoding(encoding)
                 .build()
                 .unwrap();
-            let session = PetSession::new(config);
             let keys: Vec<u64> = (0..n as u64).collect();
-            let mut oracle = CodeRoster::new(&keys, &config, session.family());
-            let mut air = Air::new(ChannelModel::Perfect);
             let mut rng = StdRng::seed_from_u64(seed);
-            let report = session.run_rounds(16, &mut oracle, &mut air, &mut rng);
+            let report = Estimator::new(config).estimate_keys_rounds(&keys, 16, &mut rng);
             estimates.push(report.estimate);
             bits.push(report.metrics.command_bits);
         }
@@ -128,7 +124,7 @@ proptest! {
                 .build()
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let report = PetSession::new(config)
+            let report = Estimator::new(config)
                 .estimate_population_rounds(&TagPopulation::sequential(n), 8, &mut rng);
             prefixes.push(report.mean_prefix_len);
         }
