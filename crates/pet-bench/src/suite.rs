@@ -10,15 +10,22 @@
 use crate::ledger::{noise_floor_of, LedgerRow};
 use pet_core::bits::BitString;
 use pet_core::config::{PetConfig, SearchStrategy};
-use pet_core::kernel::{locate_prefix_len, locate_prefix_len_with, round_record};
+use pet_core::front::Estimator;
+use pet_core::kernel::CodeBank;
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart};
 use pet_core::reader::{binary_round, linear_round};
 use pet_hash::family::AnyFamily;
 use pet_phy::channel::PerfectChannel;
 use pet_phy::Air;
+use pet_sim::cache::RosterCache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Rounds per session of the one-shot arm: a monitor update's default
+/// budget (`Monitor::observe_keys` builds a fresh bank for every update).
+const ONE_SHOT_ROUNDS: u32 = 32;
 
 /// Measured kernel throughput at paper scale, best-of-N per arm.
 #[derive(Debug, Clone)]
@@ -29,9 +36,14 @@ pub struct KernelBench {
     pub lane: String,
     /// Slot-by-slot oracle reader rounds/s.
     pub rounds_per_sec_oracle: f64,
-    /// Batched kernel rounds/s, forced to the scalar lane.
+    /// Whole kernel rounds/s through `Estimator::try_run_bank`, in
+    /// 32-round sessions over one-shot `CodeBank::passive_shared` banks
+    /// (the monitor's path).
     pub rounds_per_sec_kernel: f64,
-    /// Batched kernel rounds/s on the runtime-dispatched lane.
+    /// Whole kernel rounds/s through `Estimator::try_run_bank`, in
+    /// paper-length sessions over the bank `RosterCache::sequential_bank`
+    /// returns (the server's `estimate` path). The `_simd` suffix is a
+    /// historical name: the arm once timed the SIMD search alone.
     pub rounds_per_sec_kernel_simd: f64,
     /// Bulk mixer hashing, scalar lane, elements/s.
     pub hash_elems_per_sec_scalar: f64,
@@ -60,9 +72,8 @@ pub fn run_kernel(quick: bool, best_of: usize) -> KernelBench {
     let codes = roster.codes().to_vec();
     let lane = pet_hash::simd::active_lane();
 
-    // The estimating path is an *input* to gray-node location, so all arms
-    // consume the same pre-drawn path stream and time only the per-round
-    // search work.
+    // The oracle arm consumes a pre-drawn path stream and times only the
+    // slot-by-slot round.
     let mut rng = StdRng::seed_from_u64(0xBE7C);
     let paths: Vec<BitString> = (0..4096)
         .map(|_| BitString::random(config.height(), &mut rng))
@@ -91,22 +102,36 @@ pub fn run_kernel(quick: bool, best_of: usize) -> KernelBench {
         oracle_rounds as f64 / clock.elapsed().as_secs_f64()
     });
 
-    let kernel_rounds: usize = if quick { 200_000 } else { 1_000_000 };
-    let kernel_arm = |locate: &dyn Fn(&[u64], &BitString) -> u32| {
+    // Whole lossless rounds, each drawing its own path: the search, the
+    // strategy replay with its metric accounting, the per-round telemetry
+    // calls and the session's aggregation.
+    let kernel_rounds: u32 = if quick { 200_000 } else { 1_000_000 };
+    let estimator = Estimator::new(config);
+    let kernel_arm = |session: u32, bank: &mut dyn FnMut() -> CodeBank| {
+        let mut rng = StdRng::seed_from_u64(0x5E55);
         let clock = Instant::now();
-        for i in 0..kernel_rounds {
-            let path = paths[i % paths.len()];
-            let l = locate(&codes, &path);
-            std::hint::black_box(round_record(config.height(), config.search(), l));
+        let mut done = 0;
+        while done < kernel_rounds {
+            let report = estimator
+                .try_run_bank(&mut bank(), session, &mut rng)
+                .expect("non-zero rounds");
+            std::hint::black_box(report.estimate);
+            done += session;
         }
-        kernel_rounds as f64 / clock.elapsed().as_secs_f64()
+        f64::from(done) / clock.elapsed().as_secs_f64()
     };
+    let shared_codes = Arc::new(codes);
     let rounds_per_sec_kernel = best_of_arm(&mut || {
-        kernel_arm(&|codes, path| locate_prefix_len_with(pet_hash::Lane::Scalar, codes, path))
+        kernel_arm(ONE_SHOT_ROUNDS, &mut || {
+            CodeBank::passive_shared(Arc::clone(&shared_codes))
+        })
     });
-    // `locate_prefix_len` routes through the runtime-dispatched active lane
-    // (so `PET_FORCE_LANE` steers this arm).
-    let rounds_per_sec_kernel_simd = best_of_arm(&mut || kernel_arm(&locate_prefix_len));
+    let cache = RosterCache::default();
+    let rounds_per_sec_kernel_simd = best_of_arm(&mut || {
+        kernel_arm(config.rounds(), &mut || {
+            cache.sequential_bank(n as usize, &config, estimator.family())
+        })
+    });
 
     // Bulk code derivation is where the SIMD lanes actually earn their
     // keep: active-mode PET re-hashes the whole population every round.
@@ -193,8 +218,8 @@ impl KernelBench {
     pub fn render(&self, commit: &str) -> String {
         format!(
             "bench-kernel: n = {n} (lane {lane}, commit {commit}, best of {bo}): oracle \
-             {oracle:.0} rounds/s, kernel {kernel:.0} rounds/s scalar / {simd:.0} rounds/s \
-             {lane} ({x:.1}x over oracle), bulk hash {hs:.1}M elem/s scalar / {hv:.1}M \
+             {oracle:.0} rounds/s, kernel {kernel:.0} rounds/s one-shot / {simd:.0} rounds/s \
+             cached ({x:.1}x over oracle), bulk hash {hs:.1}M elem/s scalar / {hv:.1}M \
              elem/s {lane}, noise floor {nf:.1}%",
             n = self.n,
             lane = self.lane,

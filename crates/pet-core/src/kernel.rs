@@ -38,9 +38,8 @@
 //! The equivalence suite in `tests/kernel_equivalence.rs` and
 //! `crates/pet-core/tests/prop.rs` pins all of this against
 //! [`crate::reader::run_round`] over both oracles. The perf ledger's
-//! `rounds_per_sec_kernel*` arms time [`locate_prefix_len`] plus
-//! [`round_record`], i.e. steps 1–2 and the record replay without the
-//! metric accounting, so they do not see the cost of step 3's counts.
+//! `rounds_per_sec_kernel*` arms time whole rounds through
+//! [`crate::front::Estimator::try_run_bank`].
 
 use crate::bits::BitString;
 use crate::config::{Mitigation, PetConfig, SearchStrategy, TagMode};
