@@ -1,19 +1,12 @@
-//! SIMD-lane benchmarks: bulk hashing, truncation, and sorted counting,
-//! per lane per input size, with `Throughput::Elements` so the report pins
+//! SIMD-lane benchmarks: bulk hashing and truncation, per lane per input
+//! size, with `Throughput::Elements` so the report pins
 //! elements/s for the speedup claims (scalar vs SSE2 vs AVX2).
 //!
 //! Lanes the host cannot execute are skipped, mirroring tarcrush's
 //! `is_x86_feature_detected!`-gated bench arms.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pet_core::bits::BitString;
-use pet_core::config::PetConfig;
-use pet_core::kernel::locate_prefix_len_with;
-use pet_core::oracle::CodeRoster;
-use pet_hash::family::AnyFamily;
 use pet_hash::simd::{self, Lane};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 
 const SIZES: &[usize] = &[1_000, 100_000, 1_000_000];
@@ -88,46 +81,5 @@ fn bench_truncate(c: &mut Criterion) {
     group.finish();
 }
 
-/// The kernel's gray-node location (one partition-point + two lcps) per
-/// lane — the per-round hot path of every paper sweep.
-fn bench_locate(c: &mut Criterion) {
-    let config = PetConfig::paper_default();
-    let rounds = 64u64;
-    let mut group = c.benchmark_group("simd_locate");
-    group.throughput(Throughput::Elements(rounds));
-    for &n in SIZES {
-        let keys: Vec<u64> = (0..n as u64).collect();
-        let roster = CodeRoster::new(&keys, &config, AnyFamily::default());
-        let codes = roster.codes().to_vec();
-        group.bench_with_input(BenchmarkId::new("std_binary", n), &codes, |b, codes| {
-            let mut rng = StdRng::seed_from_u64(9);
-            b.iter(|| {
-                for _ in 0..rounds {
-                    let path = BitString::random(config.height(), &mut rng);
-                    black_box(codes.partition_point(|&c| c < path.bits()));
-                }
-            });
-        });
-        for lane in lanes() {
-            group.bench_with_input(BenchmarkId::new(lane.as_str(), n), &codes, |b, codes| {
-                let mut rng = StdRng::seed_from_u64(9);
-                b.iter(|| {
-                    for _ in 0..rounds {
-                        let path = BitString::random(config.height(), &mut rng);
-                        black_box(locate_prefix_len_with(lane, codes, &path));
-                    }
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_mix_bulk,
-    bench_md5_bulk,
-    bench_truncate,
-    bench_locate
-);
+criterion_group!(benches, bench_mix_bulk, bench_md5_bulk, bench_truncate);
 criterion_main!(benches);

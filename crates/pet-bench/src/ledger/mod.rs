@@ -11,7 +11,9 @@
 //!   kernel/fleet repro harness, `pet loadgen --bench-json`, Criterion
 //!   `estimates.json` — all map into (see [`migrate`]).
 //! - The ledger file is JSON Lines, append-only: [`append`] never rewrites
-//!   history, [`load`] replays it in order.
+//!   history, [`load`] replays it in order. A crash in the middle of an
+//!   append leaves at most a [`TornTail`], which readers skip and the next
+//!   append cuts off, both reporting it.
 //! - [`gate`] compares the latest rows against a baseline and fails CI on
 //!   regression of the pinned metrics; [`trend`] renders the trajectory as
 //!   CSV + SVG next to the experiment charts.
@@ -27,7 +29,7 @@ pub mod trend;
 
 use pet_server::json::{escape, Json};
 use std::collections::BTreeMap;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 
 /// Version tag written into every ledger row.
@@ -226,7 +228,10 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// Appends rows to a JSONL ledger, creating the file (and parents) if
-/// needed. Never rewrites existing lines — the ledger is history.
+/// needed. Never rewrites a complete line — the ledger is history — but
+/// first cuts off a [`TornTail`] an earlier crash left (reporting it on
+/// stderr), and syncs the file (and, when it creates the file, its
+/// directory) to disk before returning.
 ///
 /// # Errors
 ///
@@ -237,23 +242,42 @@ pub fn append(path: &Path, rows: &[LedgerRow]) -> Result<(), String> {
         row.validate()
             .map_err(|e| format!("{}/{}: {e}", row.bench, row.config))?;
     }
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-        }
-    }
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    let created = !path.exists();
+    let io_err = |e: io::Error| format!("{}: {e}", path.display());
     let mut file = std::fs::OpenOptions::new()
         .create(true)
+        .read(true)
         .append(true)
         .open(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+        .map_err(io_err)?;
+    let mut existing = String::new();
+    file.read_to_string(&mut existing).map_err(io_err)?;
     let mut body = String::new();
+    if let Some(torn) = torn_tail(&existing) {
+        eprintln!("ledger {}: truncating {torn}", path.display());
+        file.set_len(torn.offset as u64).map_err(io_err)?;
+    } else if !existing.is_empty() && !existing.ends_with('\n') {
+        // A complete last row missing its newline: start a fresh line.
+        body.push('\n');
+    }
     for row in rows {
         body.push_str(&row.to_jsonl());
         body.push('\n');
     }
-    file.write_all(body.as_bytes())
-        .map_err(|e| format!("{}: {e}", path.display()))
+    file.write_all(body.as_bytes()).map_err(io_err)?;
+    file.sync_all().map_err(io_err)?;
+    if created {
+        // A new file's directory entry must reach the disk as well.
+        std::fs::File::open(dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(io_err)?;
+    }
+    Ok(())
 }
 
 /// Loads every row of a ledger file, in file (= append) order.
@@ -267,18 +291,67 @@ pub fn load(path: &Path) -> io::Result<Vec<LedgerRow>> {
     parse_ledger(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Parses ledger text (blank lines skipped).
+/// A final ledger line cut short by a crash in the middle of [`append`]:
+/// it has no trailing newline and does not parse as a row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TornTail {
+    /// 1-based line number of the torn line.
+    pub line: usize,
+    /// Byte offset where the torn line starts: the length to truncate to.
+    pub offset: usize,
+    /// Why the line does not parse.
+    pub error: String,
+}
+
+impl std::fmt::Display for TornTail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "torn final line {} (no trailing newline; {})",
+            self.line, self.error
+        )
+    }
+}
+
+/// The torn final line of ledger text, if it has one.
+#[must_use]
+pub fn torn_tail(text: &str) -> Option<TornTail> {
+    if text.ends_with('\n') {
+        return None;
+    }
+    let offset = text.rfind('\n').map_or(0, |i| i + 1);
+    let last = &text[offset..];
+    if last.trim().is_empty() {
+        return None;
+    }
+    let error = LedgerRow::parse_jsonl(last).err()?;
+    Some(TornTail {
+        line: text[..offset].matches('\n').count() + 1,
+        offset,
+        error,
+    })
+}
+
+/// Parses ledger text (blank lines skipped). A [`TornTail`] is skipped
+/// and reported on stderr, so one interrupted append does not break
+/// every later `gate` and `report`.
 ///
 /// # Errors
 ///
-/// Returns a message with the 1-based line number of the first bad row.
+/// Returns a message with the 1-based line number of the first bad row
+/// other than a torn final line.
 pub fn parse_ledger(text: &str) -> Result<Vec<LedgerRow>, String> {
+    let torn = torn_tail(text);
+    let complete = torn.as_ref().map_or(text, |torn| &text[..torn.offset]);
     let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in complete.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         rows.push(LedgerRow::parse_jsonl(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+    }
+    if let Some(torn) = torn {
+        eprintln!("ledger: ignoring {torn}");
     }
     Ok(rows)
 }

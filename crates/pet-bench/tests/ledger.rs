@@ -269,6 +269,61 @@ fn append_and_load_round_trip_on_disk() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A crash in the middle of an append leaves a final line without its
+/// newline that does not parse: readers skip it and name it.
+#[test]
+fn torn_final_line_is_tolerated_and_reported() {
+    let a = row("k", "c", "x", &[("m", 1.0)]);
+    let b = row("k", "c", "y", &[("m", 2.0)]);
+    let whole = format!("{}\n{}\n", a.to_jsonl(), b.to_jsonl());
+    let full_c = row("k", "c", "z", &[("m", 3.0)]).to_jsonl();
+    let text = format!("{whole}{}", &full_c[..full_c.len() / 2]);
+    let torn = ledger::torn_tail(&text).expect("a torn tail");
+    assert_eq!((torn.line, torn.offset), (3, whole.len()));
+    assert!(torn.to_string().contains("torn final line 3"), "{torn}");
+    assert_eq!(ledger::parse_ledger(&text).unwrap(), vec![a, b]);
+    // A final row that parses is complete, newline or not.
+    let unterminated = format!("{whole}{full_c}");
+    assert_eq!(ledger::torn_tail(&unterminated), None);
+    assert_eq!(ledger::parse_ledger(&unterminated).unwrap().len(), 3);
+}
+
+/// Only the unterminated final line is forgiven: a bad line anywhere else,
+/// or a bad final line that was fully written, fails with its number.
+#[test]
+fn bad_lines_other_than_a_torn_tail_still_fail() {
+    let good = row("k", "c", "x", &[("m", 1.0)]).to_jsonl();
+    for (text, line) in [
+        (format!("{good}\n{{\"schema\":1\n{good}"), "line 2"),
+        (format!("{good}\n{good}\nnot json\n"), "line 3"),
+        (format!("not json\n{good}\n"), "line 1"),
+    ] {
+        let err = ledger::parse_ledger(&text).unwrap_err();
+        assert!(err.contains(line), "{err}");
+        assert_eq!(ledger::torn_tail(&text), None);
+    }
+}
+
+/// `append` cuts off a torn tail before writing, so the new rows start on
+/// a line of their own, and a complete unterminated row keeps its place.
+#[test]
+fn append_truncates_a_torn_tail() {
+    let dir = tmp_dir("torn");
+    let path = dir.join("ledger.jsonl");
+    let a = row("k", "c", "x", &[("m", 1.0)]);
+    let b = row("k", "c", "y", &[("m", 2.0)]);
+    let c = row("k", "c", "z", &[("m", 3.0)]);
+    let full_b = b.to_jsonl();
+    std::fs::write(&path, format!("{}\n{}", a.to_jsonl(), &full_b[..10])).unwrap();
+    ledger::append(&path, std::slice::from_ref(&b)).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text, format!("{}\n{full_b}\n", a.to_jsonl()));
+    std::fs::write(&path, format!("{}\n{full_b}", a.to_jsonl())).unwrap();
+    ledger::append(&path, std::slice::from_ref(&c)).unwrap();
+    assert_eq!(ledger::load(&path).unwrap(), vec![a, b, c]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ------------------------------------------------------------ statistics
 
 #[test]

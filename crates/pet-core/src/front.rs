@@ -362,7 +362,9 @@ impl Estimator {
 
     /// The lossless arithmetic fast path: one [`kernel::fused_round`] per
     /// round, which finds the gray node with one search and synthesizes the
-    /// round's metrics. Bit-for-bit identical to the slot-by-slot loop over
+    /// round's metrics, over the bank's prefix index once a run long enough
+    /// to repay it has built one (`CodeBank::prepare_run`). Bit-for-bit
+    /// identical to the slot-by-slot loop over
     /// [`ChannelModel::Perfect`] (which draws no slot-level randomness),
     /// consuming `rng` the same way: one path draw per round, plus one seed
     /// draw in active mode.
@@ -392,6 +394,7 @@ impl Estimator {
                 return Ok(EstimateReport::from_records(config, Vec::new(), &metrics));
             }
         }
+        bank.prepare_run(rounds);
         let mut records = Vec::with_capacity(rounds as usize);
         for _ in 0..rounds {
             let round_span = pet_obs::span("core.round");
@@ -402,7 +405,13 @@ impl Estimator {
             };
             bank.begin_round(seed, self.family, height);
             let before = metrics;
-            let record = kernel::fused_round(bank.codes(), &path, config, &mut metrics);
+            let record = kernel::fused_round(
+                bank.codes(),
+                bank.prefix_index(),
+                &path,
+                config,
+                &mut metrics,
+            );
             drop(round_span);
             reader::record_round_telemetry(config, &record);
             reader::record_outcome_telemetry(&before, &metrics);
@@ -417,8 +426,9 @@ impl Estimator {
     fn roster_from_bank(&self, bank: &CodeBank) -> CodeRoster {
         let height = self.config.height();
         match bank {
-            CodeBank::Passive { codes } => {
-                let codes: Vec<BitString> = codes
+            CodeBank::Passive(_) => {
+                let codes: Vec<BitString> = bank
+                    .codes()
                     .iter()
                     .map(|&c| BitString::from_bits(c, height).expect("bank codes fit the height"))
                     .collect();

@@ -5,7 +5,7 @@
 //! oracle each of the ~5 queries costs two `partition_point` searches over
 //! the sorted code array — ten searches per round. [`fused_round`] computes
 //! the same round, and its full [`AirMetrics`] accounting, from the sorted
-//! codes with a **single** full-array search:
+//! codes with a **single** search:
 //!
 //! 1. Find the estimating path's insertion point `at` in the sorted array.
 //! 2. The longest responsive prefix is `L = max(lcp(path, pred),
@@ -35,10 +35,27 @@
 //! `at - 1` and up from `at` before the first non-match, which is what the
 //! gallop counts — duplicate codes included.
 //!
+//! # The prefix index: the tree's top levels as an offset table
+//!
+//! Every round of a passive bank walks the same tree (§4.1), so its top
+//! `k` levels can be stored once. A [`PrefixIndex`] is the offset table
+//! `offsets[p]` = the number of codes whose top `k` bits are below `p`,
+//! with `k = ⌊log₂ n⌋` clamped to 4..=20 (and to the codes' bit width), so
+//! `offsets[p + 1] − offsets[p]` is the number of tags under tree node `p`
+//! at depth `k`. With it, step 1 is one table load plus a search inside the
+//! path's bucket of about one code, and a busy query at `j <= k` counts its
+//! responders with two loads, `offsets[(p_j + 1) << (k − j)] − offsets[p_j
+//! << (k − j)]` for the path's `j`-bit prefix `p_j`; only queries below
+//! the table's depth gallop. Both are exact: a `j`-bit prefix with `j <= k`
+//! spans whole buckets, and the codes below the path's bucket all sort
+//! before the path and those above it all after. A [`CodeBank`] builds its
+//! index lazily, in the first run long enough to repay the build, and
+//! shares it with every clone, so a cached bank pays for it once.
+//!
 //! The equivalence suite in `tests/kernel_equivalence.rs` and
-//! `crates/pet-core/tests/prop.rs` pins all of this against
-//! [`crate::reader::run_round`] over both oracles. The perf ledger's
-//! `rounds_per_sec_kernel*` arms time whole rounds through
+//! `crates/pet-core/tests/prop.rs` pins all of this, with and without the
+//! index, against [`crate::reader::run_round`] over both oracles. The perf
+//! ledger's `rounds_per_sec_kernel*` arms time whole rounds through
 //! [`crate::front::Estimator::try_run_bank`].
 
 use crate::bits::BitString;
@@ -46,9 +63,8 @@ use crate::config::{Mitigation, PetConfig, SearchStrategy, TagMode};
 use crate::reader::RoundRecord;
 use pet_hash::bulk::{hash_codes_par, radix_sort_codes, RadixScratch};
 use pet_hash::family::AnyFamily;
-use pet_hash::simd::{self, Lane};
 use pet_phy::{AirMetrics, SlotOutcome};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Runs one round over a lossless channel against the sorted `codes`:
 /// returns the [`RoundRecord`] the reference reader produces for `path`
@@ -58,24 +74,30 @@ use std::sync::Arc;
 /// per-query command bits, outcome tallies, per-slot responder counts, and
 /// the idle readings [`Mitigation::ReProbe`] repeats.
 ///
-/// `codes` must be sorted ascending and hold `config.height()`-bit values.
+/// `codes` must be sorted ascending and hold `config.height()`-bit values;
+/// `index`, when given, must have been built over `codes`. The result does
+/// not depend on whether an index is given, only the cost does.
 pub fn fused_round(
     codes: &[u64],
+    index: Option<&PrefixIndex>,
     path: &BitString,
     config: &PetConfig,
     metrics: &mut AirMetrics,
 ) -> RoundRecord {
+    debug_assert!(index.map_or(true, |index| index.population() == codes.len()));
     let height = config.height();
     let bits = config.encoding().bits_per_query(height);
     let probes = match config.mitigation() {
         Mitigation::ReProbe { probes } => probes,
         _ => 0,
     };
-    let (at, l) = locate(simd::active_lane(), codes, path);
+    let (at, l) = locate(codes, index, path);
     metrics.command_bits += u64::from(config.round_start_bits());
     replay(height, config.search(), l, probes, |j| {
         if j <= l {
-            let responders = count_around(codes, at, path, j);
+            let responders = index
+                .and_then(|index| index.count_prefix(path, j))
+                .unwrap_or_else(|| count_around(codes, at, path, j));
             metrics.record_slot(bits, responders, SlotOutcome::from_detected(responders));
         } else {
             // Perfect-channel re-probes repeat the idle reading verbatim.
@@ -89,29 +111,22 @@ pub fn fused_round(
 /// Longest prefix of `path` shared by any code, via one search.
 ///
 /// Returns 0 for an empty roster (every query idles). `codes` must be
-/// sorted ascending and hold `path.height()`-bit values. The search runs
-/// through [`pet_hash::simd::partition_point_less`] — binary narrowing
-/// plus a SIMD compare+popcount sweep over the final window — on the
-/// process-wide active lane.
+/// sorted ascending and hold `path.height()`-bit values.
 #[must_use]
 pub fn locate_prefix_len(codes: &[u64], path: &BitString) -> u32 {
-    locate_prefix_len_with(simd::active_lane(), codes, path)
-}
-
-/// [`locate_prefix_len`] with an explicit SIMD lane, for the scalar-vs-SIMD
-/// benchmark arms and differential tests. Bit-for-bit lane-independent.
-#[must_use]
-pub fn locate_prefix_len_with(lane: Lane, codes: &[u64], path: &BitString) -> u32 {
-    locate(lane, codes, path).1
+    locate(codes, None, path).1
 }
 
 /// Steps 1–2 of the module docs: the path's insertion point in `codes`
 /// and the longest prefix any code shares with the path.
 #[inline]
-fn locate(lane: Lane, codes: &[u64], path: &BitString) -> (usize, u32) {
+fn locate(codes: &[u64], index: Option<&PrefixIndex>, path: &BitString) -> (usize, u32) {
     let height = path.height();
     let bits = path.bits();
-    let at = simd::partition_point_less_with(lane, codes, bits);
+    let at = match index {
+        Some(index) => index.insertion_point(codes, bits),
+        None => codes.partition_point(|&c| c < bits),
+    };
     let mut l = 0;
     if at < codes.len() {
         l = common_bits(codes[at], bits, height);
@@ -171,14 +186,145 @@ pub fn count_prefix_sorted(codes: &[u64], path: &BitString, len: u32) -> u64 {
     let height = path.height();
     let shift = height - len; // ≤ 63 since len ≥ 1
     let lo = (path.bits() >> shift) << shift;
-    let start = simd::partition_point_less(codes, lo);
+    let start = codes.partition_point(|&c| c < lo);
     // The exclusive upper bound lo + 2^shift can overflow u64 at the top
     // of a height-64 tree; that range extends past every code.
     let end = match lo.checked_add(1u64 << shift) {
-        Some(hi_excl) => simd::partition_point_less(codes, hi_excl),
+        Some(hi_excl) => codes.partition_point(|&c| c < hi_excl),
         None => codes.len(),
     };
     (end - start) as u64
+}
+
+/// Fewest tree levels a [`PrefixIndex`] stores.
+const MIN_INDEX_LEVELS: u32 = 4;
+/// Most tree levels a [`PrefixIndex`] stores: 2²⁰ + 1 offsets, 4 MiB.
+const MAX_INDEX_LEVELS: u32 = 20;
+
+/// A run of `rounds` builds a bank's index when `rounds ·
+/// INDEX_CODES_PER_ROUND >= n`. Measured on a 2-vCPU AVX2 host at n =
+/// 10⁴–10⁶, the build costs 1.1–2.4 ns per code and an indexed round
+/// saves 90–135 ns at 10⁴, 150–190 ns at 10⁵ and 730–810 ns at 10⁶, so
+/// one round repays the build of 62–400 codes. 32 is about half the
+/// smallest of those, so even the shortest run the rule admits earns its
+/// build back about twice over (EXPERIMENTS.md § Where an estimate-paper
+/// request's time goes).
+const INDEX_CODES_PER_ROUND: u64 = 32;
+
+/// The top `k` levels of the PET tree over a sorted code array, stored as
+/// an offset table: `offsets[p]` is the number of codes whose top `k`
+/// bits are below `p`, so `offsets[p + 1] − offsets[p]` tags sit under
+/// tree node `p` at depth `k` (see the module docs).
+///
+/// The codes' top bits are taken below their largest value's highest set
+/// bit, since a bank's codes do not carry their tree height: for codes
+/// that all fall below `2^(H−1)` the table starts deeper than the root,
+/// and a path above every code lands past the table, at `n`. The table
+/// holds `2^k + 1` `u32`s, at most `4·(n + 1)` bytes once `n >= 16`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixIndex {
+    /// Right shift from a code to its bucket: the codes' bit width minus
+    /// `k`.
+    shift: u32,
+    /// `2^k + 1` cumulative bucket counts, from 0 up to `n`.
+    offsets: Box<[u32]>,
+}
+
+impl PrefixIndex {
+    /// Builds the table over sorted `codes` as a histogram of their top
+    /// `k` bits followed by a prefix sum, without data-dependent branches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` codes.
+    #[must_use]
+    pub fn build(codes: &[u64]) -> Self {
+        assert!(
+            u32::try_from(codes.len()).is_ok(),
+            "a prefix index counts at most u32::MAX codes"
+        );
+        let width = codes
+            .last()
+            .map_or(0, |&max| u64::BITS - max.leading_zeros());
+        let levels = codes
+            .len()
+            .max(1)
+            .ilog2()
+            .clamp(MIN_INDEX_LEVELS, MAX_INDEX_LEVELS)
+            .min(width);
+        let shift = width - levels; // < 64: levels >= 4 whenever width = 64
+        let mut offsets = vec![0u32; (1 << levels) + 1];
+        for &code in codes {
+            offsets[(code >> shift) as usize + 1] += 1;
+        }
+        let mut below = 0;
+        for offset in &mut offsets {
+            below += *offset;
+            *offset = below;
+        }
+        Self {
+            shift,
+            offsets: offsets.into_boxed_slice(),
+        }
+    }
+
+    /// The offset table: `2^k + 1` cumulative counts.
+    #[must_use]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Number of codes the table was built over.
+    #[must_use]
+    pub(crate) fn population(&self) -> usize {
+        self.offsets[self.offsets.len() - 1] as usize
+    }
+
+    /// Index of the first of the sorted `codes` that is `>= value`: one
+    /// table load, then a search inside `value`'s bucket. Every code in an
+    /// earlier bucket is below `value` and every code in a later one above
+    /// it; a value past the table sorts after every code.
+    #[inline]
+    fn insertion_point(&self, codes: &[u64], value: u64) -> usize {
+        let bucket = value >> self.shift;
+        if bucket >= (self.offsets.len() - 1) as u64 {
+            return codes.len();
+        }
+        let bucket = bucket as usize;
+        let (lo, hi) = (
+            self.offsets[bucket] as usize,
+            self.offsets[bucket + 1] as usize,
+        );
+        lo + codes[lo..hi].partition_point(|&c| c < value)
+    }
+
+    /// Number of codes sharing the first `len >= 1` bits of `path`, from
+    /// two table loads, or `None` when those bits reach below the table
+    /// and the caller must search.
+    ///
+    /// The table resolves the first `height − shift` bits of a path
+    /// (exactly `k` when the codes reach the tree's top level). For `len`
+    /// within them the prefix's value range `[p·2^(H−len), (p+1)·2^(H−len))`
+    /// spans whole buckets `[p << t, (p + 1) << t)` with `t = height −
+    /// shift − len`, and the count is the difference of their offsets.
+    #[inline]
+    fn count_prefix(&self, path: &BitString, len: u32) -> Option<u64> {
+        debug_assert!(len >= 1);
+        let t = path.height().checked_sub(self.shift)?.checked_sub(len)?;
+        let prefix = path.bits() >> (path.height() - len); // len >= 1
+        let lo = prefix << t; // < 2^(height − shift), no bits lost
+                              // The end bucket is 2^64 at the top of a height-64 tree; any
+                              // bucket past the table counts every code.
+        let hi = lo.saturating_add(1 << t);
+        Some(u64::from(self.below(hi) - self.below(lo)))
+    }
+
+    /// Number of codes in buckets below `bucket`.
+    #[inline]
+    fn below(&self, bucket: u64) -> u32 {
+        let last = self.offsets.len() - 1;
+        self.offsets[usize::try_from(bucket).map_or(last, |bucket| bucket.min(last))]
+    }
 }
 
 /// Length of the common prefix of two right-aligned `height`-bit values.
@@ -272,17 +418,15 @@ fn replay(
 
 /// Sorted code storage for fast sessions.
 ///
-/// Passive banks hold one immutable sorted array (shareable across trials
-/// via [`Arc`] — see `pet-sim`'s roster cache); active banks re-hash and
-/// re-sort their key set every round with the bulk primitives from
-/// `pet_hash::bulk`, reusing both buffers.
+/// Passive banks hold one immutable sorted array and its lazily built
+/// [`PrefixIndex`], both shareable across trials via [`Arc`] — see
+/// `pet-sim`'s roster cache; active banks re-hash and re-sort their key set
+/// every round with the bulk primitives from `pet_hash::bulk`, reusing both
+/// buffers.
 #[derive(Debug, Clone)]
 pub enum CodeBank {
     /// Preloaded codes (`TagMode::PassivePreloaded`): fixed for the session.
-    Passive {
-        /// Sorted manufacture-time codes.
-        codes: Arc<Vec<u64>>,
-    },
+    Passive(PassiveCodes),
     /// Per-round codes (`TagMode::ActivePerRound`): rebuilt from keys.
     Active {
         /// Tag hashing keys.
@@ -296,6 +440,16 @@ pub enum CodeBank {
     },
 }
 
+/// A passive bank's sorted manufacture-time codes and the prefix index
+/// built over them, each shared by every clone of the bank. The fields are
+/// private so that the index can only ever describe these codes.
+#[derive(Debug, Clone)]
+pub struct PassiveCodes {
+    codes: Arc<Vec<u64>>,
+    /// Built by the first run that repays it (`CodeBank::prepare_run`).
+    index: Arc<OnceLock<PrefixIndex>>,
+}
+
 impl CodeBank {
     /// Builds the bank matching `config.tag_mode()` for `keys`, hashing
     /// passive codes with the manufacture seed.
@@ -303,10 +457,7 @@ impl CodeBank {
     pub fn for_config(keys: Arc<Vec<u64>>, config: &PetConfig, family: AnyFamily) -> Self {
         match config.tag_mode() {
             TagMode::PassivePreloaded => {
-                let codes = build_passive_codes(&keys, config, family);
-                Self::Passive {
-                    codes: Arc::new(codes),
-                }
+                Self::passive_shared(Arc::new(build_passive_codes(&keys, config, family)))
             }
             TagMode::ActivePerRound => Self::Active {
                 keys,
@@ -317,21 +468,24 @@ impl CodeBank {
     }
 
     /// Wraps already-hashed, already-sorted passive codes (e.g. from a
-    /// cross-trial cache).
+    /// cross-trial cache) in a bank with no prefix index yet.
     #[must_use]
     pub fn passive_shared(codes: Arc<Vec<u64>>) -> Self {
         debug_assert!(
             codes.windows(2).all(|w| w[0] <= w[1]),
             "codes must be sorted"
         );
-        Self::Passive { codes }
+        Self::Passive(PassiveCodes {
+            codes,
+            index: Arc::default(),
+        })
     }
 
     /// Tags energized in the region (the zero probe's responder count).
     #[must_use]
     pub fn population(&self) -> u64 {
         match self {
-            Self::Passive { codes } => codes.len() as u64,
+            Self::Passive(passive) => passive.codes.len() as u64,
             Self::Active { keys, .. } => keys.len() as u64,
         }
     }
@@ -344,13 +498,36 @@ impl CodeBank {
     #[must_use]
     pub fn codes(&self) -> &[u64] {
         match self {
-            Self::Passive { codes } => codes,
+            Self::Passive(passive) => &passive.codes,
             Self::Active { keys, codes, .. } => {
                 assert!(
                     keys.is_empty() || !codes.is_empty(),
                     "active bank queried before begin_round"
                 );
                 codes
+            }
+        }
+    }
+
+    /// The passive codes' prefix index, if a run has built it.
+    #[must_use]
+    pub fn prefix_index(&self) -> Option<&PrefixIndex> {
+        match self {
+            Self::Passive(passive) => passive.index.get(),
+            Self::Active { .. } => None,
+        }
+    }
+
+    /// Readies a passive bank for a run of `rounds` lossless rounds: builds
+    /// its prefix index when none exists yet and the run repays the build,
+    /// `rounds · 32 >= n` (see `INDEX_CODES_PER_ROUND`). Short runs on
+    /// fresh banks, such as a monitor update's, never build it; active
+    /// banks, whose codes change every round, have none.
+    pub(crate) fn prepare_run(&self, rounds: u32) {
+        if let Self::Passive(PassiveCodes { codes, index }) = self {
+            let repaid = u64::from(rounds) * INDEX_CODES_PER_ROUND >= codes.len() as u64;
+            if repaid && u32::try_from(codes.len()).is_ok() {
+                index.get_or_init(|| PrefixIndex::build(codes));
             }
         }
     }
@@ -468,7 +645,7 @@ mod tests {
         let codes = vec![u64::MAX - 3, u64::MAX - 1, u64::MAX];
         let path = BitString::from_bits(u64::MAX - 2, 64).unwrap();
         let mut metrics = AirMetrics::default();
-        let rec = fused_round(&codes, &path, &config, &mut metrics);
+        let rec = fused_round(&codes, None, &path, &config, &mut metrics);
         assert!(rec.prefix_len >= 62, "L = {}", rec.prefix_len);
         assert_eq!(
             rec,
@@ -476,6 +653,60 @@ mod tests {
         );
         assert_eq!(metrics.slots, u64::from(rec.slots));
         assert!(metrics.is_consistent());
+        let index = PrefixIndex::build(&codes);
+        let mut indexed = AirMetrics::default();
+        assert_eq!(
+            rec,
+            fused_round(&codes, Some(&index), &path, &config, &mut indexed)
+        );
+        assert_eq!(indexed, metrics);
+    }
+
+    /// `offsets[p]` counts the codes whose top `k` bits are below `p`,
+    /// with the top bits taken below the largest code's highest set bit.
+    #[test]
+    fn prefix_index_matches_its_definition() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for (n, bits) in [
+            (0usize, 8u32),
+            (1, 8),
+            (5, 3),
+            (15, 40),
+            (16, 40),
+            (3_000, 32),
+        ] {
+            let mut codes: Vec<u64> = (0..n).map(|_| rng.random::<u64>() >> (64 - bits)).collect();
+            codes.sort_unstable();
+            let index = PrefixIndex::build(&codes);
+            let width = codes.last().map_or(0, |&max| 64 - max.leading_zeros());
+            let levels = n.max(1).ilog2().clamp(4, 20).min(width);
+            assert_eq!(index.offsets().len(), (1 << levels) + 1, "n = {n}");
+            assert_eq!(index.population(), n);
+            for (p, &offset) in index.offsets().iter().enumerate() {
+                let below = codes.iter().filter(|&&c| c >> (width - levels) < p as u64);
+                assert_eq!(offset as usize, below.count(), "n = {n}, p = {p}");
+            }
+        }
+    }
+
+    /// A bank builds its index only for a run that repays it, keeps it
+    /// for later runs of any length, and shares it with its clones.
+    #[test]
+    fn prepare_run_builds_the_index_once_and_shares_it() {
+        let bank = CodeBank::passive_shared(Arc::new((0..1_000).collect()));
+        bank.prepare_run(31); // 31 · 32 < 1,000
+        assert!(bank.prefix_index().is_none());
+        let clone = bank.clone();
+        bank.prepare_run(32);
+        let built = bank.prefix_index().expect("32 · 32 >= 1,000");
+        clone.prepare_run(1);
+        assert!(std::ptr::eq(built, clone.prefix_index().unwrap()));
+        let fresh = CodeBank::passive_shared(Arc::new((0..1_000).collect()));
+        fresh.prepare_run(1);
+        assert!(
+            fresh.prefix_index().is_none(),
+            "one-shot banks stay unindexed"
+        );
     }
 
     /// Small heights force duplicate codes; the gallop around the
@@ -487,15 +718,21 @@ mod tests {
             let config = PetConfig::builder().height(height).build().unwrap();
             let keys: Vec<u64> = (0..300).collect();
             let codes = roster_codes(&keys, &config);
+            let index = PrefixIndex::build(&codes);
             for _ in 0..100 {
                 let path = BitString::random(height, &mut rng);
-                let (at, l) = locate(Lane::Scalar, &codes, &path);
+                let (at, l) = locate(&codes, None, &path);
+                assert_eq!(locate(&codes, Some(&index), &path), (at, l));
                 for len in 1..=l {
+                    let want = count_prefix_sorted(&codes, &path, len);
                     assert_eq!(
                         count_around(&codes, at, &path, len),
-                        count_prefix_sorted(&codes, &path, len),
+                        want,
                         "H = {height}, len {len}"
                     );
+                    if let Some(got) = index.count_prefix(&path, len) {
+                        assert_eq!(got, want, "indexed, H = {height}, len {len}");
+                    }
                 }
             }
         }
@@ -549,7 +786,10 @@ mod tests {
                     };
                     assert_eq!(rec, round_record(height, search, l));
                     let mut metrics = AirMetrics::default();
-                    assert_eq!(rec, fused_round(roster.codes(), &path, cfg, &mut metrics));
+                    assert_eq!(
+                        rec,
+                        fused_round(roster.codes(), None, &path, cfg, &mut metrics)
+                    );
                     assert_eq!(&metrics, air.metrics(), "H = {height}, L = {l}");
                 }
             }
@@ -573,8 +813,10 @@ mod tests {
                 let codes = roster_codes(&keys, &config);
                 let mut roster = CodeRoster::new(&keys, &config, AnyFamily::default());
                 let mut rng = StdRng::seed_from_u64(42);
+                let index = PrefixIndex::build(&codes);
                 let mut air = Air::new(PerfectChannel);
                 let mut fast = AirMetrics::default();
+                let mut indexed = AirMetrics::default();
                 for _ in 0..200 {
                     let path = BitString::random(height, &mut rng);
                     roster.begin_round(&RoundStart { path, seed: None });
@@ -587,9 +829,15 @@ mod tests {
                             linear_round(&config, &mut roster, &mut air, &mut rng)
                         }
                     };
-                    assert_eq!(rec, fused_round(&codes, &path, &config, &mut fast));
+                    assert_eq!(rec, fused_round(&codes, None, &path, &config, &mut fast));
+                    let with_index = Some(&index);
+                    assert_eq!(
+                        rec,
+                        fused_round(&codes, with_index, &path, &config, &mut indexed)
+                    );
                 }
                 assert_eq!(&fast, air.metrics(), "H = {height}, n = {n}, {search:?}");
+                assert_eq!(&indexed, air.metrics(), "indexed, H = {height}, n = {n}");
             }
         }
     }

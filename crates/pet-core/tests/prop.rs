@@ -3,10 +3,11 @@
 use pet_core::bits::BitString;
 use pet_core::config::{Backend, CommandEncoding, Mitigation, PetConfig, SearchStrategy, TagMode};
 use pet_core::front::Estimator;
-use pet_core::kernel::{fused_round, round_record};
+use pet_core::kernel::{fused_round, round_record, PrefixIndex};
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart, TagFleet};
 use pet_core::reader::{binary_round, linear_round, run_round};
 use pet_core::tree::Tree;
+use pet_hash::bulk::{hash_codes_into, radix_sort_codes, RadixScratch};
 use pet_hash::family::AnyFamily;
 use pet_phy::channel::{ChannelModel, LossyChannel, PerfectChannel};
 use pet_phy::{Air, AirMetrics};
@@ -16,6 +17,32 @@ use rand::SeedableRng;
 
 fn cfg(height: u32) -> PetConfig {
     PetConfig::builder().height(height).build().unwrap()
+}
+
+/// A roster over explicit `height`-bit codes.
+fn roster_of(codes: impl Iterator<Item = u64>, height: u32) -> CodeRoster {
+    let codes: Vec<BitString> = codes
+        .map(|c| BitString::from_bits(c, height).unwrap())
+        .collect();
+    CodeRoster::from_codes(&codes, height)
+}
+
+/// Height of [`large_roster`]'s codes.
+const LARGE_HEIGHT: u32 = 32;
+
+/// 2^21 + 5 sequential tags' codes at [`LARGE_HEIGHT`] and their prefix
+/// index, built once per test binary: `⌊log₂ n⌋ = 21`, above the index's
+/// 20-level clamp.
+fn large_population() -> &'static (CodeRoster, PrefixIndex) {
+    static LARGE: std::sync::OnceLock<(CodeRoster, PrefixIndex)> = std::sync::OnceLock::new();
+    LARGE.get_or_init(|| {
+        let keys: Vec<u64> = (0..(1u64 << 21) + 5).collect();
+        let mut codes = Vec::new();
+        hash_codes_into(&AnyFamily::default(), 0, &keys, LARGE_HEIGHT, &mut codes);
+        radix_sort_codes(&mut codes, LARGE_HEIGHT, &mut RadixScratch::new());
+        let index = PrefixIndex::build(&codes);
+        (roster_of(codes.into_iter(), LARGE_HEIGHT), index)
+    })
 }
 
 proptest! {
@@ -133,11 +160,24 @@ proptest! {
         }
     }
 
-    /// The fused kernel round agrees with the slot-by-slot reader over
-    /// BOTH oracles on every round-record field, and its synthetic metrics
-    /// equal the Air's, for arbitrary populations, heights (small ones
-    /// produce the duplicate codes the responder count must include),
-    /// streams, and perfect-channel re-probe counts.
+    /// The fused kernel round, over the bare sorted codes and over their
+    /// prefix index, agrees with the slot-by-slot reader over BOTH oracles
+    /// on every round-record field, and its synthetic metrics equal the
+    /// Air's, for arbitrary heights, streams, and perfect-channel re-probe
+    /// counts, over four population shapes:
+    ///
+    /// - `shape` 0: `keys` hashed at `height` — small heights produce the
+    ///   duplicate codes a responder count must include, and `n < 16`
+    ///   sits at the bottom of the index's `k` clamp.
+    /// - 1: the same codes shifted right by `narrow`, so every code is
+    ///   below `2^(H−1)`: the index takes its shift from the codes, and a
+    ///   path above them all must land at `n`.
+    /// - 2: height-64 codes at the top of the tree, where a prefix of
+    ///   ones has the exclusive upper bound `2^64`.
+    /// - 3: a shared population above `2^21`, whose table is clamped to
+    ///   `k = 20` levels.
+    ///
+    /// Shapes 1–3 have no keys, so only the roster oracle checks them.
     #[test]
     fn kernel_matches_reader_over_both_oracles(
         keys in proptest::collection::vec(any::<u64>(), 0..60),
@@ -145,7 +185,14 @@ proptest! {
         seed in any::<u64>(),
         linear in any::<bool>(),
         probes in 0u32..3,
+        shape in 0u8..4,
+        narrow in 1u32..=8,
     ) {
+        let height = match shape {
+            2 => 64,
+            3 => LARGE_HEIGHT,
+            _ => height,
+        };
         let search = if linear { SearchStrategy::Linear } else { SearchStrategy::Binary };
         let mitigation = if probes > 0 { Mitigation::ReProbe { probes } } else { Mitigation::None };
         let config = PetConfig::builder()
@@ -154,33 +201,52 @@ proptest! {
             .mitigation(mitigation)
             .build()
             .unwrap();
-        let mut roster = CodeRoster::new(&keys, &config, AnyFamily::default());
-        let mut fleet = TagFleet::new(&keys, &config, AnyFamily::default());
+        let hashed = CodeRoster::new(&keys, &config, AnyFamily::default());
+        let mut roster = match shape {
+            0 => hashed,
+            1 => roster_of(hashed.codes().iter().map(|&c| c >> narrow.min(height)), height),
+            2 => roster_of(keys.iter().map(|&k| u64::MAX - (k >> 58)), 64),
+            _ => large_population().0.clone(),
+        };
+        let mut fleet = (shape == 0).then(|| TagFleet::new(&keys, &config, AnyFamily::default()));
         let codes = roster.codes().to_vec();
+        let built;
+        let index = if shape == 3 {
+            &large_population().1
+        } else {
+            built = PrefixIndex::build(&codes);
+            &built
+        };
         let mut air_a = Air::new(PerfectChannel);
         let mut air_b = Air::new(PerfectChannel);
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_b = StdRng::seed_from_u64(seed);
         let mut rng_k = StdRng::seed_from_u64(seed);
         let mut metrics = AirMetrics::default();
+        let mut indexed = AirMetrics::default();
         for _ in 0..3 {
             let a = run_round(&config, &mut roster, &mut air_a, &mut rng_a);
-            let b = run_round(&config, &mut fleet, &mut air_b, &mut rng_b);
             // The kernel consumes the identical stream: one path draw.
             let path = BitString::random(height, &mut rng_k);
-            let k = fused_round(&codes, &path, &config, &mut metrics);
+            let k = fused_round(&codes, None, &path, &config, &mut metrics);
             prop_assert_eq!(
                 (a.prefix_len, a.gray_height, a.slots, a.disambiguated),
                 (k.prefix_len, k.gray_height, k.slots, k.disambiguated)
             );
             prop_assert_eq!(a, k);
-            prop_assert_eq!(b, k);
+            prop_assert_eq!(fused_round(&codes, Some(index), &path, &config, &mut indexed), k);
+            if let Some(fleet) = fleet.as_mut() {
+                prop_assert_eq!(run_round(&config, fleet, &mut air_b, &mut rng_b), k);
+            }
             if probes == 0 {
                 prop_assert_eq!(k, round_record(height, search, k.prefix_len));
             }
         }
         prop_assert_eq!(air_a.metrics(), &metrics);
-        prop_assert_eq!(air_b.metrics(), &metrics);
+        prop_assert_eq!(&indexed, &metrics);
+        if fleet.is_some() {
+            prop_assert_eq!(air_b.metrics(), &metrics);
+        }
     }
 
     /// Disambiguation edge: when at most the first path bit is shared
@@ -203,7 +269,7 @@ proptest! {
         air.broadcast(config.round_start_bits());
         let rec = binary_round(&config, &mut roster, &mut air, &mut rng);
         let mut metrics = AirMetrics::default();
-        let k = fused_round(&codes, &path, &config, &mut metrics);
+        let k = fused_round(&codes, None, &path, &config, &mut metrics);
         prop_assert_eq!(k.prefix_len, u32::from(share_one));
         prop_assert_eq!(rec, k);
         prop_assert!(k.disambiguated);
@@ -237,9 +303,13 @@ proptest! {
             SearchStrategy::Binary => binary_round(&config, &mut roster, &mut air, &mut rng),
         };
         let mut metrics = AirMetrics::default();
-        prop_assert_eq!(rec, fused_round(&codes, &path, &config, &mut metrics));
+        prop_assert_eq!(rec, fused_round(&codes, None, &path, &config, &mut metrics));
         prop_assert_eq!(rec, round_record(64, search, rec.prefix_len));
         prop_assert_eq!(&metrics, air.metrics());
+        let index = PrefixIndex::build(&codes);
+        let mut indexed = AirMetrics::default();
+        prop_assert_eq!(rec, fused_round(&codes, Some(&index), &path, &config, &mut indexed));
+        prop_assert_eq!(&indexed, air.metrics());
     }
 
     /// Differential fuzz of the two backends across the full configuration

@@ -2,10 +2,10 @@
 //!
 //! Active-mode PET re-derives every tag's code each round (`prc ← H(s,
 //! tagID)`), so paper-scale sweeps run the `(seed, id) → truncated code`
-//! mapping millions of times per second. This module vectorizes the three
-//! hot loops behind a one-time runtime feature detection
-//! (`is_x86_feature_detected!`), following the portable/SSE split of
-//! tarcrush's `shingleprint_portable` / `shingleprint_sse`:
+//! mapping millions of times per second. This module vectorizes the two
+//! hot loops of code derivation behind a one-time runtime feature
+//! detection (`is_x86_feature_detected!`), following the portable/SSE split
+//! of tarcrush's `shingleprint_portable` / `shingleprint_sse`:
 //!
 //! - **Multi-lane bulk hashing** ([`mix2_bulk_into`], [`md5_bulk_into`]):
 //!   4 independent keys per iteration for the SplitMix/Murmur mixer
@@ -14,10 +14,11 @@
 //!   not within a block, so each lane is the RFC 1321 digest verbatim.
 //! - **Vector truncation** ([`truncate_slice`]): the `bits`-truncation /
 //!   right-alignment of whole code arrays (`hash >> (64 - bits)`).
-//! - **Responder counting** ([`partition_point_less`]): the per-prefix
-//!   count over sorted code arrays used by the estimation kernel. Binary
-//!   search narrows to a small window, then a branchless SIMD
-//!   compare+popcount sweep replaces the final (branch-missing) probes.
+//!
+//! Searching sorted codes is not here: std's `slice::partition_point`
+//! beat a binary-narrowing plus SIMD-sweep hybrid at every size measured,
+//! and the estimation kernel now locates most of a round through a prefix
+//! table (`pet_core::kernel::PrefixIndex`).
 //!
 //! # Equivalence contract
 //!
@@ -60,10 +61,6 @@
 use crate::md5;
 use crate::mix;
 use std::sync::OnceLock;
-
-/// Number of sorted elements below which [`partition_point_less`] switches
-/// from binary-search narrowing to a branchless compare+count sweep.
-const SWEEP_WINDOW: usize = 8;
 
 /// An instruction-set lane for the bulk primitives.
 ///
@@ -303,66 +300,6 @@ pub fn truncate_slice(lane: Lane, values: &mut [u64], bits: u32) {
             assert!(lane.is_supported(), "avx2 lane unsupported on this CPU");
             // SAFETY: avx2 support was just verified at runtime.
             unsafe { x86::truncate_slice_avx2(values, bits) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => panic!("lane {lane} unsupported on this architecture"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Responder counting: partition point over sorted codes
-// ---------------------------------------------------------------------------
-
-/// Index of the first element `>= bound` in the sorted slice `codes`,
-/// using the process-wide [`active_lane`].
-///
-/// Drop-in for `codes.partition_point(|&c| c < bound)`: binary search
-/// narrows the window to at most `SWEEP_WINDOW` elements, then a
-/// branchless compare+count sweep (SIMD compare + popcount on AVX2)
-/// replaces the final probes — those last comparisons are coin-flips the
-/// branch predictor keeps missing, and the per-prefix responder counts of
-/// the estimation kernel spend most of their time there.
-#[must_use]
-pub fn partition_point_less(codes: &[u64], bound: u64) -> usize {
-    partition_point_less_with(active_lane(), codes, bound)
-}
-
-/// [`partition_point_less`] with an explicit lane, for differential tests
-/// and benchmarks.
-///
-/// # Panics
-///
-/// Panics if `lane` is unsupported on this CPU.
-#[must_use]
-pub fn partition_point_less_with(lane: Lane, codes: &[u64], bound: u64) -> usize {
-    let mut base = 0usize;
-    let mut window = codes;
-    while window.len() > SWEEP_WINDOW {
-        let mid = window.len() / 2;
-        if window[mid] < bound {
-            base += mid + 1;
-            window = &window[mid + 1..];
-        } else {
-            window = &window[..mid];
-        }
-    }
-    base + count_less(lane, window, bound)
-}
-
-/// Number of elements `< bound` in `window` (sorted or not — the count is
-/// order-independent, which is what makes the sweep exact).
-fn count_less(lane: Lane, window: &[u64], bound: u64) -> usize {
-    match lane {
-        Lane::Scalar | Lane::Sse2 => {
-            // SSE2 has no 64-bit compare; the branchless scalar sweep is
-            // already the win over binary-search probes on that lane.
-            window.iter().map(|&v| usize::from(v < bound)).sum()
-        }
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx2 => {
-            assert!(lane.is_supported(), "avx2 lane unsupported on this CPU");
-            // SAFETY: avx2 support was just verified at runtime.
-            unsafe { x86::count_less_avx2(window, bound) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => panic!("lane {lane} unsupported on this architecture"),
@@ -822,36 +759,6 @@ mod x86 {
             }
         }
     }
-
-    // --- Counting ----------------------------------------------------------
-
-    /// Number of elements `< bound`, via signed-flipped 64-bit compares and
-    /// a movemask popcount, 4 lanes at a time.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified `is_x86_feature_detected!("avx2")`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_less_avx2(window: &[u64], bound: u64) -> usize {
-        // AVX2 only compares *signed* 64-bit lanes; XOR-ing both sides
-        // with 2^63 maps unsigned order onto signed order.
-        const SIGN: u64 = 1 << 63;
-        // SAFETY: avx2 guaranteed by caller.
-        unsafe {
-            let bound_s = _mm256_set1_epi64x((bound ^ SIGN) as i64);
-            let flip = _mm256_set1_epi64x(SIGN as i64);
-            let chunks = window.chunks_exact(4);
-            let tail = chunks.remainder();
-            let mut count = 0usize;
-            for chunk in chunks {
-                let v = _mm256_xor_si256(_mm256_loadu_si256(chunk.as_ptr().cast()), flip);
-                let lt = _mm256_cmpgt_epi64(bound_s, v);
-                // Each true lane contributes 8 set mask bytes.
-                count += (_mm256_movemask_epi8(lt).count_ones() / 8) as usize;
-            }
-            count + tail.iter().map(|&v| usize::from(v < bound)).sum::<usize>()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -935,33 +842,6 @@ mod tests {
                     truncate_slice(lane, &mut got, bits);
                     assert_eq!(got, expect, "lane {lane} n {n} bits {bits}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_point_matches_std() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for lane in available_lanes() {
-            for n in [0usize, 1, 5, 63, 64, 65, 200, 5000] {
-                let mut codes: Vec<u64> = (0..n).map(|_| rng.random::<u64>() >> 32).collect();
-                codes.sort_unstable();
-                for _ in 0..50 {
-                    let bound = if rng.random::<bool>() && !codes.is_empty() {
-                        // Probe exact element values too (ties matter).
-                        codes[rng.random_range(0..codes.len())]
-                    } else {
-                        rng.random::<u64>() >> 32
-                    };
-                    assert_eq!(
-                        partition_point_less_with(lane, &codes, bound),
-                        codes.partition_point(|&c| c < bound),
-                        "lane {lane} n {n} bound {bound}"
-                    );
-                }
-                // Extremes: everything below / nothing below.
-                assert_eq!(partition_point_less_with(lane, &codes, 0), 0);
-                assert_eq!(partition_point_less_with(lane, &codes, u64::MAX), n);
             }
         }
     }

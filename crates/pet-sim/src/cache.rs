@@ -11,9 +11,11 @@
 //! - **Sequential key vectors** keyed by `n` — the EPC-derived `u64` keys of
 //!   `TagPopulation::sequential(n)`, which every sweep reuses for each of
 //!   its round counts and runs.
-//! - **Passive code arrays** keyed by `(n, manufacture_seed, family, mode,
+//! - **Passive code banks** keyed by `(n, manufacture_seed, family, mode,
 //!   height)` — hashed and radix-sorted once, then shared by every trial of
-//!   every cell with the same configuration.
+//!   every cell with the same configuration, together with the bank's
+//!   prefix index (`pet_core::kernel::PrefixIndex`) once the first run
+//!   long enough to repay it has built it, so later hits pay nothing.
 //!
 //! Reuse rules: cached codes are immutable and only valid for
 //! `TagMode::PassivePreloaded` banks (active mode re-hashes per round and
@@ -23,6 +25,11 @@
 //! bounded insert, so the cache never changes any experiment's output, only
 //! its cost. Both maps are FIFO-bounded, so paper-scale sweeps with unique
 //! seeds cannot grow memory without bound.
+//!
+//! Memory: a code entry holds its codes' `8·n` bytes and, once indexed,
+//! up to `4·(2^k + 1)` bytes of offset table (`k = ⌊log₂ n⌋` clamped to
+//! 4..=20), at most `4·(n + 1)` bytes from `n = 16` on: about half of
+//! its codes again. A byte bound on the cache must count both.
 
 use pet_core::config::{PetConfig, TagMode};
 use pet_core::kernel::CodeBank;
@@ -118,13 +125,13 @@ pub struct RosterCache {
     keys_cap: usize,
     codes_cap: usize,
     keys: Mutex<Shelf<usize, Arc<Vec<u64>>>>,
-    codes: Mutex<Shelf<CodesKey, Arc<Vec<u64>>>>,
+    codes: Mutex<Shelf<CodesKey, CodeBank>>,
     stats: Mutex<CacheStats>,
 }
 
 /// Distinct key vectors kept (keys are ~8 B × n each).
 const KEYS_CAP: usize = 8;
-/// Distinct code arrays kept. Unique-seed workloads churn through this
+/// Distinct code banks kept. Unique-seed workloads churn through this
 /// FIFO without benefit, but also without unbounded growth.
 const CODES_CAP: usize = 32;
 
@@ -142,7 +149,7 @@ impl RosterCache {
     }
 
     /// A cache bounded to `keys_cap` key vectors and `codes_cap` code
-    /// arrays. A capacity of 0 disables that shelf: every lookup builds
+    /// banks. A capacity of 0 disables that shelf: every lookup builds
     /// fresh and nothing is stored (no FIFO churn).
     #[must_use]
     pub fn with_capacities(keys_cap: usize, codes_cap: usize) -> Self {
@@ -181,7 +188,8 @@ impl RosterCache {
     }
 
     /// A [`CodeBank`] for `n` sequential tags under `config`: passive banks
-    /// share one cached hash+sort; active banks share only the key vector.
+    /// share one cached hash+sort and its prefix index; active banks share
+    /// only the key vector.
     pub fn sequential_bank(&self, n: usize, config: &PetConfig, family: AnyFamily) -> CodeBank {
         let keys = self.sequential_keys(n);
         match config.tag_mode() {
@@ -211,7 +219,7 @@ impl RosterCache {
                             &mut codes,
                         );
                         radix_sort_codes(&mut codes, config.height(), &mut scratch);
-                        Arc::new(codes)
+                        CodeBank::passive_shared(Arc::new(codes))
                     });
                 {
                     let mut stats = self.stats.lock().expect("cache poisoned");
@@ -237,7 +245,7 @@ impl RosterCache {
                         pet_obs::counter("cache.codes.evict", 1);
                     }
                 }
-                CodeBank::passive_shared(lookup.value)
+                lookup.value
             }
             TagMode::ActivePerRound => CodeBank::Active {
                 keys,
@@ -289,6 +297,33 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
+    }
+
+    /// A hit after one long run reuses the prefix index that run built —
+    /// the same allocation — and a short run on a one-shot bank builds
+    /// none.
+    #[test]
+    fn hits_reuse_the_index_a_long_run_built() {
+        let config = PetConfig::builder()
+            .manufacture_seed(0x1DE7)
+            .build()
+            .unwrap();
+        let estimator = Estimator::new(config);
+        let cache = RosterCache::default();
+        let table = |bank: &CodeBank| bank.prefix_index().map(|index| index.offsets().as_ptr());
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut first = cache.sequential_bank(2_000, &config, estimator.family());
+        assert_eq!(table(&first), None, "banks start unindexed");
+        estimator.run_bank(&mut first, 64, &mut rng); // 64 · 32 >= 2,000
+        let built = table(&first).expect("the long run builds the index");
+        let mut hit = cache.sequential_bank(2_000, &config, estimator.family());
+        estimator.run_bank(&mut hit, 4, &mut rng);
+        assert_eq!(table(&hit), Some(built), "the hit reuses the table");
+        assert_eq!(cache.stats().hits, 1);
+
+        let mut one_shot = CodeBank::passive_shared(Arc::new(first.codes().to_vec()));
+        estimator.run_bank(&mut one_shot, 32, &mut rng); // 32 · 32 < 2,000
+        assert_eq!(table(&one_shot), None, "a short run builds no index");
     }
 
     #[test]

@@ -32,6 +32,15 @@ cargo test -q
 echo "==> cargo test -q -- --test-threads=1"
 cargo test -q -- --test-threads=1
 
+# Benchmark build gate: perfbench (BENCHMARK.json) is a package of its own
+# outside the workspace, built against the crates by path, so a change to
+# an API it calls would otherwise only surface when the benchmark runs.
+# Builds it and runs its unit tests (validator, digest and statistics
+# checks; a few seconds once built).
+echo "==> perfbench build + unit tests"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+    --manifest-path perfbench/Cargo.toml
+
 # Statistical conformance gate: fixed-seed empirical checks of the paper's
 # (ε, δ) guarantee, the gray-node law (KS), lossy-channel backend
 # equivalence, and bias bounds under loss. Deterministic, runs in seconds.

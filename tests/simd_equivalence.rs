@@ -9,11 +9,8 @@
 //! runs this suite twice, once under `PET_FORCE_LANE=scalar` and once with
 //! runtime dispatch — proves the env-selected lane changes nothing either.
 
-use pet_core::bits::BitString;
 use pet_core::config::PetConfig;
 use pet_core::front::Estimator;
-use pet_core::kernel::locate_prefix_len_with;
-use pet_core::oracle::CodeRoster;
 use pet_hash::family::{AnyFamily, HashFamily, HashKind};
 use pet_hash::simd::{self, Lane};
 use proptest::prelude::*;
@@ -79,37 +76,6 @@ proptest! {
         }
     }
 
-    /// Sorted responder counting: the hybrid binary-narrow + compare/count
-    /// sweep must agree with `slice::partition_point` on every lane, for
-    /// bounds inside, outside, and exactly on (possibly duplicated)
-    /// elements.
-    #[test]
-    fn partition_point_lanes_match_std(
-        raw_codes in proptest::collection::vec(any::<u64>(), 0..600),
-        bound_index in any::<usize>(),
-        raw_bound in any::<u64>(),
-    ) {
-        let mut codes = raw_codes;
-        codes.sort_unstable();
-        // Exercise the tie-heavy case: bounds drawn from the array itself.
-        let bounds = if codes.is_empty() {
-            vec![raw_bound, 0, u64::MAX]
-        } else {
-            vec![raw_bound, codes[bound_index % codes.len()], 0, u64::MAX]
-        };
-        for bound in bounds {
-            let want = codes.partition_point(|&c| c < bound);
-            for lane in [Lane::Scalar].into_iter().chain(wide_lanes()) {
-                let got = simd::partition_point_less_with(lane, &codes, bound);
-                prop_assert_eq!(
-                    got, want,
-                    "partition point diverged on {} (n = {}, bound = {})",
-                    lane.as_str(), codes.len(), bound
-                );
-            }
-        }
-    }
-
     /// The trait-level bulk kernel every family exposes must match the
     /// definitional per-key scalar loop (this is the path `hash_codes_into`
     /// and `hash_codes_par` actually take).
@@ -124,27 +90,6 @@ proptest! {
             family.hash_bits_bulk(seed, &keys, 32, &mut got);
             for (&k, &g) in keys.iter().zip(&got) {
                 prop_assert_eq!(g, family.hash_bits(seed, k, 32), "{:?}", kind);
-            }
-        }
-    }
-}
-
-/// The kernel's gray-node location over a real roster, per lane, against
-/// the std binary search it replaced.
-#[test]
-fn locate_prefix_len_identical_across_lanes() {
-    let config = PetConfig::paper_default();
-    let mut rng = StdRng::seed_from_u64(0x10CA7E);
-    for n in [0usize, 1, 2, 100, 4_096, 50_000] {
-        let keys: Vec<u64> = (0..n as u64).collect();
-        let roster = CodeRoster::new(&keys, &config, AnyFamily::default());
-        let codes = roster.codes().to_vec();
-        for _ in 0..256 {
-            let path = BitString::random(config.height(), &mut rng);
-            let want = locate_prefix_len_with(Lane::Scalar, &codes, &path);
-            for lane in wide_lanes() {
-                let got = locate_prefix_len_with(lane, &codes, &path);
-                assert_eq!(got, want, "lane {} at n = {n}", lane.as_str());
             }
         }
     }
