@@ -311,10 +311,13 @@ impl PrefixIndex {
     fn count_prefix(&self, path: &BitString, len: u32) -> Option<u64> {
         debug_assert!(len >= 1);
         let t = path.height().checked_sub(self.shift)?.checked_sub(len)?;
-        let prefix = path.bits() >> (path.height() - len); // len >= 1
-        let lo = prefix << t; // < 2^(height − shift), no bits lost
-                              // The end bucket is 2^64 at the top of a height-64 tree; any
-                              // bucket past the table counts every code.
+        // The path's `len`-bit prefix, then its first bucket: below
+        // 2^(height − shift), so the shift loses no bits.
+        let prefix = path.bits() >> (path.height() - len);
+        let lo = prefix << t;
+        // `(prefix + 1) << t` is 2^64 for a prefix of ones when the table
+        // resolves all 64 bits of a height-64 path; saturating sends it,
+        // like any bucket past the table, to the count of every code.
         let hi = lo.saturating_add(1 << t);
         Some(u64::from(self.below(hi) - self.below(lo)))
     }
