@@ -12,6 +12,7 @@ use pet_hash::family::AnyFamily;
 use pet_phy::channel::{ChannelModel, LossyChannel, PerfectChannel};
 use pet_phy::{Air, AirMetrics};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,7 +28,7 @@ fn roster_of(codes: impl Iterator<Item = u64>, height: u32) -> CodeRoster {
     CodeRoster::from_codes(&codes, height)
 }
 
-/// Height of [`large_roster`]'s codes.
+/// Height of [`large_population`]'s codes.
 const LARGE_HEIGHT: u32 = 32;
 
 /// 2^21 + 5 sequential tags' codes at [`LARGE_HEIGHT`] and their prefix
@@ -43,6 +44,60 @@ fn large_population() -> &'static (CodeRoster, PrefixIndex) {
         let index = PrefixIndex::build(&codes);
         (roster_of(codes.into_iter(), LARGE_HEIGHT), index)
     })
+}
+
+/// Runs three rounds of `config` through the reference reader over
+/// `roster` (and over `fleet`, for a population with keys) and through the
+/// fused kernel over the roster's sorted codes, without and with their
+/// prefix index (`index`, or one built here), and asserts identical round
+/// records and metrics. All paths consume the same stream: one path draw
+/// per round.
+fn check_kernel_rounds(
+    config: &PetConfig,
+    mut roster: CodeRoster,
+    mut fleet: Option<TagFleet>,
+    index: Option<&PrefixIndex>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let codes = roster.codes().to_vec();
+    let built;
+    let index = match index {
+        Some(index) => index,
+        None => {
+            built = PrefixIndex::build(&codes);
+            &built
+        }
+    };
+    let mut air_a = Air::new(PerfectChannel);
+    let mut air_b = Air::new(PerfectChannel);
+    let mut rng_a = StdRng::seed_from_u64(seed);
+    let mut rng_b = StdRng::seed_from_u64(seed);
+    let mut rng_k = StdRng::seed_from_u64(seed);
+    let mut metrics = AirMetrics::default();
+    let mut indexed = AirMetrics::default();
+    for _ in 0..3 {
+        let a = run_round(config, &mut roster, &mut air_a, &mut rng_a);
+        let path = BitString::random(config.height(), &mut rng_k);
+        let k = fused_round(&codes, None, &path, config, &mut metrics);
+        prop_assert_eq!(
+            (a.prefix_len, a.gray_height, a.slots, a.disambiguated),
+            (k.prefix_len, k.gray_height, k.slots, k.disambiguated)
+        );
+        prop_assert_eq!(a, k);
+        prop_assert_eq!(fused_round(&codes, Some(index), &path, config, &mut indexed), k);
+        if let Some(fleet) = fleet.as_mut() {
+            prop_assert_eq!(run_round(config, fleet, &mut air_b, &mut rng_b), k);
+        }
+        if !matches!(config.mitigation(), Mitigation::ReProbe { .. }) {
+            prop_assert_eq!(k, round_record(config.height(), config.search(), k.prefix_len));
+        }
+    }
+    prop_assert_eq!(air_a.metrics(), &metrics);
+    prop_assert_eq!(&indexed, &metrics);
+    if fleet.is_some() {
+        prop_assert_eq!(air_b.metrics(), &metrics);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -163,21 +218,19 @@ proptest! {
     /// The fused kernel round, over the bare sorted codes and over their
     /// prefix index, agrees with the slot-by-slot reader over BOTH oracles
     /// on every round-record field, and its synthetic metrics equal the
-    /// Air's, for arbitrary heights, streams, and perfect-channel re-probe
-    /// counts, over four population shapes:
+    /// Air's, for arbitrary populations, heights (small ones produce the
+    /// duplicate codes the responder count must include, and `n < 16`
+    /// sits at the bottom of the index's `k` clamp), streams, and
+    /// perfect-channel re-probe counts. Each case also checks one keyless
+    /// population against the roster oracle, picked by `extra`:
     ///
-    /// - `shape` 0: `keys` hashed at `height` — small heights produce the
-    ///   duplicate codes a responder count must include, and `n < 16`
-    ///   sits at the bottom of the index's `k` clamp.
-    /// - 1: the same codes shifted right by `narrow`, so every code is
+    /// - 0: the hashed codes shifted right by `narrow`, so every code is
     ///   below `2^(H−1)`: the index takes its shift from the codes, and a
     ///   path above them all must land at `n`.
-    /// - 2: height-64 codes at the top of the tree, where a prefix of
-    ///   ones has the exclusive upper bound `2^64`.
-    /// - 3: a shared population above `2^21`, whose table is clamped to
+    /// - 1: height-64 codes at the top of the tree, where a prefix of ones
+    ///   has the exclusive upper bound `2^64`.
+    /// - 2: a shared population above `2^21`, whose table is clamped to
     ///   `k = 20` levels.
-    ///
-    /// Shapes 1–3 have no keys, so only the roster oracle checks them.
     #[test]
     fn kernel_matches_reader_over_both_oracles(
         keys in proptest::collection::vec(any::<u64>(), 0..60),
@@ -185,67 +238,35 @@ proptest! {
         seed in any::<u64>(),
         linear in any::<bool>(),
         probes in 0u32..3,
-        shape in 0u8..4,
+        extra in 0u8..3,
         narrow in 1u32..=8,
     ) {
-        let height = match shape {
-            2 => 64,
-            3 => LARGE_HEIGHT,
-            _ => height,
-        };
         let search = if linear { SearchStrategy::Linear } else { SearchStrategy::Binary };
         let mitigation = if probes > 0 { Mitigation::ReProbe { probes } } else { Mitigation::None };
-        let config = PetConfig::builder()
-            .height(height)
-            .search(search)
-            .mitigation(mitigation)
-            .build()
-            .unwrap();
-        let hashed = CodeRoster::new(&keys, &config, AnyFamily::default());
-        let mut roster = match shape {
-            0 => hashed,
-            1 => roster_of(hashed.codes().iter().map(|&c| c >> narrow.min(height)), height),
-            2 => roster_of(keys.iter().map(|&k| u64::MAX - (k >> 58)), 64),
-            _ => large_population().0.clone(),
+        let config_at = |height| {
+            PetConfig::builder()
+                .height(height)
+                .search(search)
+                .mitigation(mitigation)
+                .build()
+                .unwrap()
         };
-        let mut fleet = (shape == 0).then(|| TagFleet::new(&keys, &config, AnyFamily::default()));
-        let codes = roster.codes().to_vec();
-        let built;
-        let index = if shape == 3 {
-            &large_population().1
-        } else {
-            built = PrefixIndex::build(&codes);
-            &built
-        };
-        let mut air_a = Air::new(PerfectChannel);
-        let mut air_b = Air::new(PerfectChannel);
-        let mut rng_a = StdRng::seed_from_u64(seed);
-        let mut rng_b = StdRng::seed_from_u64(seed);
-        let mut rng_k = StdRng::seed_from_u64(seed);
-        let mut metrics = AirMetrics::default();
-        let mut indexed = AirMetrics::default();
-        for _ in 0..3 {
-            let a = run_round(&config, &mut roster, &mut air_a, &mut rng_a);
-            // The kernel consumes the identical stream: one path draw.
-            let path = BitString::random(height, &mut rng_k);
-            let k = fused_round(&codes, None, &path, &config, &mut metrics);
-            prop_assert_eq!(
-                (a.prefix_len, a.gray_height, a.slots, a.disambiguated),
-                (k.prefix_len, k.gray_height, k.slots, k.disambiguated)
-            );
-            prop_assert_eq!(a, k);
-            prop_assert_eq!(fused_round(&codes, Some(index), &path, &config, &mut indexed), k);
-            if let Some(fleet) = fleet.as_mut() {
-                prop_assert_eq!(run_round(&config, fleet, &mut air_b, &mut rng_b), k);
+        let config = config_at(height);
+        let roster = CodeRoster::new(&keys, &config, AnyFamily::default());
+        let fleet = TagFleet::new(&keys, &config, AnyFamily::default());
+        let narrowed = roster_of(roster.codes().iter().map(|&c| c >> narrow.min(height)), height);
+        check_kernel_rounds(&config, roster, Some(fleet), None, seed)?;
+        match extra {
+            0 => check_kernel_rounds(&config, narrowed, None, None, seed)?,
+            1 => {
+                let top = roster_of(keys.iter().map(|&k| u64::MAX - (k >> 58)), 64);
+                check_kernel_rounds(&config_at(64), top, None, None, seed)?;
             }
-            if probes == 0 {
-                prop_assert_eq!(k, round_record(height, search, k.prefix_len));
+            _ => {
+                let (large, index) = large_population();
+                let config = config_at(LARGE_HEIGHT);
+                check_kernel_rounds(&config, large.clone(), None, Some(index), seed)?;
             }
-        }
-        prop_assert_eq!(air_a.metrics(), &metrics);
-        prop_assert_eq!(&indexed, &metrics);
-        if fleet.is_some() {
-            prop_assert_eq!(air_b.metrics(), &metrics);
         }
     }
 
