@@ -84,12 +84,18 @@ fn check_kernel_rounds(
             (k.prefix_len, k.gray_height, k.slots, k.disambiguated)
         );
         prop_assert_eq!(a, k);
-        prop_assert_eq!(fused_round(&codes, Some(index), &path, config, &mut indexed), k);
+        prop_assert_eq!(
+            fused_round(&codes, Some(index), &path, config, &mut indexed),
+            k
+        );
         if let Some(fleet) = fleet.as_mut() {
             prop_assert_eq!(run_round(config, fleet, &mut air_b, &mut rng_b), k);
         }
         if !matches!(config.mitigation(), Mitigation::ReProbe { .. }) {
-            prop_assert_eq!(k, round_record(config.height(), config.search(), k.prefix_len));
+            prop_assert_eq!(
+                k,
+                round_record(config.height(), config.search(), k.prefix_len)
+            );
         }
     }
     prop_assert_eq!(air_a.metrics(), &metrics);
