@@ -24,7 +24,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Rounds per session of the one-shot arm: a monitor update's default
-/// budget (`Monitor::observe_keys` builds a fresh bank for every update).
+/// budget. A monitor's bank carries no prefix index at this scale (churn
+/// drops it, and 32 rounds repay no table over more than 1,024 tags), so
+/// the arm times banks without one.
 const ONE_SHOT_ROUNDS: u32 = 32;
 
 /// Measured kernel throughput at paper scale, best-of-N per arm.
@@ -37,8 +39,8 @@ pub struct KernelBench {
     /// Slot-by-slot oracle reader rounds/s.
     pub rounds_per_sec_oracle: f64,
     /// Whole kernel rounds/s through `Estimator::try_run_bank`, in
-    /// 32-round sessions over one-shot `CodeBank::passive_shared` banks
-    /// (the monitor's path).
+    /// 32-round sessions over unindexed `CodeBank::passive_shared` banks
+    /// (a monitor update's path).
     pub rounds_per_sec_kernel: f64,
     /// Whole kernel rounds/s through `Estimator::try_run_bank`, in
     /// paper-length sessions over the bank `RosterCache::sequential_bank`

@@ -31,6 +31,7 @@ use pet_baselines::{CardinalityEstimator, Ezb, Fneb, Fsa, Lof, PetAdapter};
 use pet_core::bits::BitString;
 use pet_core::config::{Mitigation, PetConfig, SearchStrategy};
 use pet_core::front::Estimator;
+use pet_core::monitor::ChurnStream;
 use pet_core::oracle::CodeRoster;
 use pet_core::tree::Tree;
 use pet_ident::{FramedAloha, IdentificationProtocol, TreeWalk};
@@ -39,6 +40,7 @@ use pet_phy::{Air, PhyProfile, TimeModel};
 use pet_sim::experiments::robustness;
 use pet_stats::accuracy::Accuracy;
 use pet_stats::gray::{PHI, SIGMA_H};
+use pet_tags::dynamics::{ChurnError, ChurnSchedule, KeyTimeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -551,38 +553,42 @@ fn cmd_monitor_stream(args: &Args) -> Result<(), ArgError> {
         reference: None,
         base_seed: seed,
     };
-    let mut monitor =
+    let monitor =
         pet_core::monitor::Monitor::new(monitor_config).map_err(|e| ArgError(e.to_string()))?;
-    let schedule = pet_tags::dynamics::ChurnSchedule {
+    let schedule = ChurnSchedule {
         rate: churn_rate,
         burst_at,
         burst_size,
     };
-    let mut timeline =
-        pet_tags::dynamics::Timeline::new(pet_tags::population::TagPopulation::sequential(tags));
+    // The server's `monitor` verb applies the same rules.
+    schedule.validate(tags, updates).map_err(|e| {
+        ArgError(
+            match e {
+                ChurnError::RateAboveTags => "--churn-rate must be <= --tags",
+                ChurnError::BurstAfterRun => "--burst-at must be < --updates",
+                ChurnError::BadBurstSize => "--burst-size must be 1..--tags with --burst-at",
+            }
+            .into(),
+        )
+    })?;
+    let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(tags));
     println!(
         "{:>7} {:>10} {:>12} {:>12} {:>10} {:>8}",
         "update", "truth", "estimate", "windowed", "delta", "alarm"
     );
-    for update in 0..updates {
-        for event in schedule.events_at(update) {
-            timeline.apply(event);
-        }
-        let keys: Vec<u64> = timeline.population().keys().collect();
-        let u = monitor
-            .observe_keys(&keys)
-            .map_err(|e| ArgError(e.to_string()))?;
+    for _ in 0..updates {
+        let u = stream.next_update().map_err(|e| ArgError(e.to_string()))?;
         println!(
             "{:>7} {:>10} {:>12.0} {:>12.0} {:>+10.0} {:>8}",
             u.index,
-            keys.len(),
+            stream.population(),
             u.estimate,
             u.windowed,
             u.delta,
             if u.alarm { "ALARM" } else { "-" }
         );
     }
-    if let Some(reference) = monitor.reference() {
+    if let Some(reference) = stream.monitor().reference() {
         println!(
             "(reference {reference:.0}, alarm below {:.0}; window {window}, {rounds} rounds/update)",
             alarm_fraction * reference

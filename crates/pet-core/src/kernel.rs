@@ -64,6 +64,7 @@ use crate::reader::RoundRecord;
 use pet_hash::bulk::{hash_codes_par, radix_sort_codes, RadixScratch};
 use pet_hash::family::AnyFamily;
 use pet_phy::{AirMetrics, SlotOutcome};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Runs one round over a lossless channel against the sorted `codes`:
@@ -421,11 +422,12 @@ fn replay(
 
 /// Sorted code storage for fast sessions.
 ///
-/// Passive banks hold one immutable sorted array and its lazily built
+/// Passive banks hold one sorted array and its lazily built
 /// [`PrefixIndex`], both shareable across trials via [`Arc`] — see
-/// `pet-sim`'s roster cache; active banks re-hash and re-sort their key set
-/// every round with the bulk primitives from `pet_hash::bulk`, reusing both
-/// buffers.
+/// `pet-sim`'s roster cache — and editable in place by a churn delta
+/// ([`CodeBank::apply_key_delta`]); active banks re-hash and re-sort their
+/// key set every round with the bulk primitives from `pet_hash::bulk`,
+/// reusing both buffers.
 #[derive(Debug, Clone)]
 pub enum CodeBank {
     /// Preloaded codes (`TagMode::PassivePreloaded`): fixed for the session.
@@ -523,14 +525,64 @@ impl CodeBank {
 
     /// Readies a passive bank for a run of `rounds` lossless rounds: builds
     /// its prefix index when none exists yet and the run repays the build,
-    /// `rounds · 32 >= n` (see `INDEX_CODES_PER_ROUND`). Short runs on
-    /// fresh banks, such as a monitor update's, never build it; active
-    /// banks, whose codes change every round, have none.
+    /// `rounds · 32 >= n` (see `INDEX_CODES_PER_ROUND`). Short runs, such
+    /// as a monitor update's 32 rounds over more than 1,024 tags, never
+    /// build it; active banks, whose codes change every round, have none.
     pub(crate) fn prepare_run(&self, rounds: u32) {
         if let Self::Passive(PassiveCodes { codes, index }) = self {
             let repaid = u64::from(rounds) * INDEX_CODES_PER_ROUND >= codes.len() as u64;
             if repaid && u32::try_from(codes.len()).is_ok() {
                 index.get_or_init(|| PrefixIndex::build(codes));
+            }
+        }
+    }
+
+    /// Applies one update's net key change in place: the `left` keys leave
+    /// the bank and the `joined` keys enter it.
+    ///
+    /// A passive bank hashes only the changed keys under `config`'s
+    /// manufacture seed, sorts them, removes `left`'s codes from its sorted
+    /// codes and merges `joined`'s in. A passive code is a pure function of
+    /// (key, manufacture seed, family, height), so the result is bit for bit
+    /// the bank [`Self::for_config`] builds from the new key set. The codes
+    /// are edited through [`Arc::make_mut`], so clones sharing them keep
+    /// theirs, and a change drops the prefix index, which only ever
+    /// describes the codes beside it; the next run that repays a table
+    /// builds a fresh one. An active bank edits its key multiset: it
+    /// re-hashes every round anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `left` holds a key the bank does not (a passive bank,
+    /// which keeps no keys, notices when no code of its matches the key's).
+    pub fn apply_key_delta(
+        &mut self,
+        left: &[u64],
+        joined: &[u64],
+        config: &PetConfig,
+        family: AnyFamily,
+    ) {
+        if left.is_empty() && joined.is_empty() {
+            return;
+        }
+        match self {
+            Self::Passive(passive) => {
+                let sorted_codes = |keys: &[u64]| {
+                    let mut codes = Vec::new();
+                    let (seed, height) = (config.manufacture_seed(), config.height());
+                    hash_codes_par(&family, seed, keys, height, &mut codes);
+                    codes.sort_unstable();
+                    codes
+                };
+                let codes = Arc::make_mut(&mut passive.codes);
+                remove_sorted(codes, &sorted_codes(left));
+                merge_sorted(codes, &sorted_codes(joined));
+                passive.index = Arc::default();
+            }
+            Self::Active { keys, .. } => {
+                let keys = Arc::make_mut(keys);
+                remove_keys(keys, left);
+                keys.extend_from_slice(joined);
             }
         }
     }
@@ -548,6 +600,64 @@ impl CodeBank {
             radix_sort_codes(codes, height, scratch);
         }
     }
+}
+
+/// Removes the sorted multiset `gone` from the sorted `codes` in one pass.
+fn remove_sorted(codes: &mut Vec<u64>, gone: &[u64]) {
+    let before = codes.len();
+    let mut gone_iter = gone.iter().copied().peekable();
+    codes.retain(|&code| {
+        // A smaller `gone` code is missing from `codes`; the count below
+        // catches it.
+        while gone_iter.next_if(|&g| g < code).is_some() {}
+        gone_iter.next_if_eq(&code).is_none()
+    });
+    assert_eq!(
+        before - codes.len(),
+        gone.len(),
+        "left holds a key the bank does not"
+    );
+}
+
+/// Merges the sorted `added` into the sorted `codes` in place, filling
+/// from the back so that no element moves twice.
+fn merge_sorted(codes: &mut Vec<u64>, added: &[u64]) {
+    let mut kept = codes.len();
+    codes.resize(kept + added.len(), 0);
+    let mut rest = added.len();
+    let mut end = codes.len();
+    while rest > 0 {
+        end -= 1;
+        if kept > 0 && codes[kept - 1] > added[rest - 1] {
+            kept -= 1;
+            codes[end] = codes[kept];
+        } else {
+            rest -= 1;
+            codes[end] = added[rest];
+        }
+    }
+}
+
+/// Removes the multiset `left` from the unordered `keys`, keeping the
+/// order of the rest.
+fn remove_keys(keys: &mut Vec<u64>, left: &[u64]) {
+    let mut pending: HashMap<u64, usize> = HashMap::with_capacity(left.len());
+    for &key in left {
+        *pending.entry(key).or_default() += 1;
+    }
+    let before = keys.len();
+    keys.retain(|key| match pending.get_mut(key) {
+        Some(count) if *count > 0 => {
+            *count -= 1;
+            false
+        }
+        _ => true,
+    });
+    assert_eq!(
+        before - keys.len(),
+        left.len(),
+        "left holds a key the bank does not"
+    );
 }
 
 /// Hash + sort the manufacture-time codes for a passive population.
@@ -863,6 +973,71 @@ mod tests {
             bank.begin_round(seed, AnyFamily::default(), 32);
             assert_eq!(bank.codes(), roster.codes());
         }
+    }
+
+    /// A passive delta leaves exactly the codes a fresh bank over the new
+    /// key set holds, drops the index, and copies codes a clone shares;
+    /// an active delta leaves the same per-round codes as a fresh bank.
+    #[test]
+    fn key_deltas_equal_fresh_banks() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for (tag_mode, height) in [
+            (TagMode::PassivePreloaded, 32),
+            (TagMode::PassivePreloaded, 6), // duplicate codes
+            (TagMode::ActivePerRound, 32),
+        ] {
+            let config = PetConfig::builder()
+                .height(height)
+                .tag_mode(tag_mode)
+                .build()
+                .unwrap();
+            let family = AnyFamily::default();
+            let mut keys: Vec<u64> = (0..3_000).map(|_| rng.random()).collect();
+            let mut bank = CodeBank::for_config(Arc::new(keys.clone()), &config, family);
+            for step in 0..6 {
+                if tag_mode == TagMode::PassivePreloaded {
+                    bank.prepare_run(100);
+                    assert!(bank.prefix_index().is_some());
+                }
+                let shared = bank.clone();
+                let before = shared.population();
+                let leaving = rng.random_range(0..keys.len() / 2);
+                let mut left: Vec<u64> = Vec::new();
+                for _ in 0..leaving {
+                    let at = rng.random_range(0..keys.len());
+                    left.push(keys.swap_remove(at));
+                }
+                let joined: Vec<u64> = (0..rng.random_range(0..800))
+                    .map(|_| rng.random())
+                    .collect();
+                keys.extend(&joined);
+                bank.apply_key_delta(&left, &joined, &config, family);
+                let mut fresh = CodeBank::for_config(Arc::new(keys.clone()), &config, family);
+                assert_eq!(bank.population(), keys.len() as u64, "step {step}");
+                assert_eq!(shared.population(), before, "a clone keeps its codes");
+                match tag_mode {
+                    TagMode::PassivePreloaded => {
+                        assert_eq!(bank.codes(), fresh.codes(), "H = {height}, step {step}");
+                        assert!(bank.prefix_index().is_none(), "a delta drops the index");
+                    }
+                    TagMode::ActivePerRound => {
+                        let seed = Some(rng.random::<u64>());
+                        bank.begin_round(seed, family, height);
+                        fresh.begin_round(seed, family, height);
+                        assert_eq!(bank.codes(), fresh.codes(), "step {step}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "left holds a key the bank does not")]
+    fn key_delta_rejects_a_key_the_bank_lacks() {
+        let config = PetConfig::builder().height(32).build().unwrap();
+        let family = AnyFamily::default();
+        let mut bank = CodeBank::for_config(Arc::new((0..100).collect()), &config, family);
+        bank.apply_key_delta(&[1_000], &[], &config, family);
     }
 
     #[test]

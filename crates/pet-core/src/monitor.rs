@@ -18,6 +18,14 @@
 //! keys, rounds, and derived seed. The zero-churn streaming-conformance
 //! suite pins this bit for bit for both backends.
 //!
+//! [`ChurnStream`] is the loop every churned monitor runs (the server's
+//! `monitor` verb, `pet monitor --tags`, the monitor sweep): it keeps one
+//! live [`CodeBank`] per stream and applies each update's net key change to
+//! it ([`CodeBank::apply_key_delta`]) instead of rebuilding the bank from
+//! every key, and [`Monitor::observe_bank`] re-estimates over it. The
+//! churn differential in the streaming-conformance suite pins every update
+//! equal to [`Monitor::observe_keys`] over the full key set, bit for bit.
+//!
 //! The alarm reproduces the detection-probability framing of the
 //! missing-tag identification literature (arxiv 2510.18285) at the
 //! estimation layer: a *reference* population (configured, or latched from
@@ -28,15 +36,19 @@
 //! `pet-apps::monitor`), so callers can trade the crisp threshold for a
 //! significance test.
 
+use crate::config::TagMode;
 use crate::front::Estimator;
+use crate::kernel::{self, CodeBank};
 use crate::session::EstimateReport;
 use crate::PetError;
 use pet_stats::erf::normal_cdf;
 use pet_stats::gray::{GrayDistribution, SIGMA_H};
+use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Domain-separation salt for [`update_seed`] ("MONITOR" in ASCII), so a
 /// monitor's per-update seeds never collide with the sim runner's
@@ -125,6 +137,8 @@ pub struct MonitorUpdate {
     pub reference: f64,
     /// One-sided p-value of this update's statistic under "population
     /// equals the reference" — small values are evidence of missing tags.
+    /// 0 when the zero probe found the region empty: the reference is at
+    /// least one tag, so silence rules it out.
     pub p_value: f64,
     /// Whether the windowed estimate fell below
     /// `alarm_fraction × reference`.
@@ -258,12 +272,33 @@ impl Monitor {
     ///
     /// Returns [`PetError`] from the underlying estimation run.
     pub fn observe_keys(&mut self, keys: &[u64]) -> Result<MonitorUpdate, PetError> {
+        self.observe(|estimator, rounds, rng| estimator.try_estimate_keys_rounds(keys, rounds, rng))
+    }
+
+    /// Like [`Self::observe_keys`], over a prebuilt bank instead of a key
+    /// set: the update is exactly `Estimator::try_run_bank(bank, rounds,
+    /// StdRng::seed_from_u64(update_seed(base_seed, index)))`, which equals
+    /// `observe_keys` over the bank's keys bit for bit. A stream keeps one
+    /// bank and applies each update's churn to it
+    /// ([`CodeBank::apply_key_delta`]), as [`ChurnStream`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PetError`] from the underlying estimation run.
+    pub fn observe_bank(&mut self, bank: &mut CodeBank) -> Result<MonitorUpdate, PetError> {
+        self.observe(|estimator, rounds, rng| estimator.try_run_bank(bank, rounds, rng))
+    }
+
+    /// Runs one update's estimate under its derived seed and folds it into
+    /// the stream state.
+    fn observe(
+        &mut self,
+        run: impl FnOnce(&Estimator, u32, &mut StdRng) -> Result<EstimateReport, PetError>,
+    ) -> Result<MonitorUpdate, PetError> {
         let index = self.next_index;
         let seed = update_seed(self.base_seed, index);
         let mut rng = StdRng::seed_from_u64(seed);
-        let report: EstimateReport =
-            self.estimator
-                .try_estimate_keys_rounds(keys, self.rounds, &mut rng)?;
+        let report = run(&self.estimator, self.rounds, &mut rng)?;
         self.next_index += 1;
         let estimate = report.estimate;
         if self.history.len() == self.window {
@@ -278,8 +313,13 @@ impl Monitor {
             let latched = estimate.max(1.0);
             (latched, null_mean_prefix(latched, height))
         });
-        let se = SIGMA_H / f64::from(report.rounds).sqrt();
-        let p_value = normal_cdf((report.mean_prefix_len - null_prefix) / se);
+        // Zero rounds means the zero probe heard an empty region.
+        let p_value = if report.rounds == 0 {
+            0.0
+        } else {
+            let se = SIGMA_H / f64::from(report.rounds).sqrt();
+            normal_cdf((report.mean_prefix_len - null_prefix) / se)
+        };
         Ok(MonitorUpdate {
             index,
             seed,
@@ -293,6 +333,108 @@ impl Monitor {
             mean_prefix_len: report.mean_prefix_len,
             phy: report.phy,
         })
+    }
+}
+
+/// A [`Monitor`] over a churning population: update `i` applies
+/// [`ChurnSchedule::events_at`]`(i)` to a [`KeyTimeline`], hands the
+/// update's net [`pet_tags::dynamics::KeyDelta`] to one live [`CodeBank`]
+/// ([`CodeBank::apply_key_delta`]) and observes the bank
+/// ([`Monitor::observe_bank`]).
+///
+/// Every update equals [`Monitor::observe_keys`] over the timeline's keys,
+/// bit for bit, on every backend and tag mode, without the O(n) work a
+/// rebuild does per update (collecting and copying every key, hashing and
+/// sorting them all). It holds the keys (8 B a tag), the bank's codes (8 B
+/// a tag) and the last update's leaving keys.
+///
+/// # Example
+///
+/// ```
+/// use pet_core::monitor::{ChurnStream, Monitor, MonitorConfig};
+/// use pet_core::PetConfig;
+/// use pet_stats::accuracy::Accuracy;
+/// use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
+///
+/// let monitor = Monitor::new(MonitorConfig {
+///     config: PetConfig::builder()
+///         .accuracy(Accuracy::new(0.1, 0.1).unwrap())
+///         .build()
+///         .unwrap(),
+///     rounds: 64,
+///     window: 4,
+///     alarm_fraction: 0.5,
+///     reference: None,
+///     base_seed: 7,
+/// })
+/// .unwrap();
+/// let schedule = ChurnSchedule {
+///     rate: 10,
+///     burst_at: Some(2),
+///     burst_size: 600,
+/// };
+/// let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(1_000));
+/// for _ in 0..4 {
+///     stream.next_update().unwrap();
+/// }
+/// assert_eq!(stream.population(), 400);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ChurnStream {
+    monitor: Monitor,
+    schedule: ChurnSchedule,
+    timeline: KeyTimeline,
+    bank: CodeBank,
+}
+
+impl ChurnStream {
+    /// Starts a stream over the timeline's current keys, building the
+    /// stream's bank from them once.
+    #[must_use]
+    pub fn new(monitor: Monitor, schedule: ChurnSchedule, timeline: KeyTimeline) -> Self {
+        let estimator = monitor.estimator();
+        let (config, family) = (estimator.config(), estimator.family());
+        let bank = match config.tag_mode() {
+            // Hash straight from the timeline's keys: a passive bank keeps
+            // no copy of them.
+            TagMode::PassivePreloaded => CodeBank::passive_shared(Arc::new(
+                kernel::build_passive_codes(timeline.keys(), config, family),
+            )),
+            TagMode::ActivePerRound => estimator.bank_for_keys(Arc::new(timeline.keys().to_vec())),
+        };
+        Self {
+            monitor,
+            schedule,
+            timeline,
+            bank,
+        }
+    }
+
+    /// Applies the next update's churn and re-estimates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PetError`] from the underlying estimation run.
+    pub fn next_update(&mut self) -> Result<MonitorUpdate, PetError> {
+        let update = usize::try_from(self.monitor.updates()).expect("update index fits usize");
+        let delta = self.timeline.update(&self.schedule.events_at(update));
+        let estimator = self.monitor.estimator();
+        let (config, family) = (estimator.config(), estimator.family());
+        self.bank
+            .apply_key_delta(delta.left, delta.joined, config, family);
+        self.monitor.observe_bank(&mut self.bank)
+    }
+
+    /// The population the last update saw (the initial one before any).
+    #[must_use]
+    pub fn population(&self) -> usize {
+        self.timeline.keys().len()
+    }
+
+    /// The monitor: its configuration, reference and update count.
+    #[must_use]
+    pub fn monitor(&self) -> &Monitor {
+        &self.monitor
     }
 }
 
@@ -468,6 +610,37 @@ mod tests {
         assert_eq!(m.reference(), Some(first.estimate));
         let second = m.observe_keys(&keys).unwrap();
         assert_eq!(second.reference.to_bits(), first.estimate.to_bits());
+    }
+
+    /// An update whose zero probe hears an empty region runs no rounds;
+    /// its p-value is 0, not the Φ(−0) = 0.5 of an infinite standard
+    /// error.
+    #[test]
+    fn p_value_is_zero_when_the_zero_probe_finds_the_region_empty() {
+        let full: Vec<u64> = (0..1_000).collect();
+        for backend in [Backend::Oracle, Backend::Kernel] {
+            let mut m = Monitor::new(MonitorConfig {
+                config: PetConfig::builder()
+                    .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+                    .backend(backend)
+                    .zero_probe(true)
+                    .build()
+                    .unwrap(),
+                rounds: 32,
+                window: 4,
+                alarm_fraction: 0.5,
+                reference: Some(1_000.0),
+                base_seed: 5,
+            })
+            .unwrap();
+            for _ in 0..3 {
+                assert!(m.observe_keys(&full).unwrap().p_value > 1e-6);
+            }
+            let empty = m.observe_keys(&[]).unwrap();
+            assert_eq!(empty.rounds, 0);
+            assert_eq!(empty.estimate, 0.0);
+            assert_eq!(empty.p_value, 0.0, "{backend:?}");
+        }
     }
 
     #[test]

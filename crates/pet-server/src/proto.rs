@@ -49,6 +49,7 @@ use pet_core::config::{Backend, Mitigation, PetConfig};
 use pet_phy::channel::{ChannelModel, LossyChannel};
 use pet_phy::PhyProfile;
 use pet_stats::accuracy::Accuracy;
+use pet_tags::dynamics::{ChurnError, ChurnSchedule};
 use std::fmt;
 use std::time::Duration;
 
@@ -509,20 +510,36 @@ fn parse_monitor(root: &Json, id: &str) -> Result<MonitorParams, RequestError> {
         return Err(bad(Some(id), "\"alarm_fraction\" must be in (0, 1)"));
     }
     let churn_rate = u64_field(root, id, "churn_rate")?.unwrap_or(0) as usize;
-    if churn_rate > tags {
-        return Err(bad(Some(id), "\"churn_rate\" must be <= tags"));
+    let burst_at = u64_field(root, id, "burst_at");
+    let burst_size = u64_field(root, id, "burst_size");
+    // The churn rules live beside `ChurnSchedule`. A malformed burst field
+    // is reported where it was before the rules moved there: after the
+    // rules on the fields before it.
+    let fault = ChurnSchedule {
+        rate: churn_rate,
+        burst_at: burst_at.as_ref().ok().and_then(|&b| b).map(|b| b as usize),
+        burst_size: burst_size.as_ref().ok().and_then(|&s| s).unwrap_or(0) as usize,
     }
-    let burst_at = match u64_field(root, id, "burst_at")? {
-        Some(b) if b < u64::from(updates) => Some(b as u32),
-        Some(_) => return Err(bad(Some(id), "\"burst_at\" must be < updates")),
-        None => None,
+    .validate(tags, updates as usize)
+    .err();
+    let reject = |fault| {
+        let detail = match fault {
+            ChurnError::RateAboveTags => "\"churn_rate\" must be <= tags",
+            ChurnError::BurstAfterRun => "\"burst_at\" must be < updates",
+            ChurnError::BadBurstSize => "\"burst_size\" must be 1..tags when \"burst_at\" is set",
+        };
+        Err(bad(Some(id), detail))
     };
-    let burst_size = u64_field(root, id, "burst_size")?.unwrap_or(0) as usize;
-    if burst_at.is_some() && (burst_size == 0 || burst_size >= tags) {
-        return Err(bad(
-            Some(id),
-            "\"burst_size\" must be 1..tags when \"burst_at\" is set",
-        ));
+    if let Some(fault @ ChurnError::RateAboveTags) = fault {
+        return reject(fault);
+    }
+    let burst_at = burst_at?.map(|b| b as u32);
+    if let Some(fault @ ChurnError::BurstAfterRun) = fault {
+        return reject(fault);
+    }
+    let burst_size = burst_size?.unwrap_or(0) as usize;
+    if let Some(fault) = fault {
+        return reject(fault);
     }
     let seed = u64_hex_field(root, id, "seed")?;
     let config = parse_config(root, id)?;
@@ -921,6 +938,32 @@ mod tests {
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.id.as_deref(), Some("m"), "{bad}");
+        }
+    }
+
+    /// The churn rules moved beside `ChurnSchedule`; each fault, and the
+    /// first of two faults, keeps its reply detail.
+    #[test]
+    fn churn_faults_keep_their_details() {
+        let integer = |key: &str| format!("\"{key}\" must be a non-negative integer");
+        let rate = "\"churn_rate\" must be <= tags".to_string();
+        let at = "\"burst_at\" must be < updates".to_string();
+        let size = "\"burst_size\" must be 1..tags when \"burst_at\" is set".to_string();
+        for (fields, want) in [
+            (r#""churn_rate":11"#, &rate),
+            (r#""burst_at":8"#, &at),
+            (r#""burst_at":2"#, &size),
+            (r#""burst_at":2,"burst_size":10"#, &size),
+            (r#""churn_rate":11,"burst_at":"x""#, &rate),
+            (r#""churn_rate":11,"burst_at":9,"burst_size":0"#, &rate),
+            (r#""burst_at":"x","burst_size":0"#, &integer("burst_at")),
+            (r#""burst_at":8,"burst_size":"x""#, &at),
+            (r#""burst_at":2,"burst_size":"x""#, &integer("burst_size")),
+            (r#""burst_size":"x""#, &integer("burst_size")),
+        ] {
+            let line = format!(r#"{{"id":"m","verb":"monitor","tags":10,{fields}}}"#);
+            let e = parse_request(&line).unwrap_err();
+            assert_eq!(&e.detail, want, "{fields}");
         }
     }
 

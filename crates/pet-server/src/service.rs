@@ -35,12 +35,13 @@ use crate::shard::{reader_round_config, ShardCache};
 use pet_core::bits::BitString;
 use pet_core::config::TagMode;
 use pet_core::front::Estimator;
-use pet_core::monitor::{Monitor, MonitorConfig};
+use pet_core::monitor::{ChurnStream, Monitor, MonitorConfig};
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart};
 use pet_hash::family::AnyFamily;
 use pet_obs::Summary;
 use pet_sim::cache::RosterCache;
 use pet_sim::experiments::robustness;
+use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -435,7 +436,8 @@ impl ServiceCore {
 
     /// Runs one bounded monitoring subscription: a synthetic population is
     /// churned by a [`ChurnSchedule`] and re-estimated `updates` times
-    /// through [`pet_core::monitor::Monitor`]. The reply is a single
+    /// through a [`ChurnStream`], which applies each update's churn to the
+    /// subscription's own code bank as a key delta. The reply is a single
     /// string carrying one `"verb":"monitor-delta"` line per update plus a
     /// final `"verb":"monitor"` summary line, joined by interior newlines —
     /// both transports write reply strings verbatim (appending one final
@@ -443,13 +445,10 @@ impl ServiceCore {
     /// request. Determinism is inherited from [`seed_for_id`]: the whole
     /// stream is a pure function of the request in deterministic mode.
     fn execute_monitor(&self, id: &str, params: &MonitorParams) -> String {
-        use pet_tags::dynamics::{ChurnSchedule, Timeline};
-        use pet_tags::population::TagPopulation;
-
         let seed = params
             .seed
             .unwrap_or_else(|| seed_for_id(id) ^ self.seed_entropy);
-        let mut monitor = match Monitor::new(MonitorConfig {
+        let monitor = match Monitor::new(MonitorConfig {
             config: params.config,
             rounds: params.rounds,
             window: params.window,
@@ -467,7 +466,7 @@ impl ServiceCore {
             burst_at: params.burst_at.map(|u| u as usize),
             burst_size: params.burst_size,
         };
-        let mut timeline = Timeline::new(TagPopulation::sequential(params.tags));
+        let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(params.tags));
 
         use std::fmt::Write as _;
         let escaped = crate::json::escape(id);
@@ -476,12 +475,8 @@ impl ServiceCore {
         let mut first_alarm: Option<u64> = None;
         let mut final_estimate = 0.0f64;
         let mut phy_total: Option<pet_phy::PhyReport> = None;
-        for update in 0..params.updates as usize {
-            for event in schedule.events_at(update) {
-                timeline.apply(event);
-            }
-            let keys: Vec<u64> = timeline.population().keys().collect();
-            let u = match monitor.observe_keys(&keys) {
+        for _ in 0..params.updates {
+            let u = match stream.next_update() {
                 Ok(u) => u,
                 Err(e) => return error_reply(Some(id), ErrorCode::Internal, Some(&e.to_string())),
             };
@@ -506,11 +501,11 @@ impl ServiceCore {
                 u.windowed,
                 u.delta,
                 u.p_value,
-                keys.len(),
+                stream.population(),
                 u.alarm,
             );
         }
-        let reference = monitor.reference().unwrap_or(0.0);
+        let reference = stream.monitor().reference().unwrap_or(0.0);
         let _ = write!(
             out,
             "{{\"id\":\"{escaped}\",\"ok\":true,\"verb\":\"monitor\",\"updates\":{},\"window\":{},\"reference\":{:?},\"alarms\":{alarms},\"first_alarm\":{},\"final_estimate\":{:?},\"seed\":{seed},\"deterministic\":{}",
@@ -697,6 +692,118 @@ mod tests {
             panic!("monitor must be queued as work");
         };
         assert_eq!(reply, core2.execute_work(&req2, Instant::now()));
+    }
+
+    /// The reply `execute_monitor` gave when every update rebuilt its bank
+    /// from a `Timeline` of tags through `Monitor::observe_keys`.
+    fn rebuilt_monitor_reply(id: &str, params: &MonitorParams, seed: u64) -> String {
+        use pet_tags::dynamics::Timeline;
+        use pet_tags::population::TagPopulation;
+        use std::fmt::Write as _;
+
+        let mut monitor = Monitor::new(MonitorConfig {
+            config: params.config,
+            rounds: params.rounds,
+            window: params.window,
+            alarm_fraction: params.alarm_fraction,
+            reference: None,
+            base_seed: seed,
+        })
+        .unwrap();
+        let schedule = ChurnSchedule {
+            rate: params.churn_rate,
+            burst_at: params.burst_at.map(|u| u as usize),
+            burst_size: params.burst_size,
+        };
+        let mut timeline = Timeline::new(TagPopulation::sequential(params.tags));
+        let mut out = String::new();
+        let (mut alarms, mut first_alarm, mut final_estimate) = (0u32, None::<u64>, 0.0f64);
+        let mut priced: Option<(f64, f64)> = None;
+        for update in 0..params.updates as usize {
+            for event in schedule.events_at(update) {
+                timeline.apply(event);
+            }
+            let keys: Vec<u64> = timeline.population().keys().collect();
+            let u = monitor.observe_keys(&keys).unwrap();
+            if u.alarm {
+                alarms += 1;
+                first_alarm.get_or_insert(u.index);
+            }
+            final_estimate = u.windowed;
+            if let Some(p) = u.phy {
+                let (wall_ms, energy_uj) = priced.get_or_insert((0.0, 0.0));
+                *wall_ms += p.wall_ms;
+                *energy_uj += p.energy_uj;
+            }
+            writeln!(
+                out,
+                "{{\"id\":\"{id}\",\"ok\":true,\"verb\":\"monitor-delta\",\"update\":{},\"estimate\":{:?},\"windowed\":{:?},\"delta\":{:?},\"p_value\":{:?},\"population\":{},\"alarm\":{}}}",
+                u.index, u.estimate, u.windowed, u.delta, u.p_value, keys.len(), u.alarm,
+            )
+            .unwrap();
+        }
+        write!(
+            out,
+            "{{\"id\":\"{id}\",\"ok\":true,\"verb\":\"monitor\",\"updates\":{},\"window\":{},\"reference\":{:?},\"alarms\":{alarms},\"first_alarm\":{},\"final_estimate\":{final_estimate:?},\"seed\":{seed},\"deterministic\":true",
+            params.updates,
+            params.window,
+            monitor.reference().unwrap_or(0.0),
+            first_alarm.map_or("null".to_string(), |a| a.to_string()),
+        )
+        .unwrap();
+        if let Some((wall_ms, energy_uj)) = priced {
+            write!(out, ",\"wall_ms\":{wall_ms:?},\"energy_uj\":{energy_uj:?}").unwrap();
+        }
+        out.push('}');
+        out
+    }
+
+    /// `execute_monitor` applies each update's churn to one live bank as
+    /// a key delta; its reply is byte for byte the rebuild's, on both
+    /// backends and both tag modes. 40 rounds over 700 tags build the
+    /// passive bank's prefix index, which the churn after it must drop.
+    #[test]
+    fn monitor_replies_equal_the_rebuild_byte_for_byte() {
+        use pet_core::config::{Backend as CoreBackend, PetConfig};
+        use pet_stats::accuracy::Accuracy;
+
+        let core = ServiceCore::new(&ServerConfig {
+            deterministic: true,
+            ..ServerConfig::default()
+        });
+        let line = r#"{"id":"m","verb":"monitor","tags":700,"updates":6,"window":3,"rounds":40,"churn_rate":25,"burst_at":3,"burst_size":450,"alarm_fraction":0.6,"seed":"5eed"}"#;
+        let Verb::Monitor(parsed) = crate::proto::parse_request(line).unwrap().verb else {
+            panic!("a monitor request");
+        };
+        for (backend, tag_mode, phy) in [
+            (CoreBackend::Kernel, TagMode::PassivePreloaded, None),
+            (CoreBackend::Oracle, TagMode::PassivePreloaded, None),
+            (CoreBackend::Kernel, TagMode::ActivePerRound, None),
+            (CoreBackend::Oracle, TagMode::ActivePerRound, None),
+            (
+                CoreBackend::Kernel,
+                TagMode::PassivePreloaded,
+                pet_phy::PhyProfile::named("gen2"),
+            ),
+        ] {
+            let params = MonitorParams {
+                config: PetConfig::builder()
+                    .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+                    .backend(backend)
+                    .tag_mode(tag_mode)
+                    .phy(phy)
+                    .build()
+                    .unwrap(),
+                ..parsed.clone()
+            };
+            let reply = core.execute_monitor("m", &params);
+            assert_eq!(reply.lines().count(), 7, "{reply}");
+            assert_eq!(
+                reply,
+                rebuilt_monitor_reply("m", &params, 0x5eed),
+                "{backend:?}, {tag_mode:?}"
+            );
+        }
     }
 
     #[test]

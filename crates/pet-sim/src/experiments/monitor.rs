@@ -15,10 +15,9 @@
 
 use crate::runner::run_trials;
 use pet_core::config::PetConfig;
-use pet_core::monitor::{Monitor, MonitorConfig};
+use pet_core::monitor::{ChurnStream, Monitor, MonitorConfig};
 use pet_stats::accuracy::Accuracy;
-use pet_tags::dynamics::{ChurnSchedule, Timeline};
-use pet_tags::population::TagPopulation;
+use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -93,7 +92,7 @@ fn trial_outcome(params: &MonitorSweepParams, rate: usize, trial_seed: u64) -> f
         .build()
         .expect("valid config");
     let burst_size = (params.burst_fraction * params.tags as f64).round() as usize;
-    let mut monitor = Monitor::new(MonitorConfig {
+    let monitor = Monitor::new(MonitorConfig {
         config,
         rounds: params.rounds,
         window: params.window,
@@ -107,14 +106,10 @@ fn trial_outcome(params: &MonitorSweepParams, rate: usize, trial_seed: u64) -> f
         burst_at: Some(params.burst_at),
         burst_size,
     };
-    let mut timeline = Timeline::new(TagPopulation::sequential(params.tags));
+    let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(params.tags));
     let mut first_alarm: Option<usize> = None;
     for update in 0..params.updates {
-        for event in schedule.events_at(update) {
-            timeline.apply(event);
-        }
-        let keys: Vec<u64> = timeline.population().keys().collect();
-        let u = monitor.observe_keys(&keys).expect("estimation succeeds");
+        let u = stream.next_update().expect("estimation succeeds");
         if u.alarm && first_alarm.is_none() {
             first_alarm = Some(update);
         }

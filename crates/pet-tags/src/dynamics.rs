@@ -7,8 +7,9 @@
 //! such scenarios reproducibly.
 
 use crate::epc::Epc96;
-use crate::population::TagPopulation;
+use crate::population::{leave_tail, sequential_epcs, TagPopulation};
 use crate::tag::{Tag, TagKind};
+use std::fmt;
 
 /// One churn event applied between estimation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,6 +18,17 @@ pub enum ChurnEvent {
     Join(usize),
     /// `count` tags leave the region.
     Leave(usize),
+}
+
+impl ChurnEvent {
+    /// The population size after this event hits a population of `len`
+    /// (leaves saturate at empty).
+    fn size_after(self, len: usize) -> usize {
+        match self {
+            Self::Join(count) => len + count,
+            Self::Leave(count) => len.saturating_sub(count),
+        }
+    }
 }
 
 /// A deterministic rate-driven churn schedule for continuous monitoring:
@@ -89,6 +101,70 @@ impl ChurnSchedule {
         }
         events
     }
+
+    /// Checks that the schedule runs as specified over `updates` updates
+    /// of an initial population of `tags`, reporting the first violation
+    /// in this order: a rate above `tags` (the leaves would saturate while
+    /// the joins add the full rate, so balanced churn would grow the
+    /// population), a burst at or after the last update (it would never
+    /// fire), and a burst size outside `1..tags` (it would be empty or
+    /// empty the region).
+    ///
+    /// # Errors
+    ///
+    /// The [`ChurnError`] of the first violated rule.
+    pub fn validate(&self, tags: usize, updates: usize) -> Result<(), ChurnError> {
+        if self.rate > tags {
+            return Err(ChurnError::RateAboveTags);
+        }
+        if let Some(at) = self.burst_at {
+            if at >= updates {
+                return Err(ChurnError::BurstAfterRun);
+            }
+            if self.burst_size == 0 || self.burst_size >= tags {
+                return Err(ChurnError::BadBurstSize);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A [`ChurnSchedule`] that cannot run as specified
+/// ([`ChurnSchedule::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChurnError {
+    /// The churn rate exceeds the initial population.
+    RateAboveTags,
+    /// The burst strikes at or after the last update.
+    BurstAfterRun,
+    /// A burst is set but its size is not in `1..tags`.
+    BadBurstSize,
+}
+
+impl fmt::Display for ChurnError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::RateAboveTags => write!(f, "churn rate must not exceed the initial population"),
+            Self::BurstAfterRun => write!(f, "the burst must strike before the last update"),
+            Self::BadBurstSize => write!(
+                f,
+                "the burst size must be at least 1 and below the initial population"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ChurnError {}
+
+/// Manager number of the "visitor" namespace joins mint their EPCs in.
+const VISITOR_MANAGER: u32 = 0x0D15_EA5E;
+/// Object class of minted visitor EPCs.
+const VISITOR_CLASS: u32 = 0x7777;
+
+/// The EPC of the `serial`-th tag a join mints: the dedicated visitor
+/// manager number keeps minted tags apart from every sequential population.
+fn visitor_epc(serial: u64) -> Epc96 {
+    Epc96::new(0x30, VISITOR_MANAGER, VISITOR_CLASS, serial).expect("fields in range")
 }
 
 /// A reproducible timeline of churn events over a population.
@@ -107,18 +183,31 @@ impl ChurnSchedule {
 #[derive(Debug, Clone)]
 pub struct Timeline {
     population: TagPopulation,
-    /// Monotone counter so joined tags always get fresh EPCs.
+    /// Serial of the next minted visitor EPC, above every visitor serial
+    /// in the population, so joins need no duplicate scan.
     next_serial: u64,
     history: Vec<(ChurnEvent, usize)>,
 }
 
 impl Timeline {
-    /// Starts a timeline from an initial population.
+    /// Starts a timeline from an initial population. Joins mint above the
+    /// highest visitor serial it holds, so a population taken from another
+    /// timeline keeps joining fresh tags.
     #[must_use]
     pub fn new(initial: TagPopulation) -> Self {
+        let next_serial = initial
+            .tags()
+            .iter()
+            .map(Tag::epc)
+            .filter(|epc| {
+                (epc.header(), epc.manager(), epc.class()) == (0x30, VISITOR_MANAGER, VISITOR_CLASS)
+            })
+            .map(|epc| epc.serial() + 1)
+            .max()
+            .unwrap_or(0);
         Self {
             population: initial,
-            next_serial: 0,
+            next_serial,
             history: Vec::new(),
         }
     }
@@ -139,11 +228,9 @@ impl Timeline {
         match event {
             ChurnEvent::Join(count) => {
                 for _ in 0..count {
-                    let epc =
-                        Epc96::new(0x30, 0x0D15EA5E & ((1 << 28) - 1), 0x7777, self.next_serial)
-                            .expect("fields in range");
+                    let tag = Tag::new(visitor_epc(self.next_serial), TagKind::Passive);
                     self.next_serial += 1;
-                    self.population.push(Tag::new(epc, TagKind::Passive));
+                    self.population.push_minted(tag);
                 }
             }
             ChurnEvent::Leave(count) => {
@@ -163,6 +250,109 @@ impl Timeline {
     #[must_use]
     pub fn history(&self) -> &[(ChurnEvent, usize)] {
         &self.history
+    }
+}
+
+/// The key-level twin of [`Timeline`]: the same joins and leaves over the
+/// tags' 64-bit hashing keys alone (8 bytes a tag, no [`Tag`]s), reporting
+/// each update's net change as a [`KeyDelta`] so that a consumer can apply
+/// it instead of rebuilding from the whole key set.
+///
+/// The keys form a stack in [`Timeline`]'s order: leaves pop the tail and
+/// joins push freshly minted visitor keys. So when an update's events take
+/// the stack down to `low` keys at their lowest, the update removed
+/// exactly the old `stack[low..]` and added exactly the new `stack[low..]`:
+/// tags that join and leave within one update cancel out, and a minted key
+/// is never one that left.
+///
+/// # Example
+///
+/// ```
+/// use pet_tags::dynamics::{ChurnEvent, KeyTimeline, Timeline};
+/// use pet_tags::population::TagPopulation;
+///
+/// let mut keys = KeyTimeline::sequential(100);
+/// let mut tags = Timeline::new(TagPopulation::sequential(100));
+/// let events = [ChurnEvent::Leave(10), ChurnEvent::Join(10), ChurnEvent::Leave(30)];
+/// let before = keys.keys().to_vec();
+/// let delta = keys.update(&events);
+/// // The stack fell to 70: 30 originals left, and the 10 visitors that
+/// // joined left again in the burst.
+/// assert_eq!(delta.left, &before[70..]);
+/// assert!(delta.joined.is_empty());
+/// tags.run(&events);
+/// assert!(keys.keys().iter().copied().eq(tags.population().keys()));
+/// ```
+#[derive(Debug, Clone)]
+pub struct KeyTimeline {
+    keys: Vec<u64>,
+    /// Serial of the next minted visitor key.
+    next_serial: u64,
+    /// The keys the last update removed.
+    left: Vec<u64>,
+}
+
+/// One update's net key change ([`KeyTimeline::update`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyDelta<'a> {
+    /// Keys present before the update and absent after it.
+    pub left: &'a [u64],
+    /// Keys absent before the update and present after it.
+    pub joined: &'a [u64],
+}
+
+impl KeyTimeline {
+    /// The keys of [`TagPopulation::sequential`]`(n)`, in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the 36-bit serial space.
+    #[must_use]
+    pub fn sequential(n: usize) -> Self {
+        Self {
+            keys: sequential_epcs(n).map(|epc| epc.tag_key()).collect(),
+            next_serial: 0,
+            left: Vec::new(),
+        }
+    }
+
+    /// The current keys, in [`Timeline`]'s population order.
+    #[must_use]
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
+    /// Applies one update's events in order, as [`Timeline::apply`] does
+    /// each, and returns the update's net change: with `low` the smallest
+    /// size the events reach (the size before them included), `left` is
+    /// the old `keys[low..]` and `joined` the new `keys[low..]`.
+    pub fn update(&mut self, events: &[ChurnEvent]) -> KeyDelta<'_> {
+        let low = events
+            .iter()
+            .scan(self.keys.len(), |len, &event| {
+                *len = event.size_after(*len);
+                Some(*len)
+            })
+            .fold(self.keys.len(), usize::min);
+        self.left.clear();
+        self.left.extend_from_slice(&self.keys[low..]);
+        for &event in events {
+            match event {
+                ChurnEvent::Join(count) => {
+                    let minted = self.next_serial..self.next_serial + count as u64;
+                    self.keys
+                        .extend(minted.map(|serial| visitor_epc(serial).tag_key()));
+                    self.next_serial += count as u64;
+                }
+                ChurnEvent::Leave(count) => {
+                    leave_tail(&mut self.keys, count);
+                }
+            }
+        }
+        KeyDelta {
+            left: &self.left,
+            joined: &self.keys[low..],
+        }
     }
 }
 
@@ -249,6 +439,86 @@ mod tests {
         assert_eq!(pure.events_at(0), vec![ChurnEvent::Leave(10)]);
         assert!(pure.events_at(1).is_empty());
         assert!(ChurnSchedule::steady(0).events_at(0).is_empty());
+    }
+
+    /// A timeline started from another timeline's population mints above
+    /// the visitor serials it already holds instead of restarting at 0.
+    #[test]
+    fn timeline_from_a_churned_population_mints_fresh_epcs() {
+        let mut first = Timeline::new(TagPopulation::sequential(10));
+        first.apply(ChurnEvent::Join(3));
+        let mut second = Timeline::new(first.population().clone());
+        assert_eq!(second.apply(ChurnEvent::Join(4)), 17);
+        let mut keys: Vec<u64> = second.population().keys().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 17);
+    }
+
+    /// Every update leaves the key twin holding exactly the timeline's
+    /// keys, and its delta is the net change: disjoint `left` and `joined`
+    /// with old − left + joined = new as multisets.
+    #[test]
+    fn key_timeline_tracks_timeline_and_reports_the_net_delta() {
+        use ChurnEvent::{Join, Leave};
+        let updates: [&[ChurnEvent]; 9] = [
+            &[Leave(5), Join(5)],
+            &[Leave(5), Join(5), Leave(30)],
+            &[Join(7), Leave(3)],
+            &[Leave(2), Join(9), Leave(4), Join(1)],
+            &[],
+            &[Leave(1_000)],
+            &[Join(6)],
+            &[Leave(6), Join(6)],
+            &[Join(2), Leave(8)],
+        ];
+        let mut tags = Timeline::new(TagPopulation::sequential(50));
+        let mut keys = KeyTimeline::sequential(50);
+        assert!(keys.keys().iter().copied().eq(tags.population().keys()));
+        for events in updates {
+            let before = keys.keys().to_vec();
+            let low = events
+                .iter()
+                .scan(before.len(), |len, e| {
+                    *len = e.size_after(*len);
+                    Some(*len)
+                })
+                .fold(before.len(), usize::min);
+            tags.run(events);
+            let delta = keys.update(events);
+            let (left, joined) = (delta.left.to_vec(), delta.joined.to_vec());
+            assert_eq!(left, before[low..], "{events:?}");
+            assert!(left.iter().all(|k| !joined.contains(k)), "{events:?}");
+            let mut rebuilt: Vec<u64> = before[..before.len() - left.len()].to_vec();
+            rebuilt.extend(&joined);
+            assert_eq!(rebuilt, keys.keys(), "{events:?}");
+            assert!(keys.keys().iter().copied().eq(tags.population().keys()));
+        }
+    }
+
+    #[test]
+    fn validate_reports_the_first_violated_rule() {
+        let schedule = |rate, burst_at, burst_size| ChurnSchedule {
+            rate,
+            burst_at,
+            burst_size,
+        };
+        assert_eq!(schedule(10, Some(7), 9).validate(10, 8), Ok(()));
+        assert_eq!(schedule(0, None, 50).validate(10, 8), Ok(()));
+        assert_eq!(
+            schedule(11, Some(8), 0).validate(10, 8),
+            Err(ChurnError::RateAboveTags)
+        );
+        assert_eq!(
+            schedule(3, Some(8), 0).validate(10, 8),
+            Err(ChurnError::BurstAfterRun)
+        );
+        for size in [0, 10, 11] {
+            assert_eq!(
+                schedule(3, Some(2), size).validate(10, 8),
+                Err(ChurnError::BadBurstSize)
+            );
+        }
     }
 
     #[test]

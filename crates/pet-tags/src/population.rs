@@ -48,15 +48,7 @@ impl TagPopulation {
     /// Panics if `n` exceeds the 36-bit serial space.
     #[must_use]
     pub fn sequential_with_kind(n: usize, kind: TagKind) -> Self {
-        assert!((n as u64) < (1 << 36), "serial space exhausted");
-        let tags = (0..n as u64)
-            .map(|serial| {
-                Tag::new(
-                    Epc96::new(0x30, 0x5EADED, 0x0001, serial).expect("fields in range"),
-                    kind,
-                )
-            })
-            .collect();
+        let tags = sequential_epcs(n).map(|epc| Tag::new(epc, kind)).collect();
         Self { tags }
     }
 
@@ -124,20 +116,25 @@ impl TagPopulation {
     ///
     /// Panics if the EPC already exists in the population.
     pub fn push(&mut self, tag: Tag) {
-        assert!(
-            !self.tags.iter().any(|t| t.epc() == tag.epc()),
-            "duplicate EPC {}",
-            tag.epc()
-        );
+        assert!(!self.contains(tag.epc()), "duplicate EPC {}", tag.epc());
         self.tags.push(tag);
+    }
+
+    /// Adds a tag whose EPC is unique by construction (a minted join),
+    /// without [`Self::push`]'s scan of every tag; debug builds still scan.
+    pub(crate) fn push_minted(&mut self, tag: Tag) {
+        debug_assert!(!self.contains(tag.epc()), "duplicate EPC {}", tag.epc());
+        self.tags.push(tag);
+    }
+
+    fn contains(&self, epc: Epc96) -> bool {
+        self.tags.iter().any(|t| t.epc() == epc)
     }
 
     /// Removes up to `count` tags from the tail (a leave event), returning
     /// how many actually left.
     pub fn remove_last(&mut self, count: usize) -> usize {
-        let removed = count.min(self.tags.len());
-        self.tags.truncate(self.tags.len() - removed);
-        removed
+        leave_tail(&mut self.tags, count)
     }
 
     /// A new population containing the first `count` tags.
@@ -147,6 +144,24 @@ impl TagPopulation {
             tags: self.tags[..count.min(self.tags.len())].to_vec(),
         }
     }
+}
+
+/// The EPCs of [`TagPopulation::sequential`]'s `n` tags, in order.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds the 36-bit serial space.
+pub(crate) fn sequential_epcs(n: usize) -> impl Iterator<Item = Epc96> {
+    assert!((n as u64) < (1 << 36), "serial space exhausted");
+    (0..n as u64).map(|serial| Epc96::new(0x30, 0x5EADED, 0x0001, serial).expect("fields in range"))
+}
+
+/// A leave event on a stack of tags or keys: pops up to `count` from the
+/// tail, saturating at empty, and returns how many left.
+pub(crate) fn leave_tail<T>(stack: &mut Vec<T>, count: usize) -> usize {
+    let removed = count.min(stack.len());
+    stack.truncate(stack.len() - removed);
+    removed
 }
 
 impl FromIterator<Tag> for TagPopulation {

@@ -41,6 +41,26 @@ echo "==> perfbench build + unit tests"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
     --manifest-path perfbench/Cargo.toml
 
+# Benchmark smoke: every workload BENCHMARK.json lists, end to end for 2 s.
+# perfbench exits non-zero when an output check fails: a bad, missing or
+# non-reproducible reply, the digest of all replies against in-process
+# cores, and (monitor-churn) the bit-for-bit replay of its 10,000-tag
+# requests with a 2,500-tag burst through Timeline + observe_keys.
+echo "==> perfbench smoke (each BENCHMARK.json workload, 2 s)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+    --manifest-path perfbench/Cargo.toml
+WORKLOADS=$(awk '/"workloads"/ { on = 1 }
+    on && /"name"/ { gsub(/[",]/, "", $2); print $2 }
+    on && /^  \]/ { on = 0 }' BENCHMARK.json)
+[[ -n "$WORKLOADS" ]] || {
+    echo "perfbench smoke: no workloads found in BENCHMARK.json" >&2
+    exit 1
+}
+for workload in $WORKLOADS; do
+    .bench_build/release/perfbench --workload "$workload" --seed 1 \
+        --seconds 2 --trace 0
+done
+
 # Statistical conformance gate: fixed-seed empirical checks of the paper's
 # (ε, δ) guarantee, the gray-node law (KS), lossy-channel backend
 # equivalence, and bias bounds under loss. Deterministic, runs in seconds.

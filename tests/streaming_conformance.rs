@@ -2,7 +2,7 @@
 //! *pure composition* of one-shot estimates — no hidden state, no extra
 //! randomness, no backend divergence.
 //!
-//! Three pins:
+//! Four pins:
 //!
 //! 1. **Zero-churn differential** (property): with a fixed key set, every
 //!    monitor update is bit-for-bit the one-shot
@@ -10,19 +10,26 @@
 //!    [`update_seed`], and the windowed value is bit-for-bit the
 //!    [`windowed_mean`] fold of those raw estimates — on both the Oracle
 //!    and Kernel backends.
-//! 2. **Golden churn trace**: a fixed-seed run with steady join/leave
-//!    churn plus one missing-tag burst pins every per-update estimate,
-//!    windowed value, differential, and the alarm-fire update in
+//! 2. **Churn differential** (property): every update of [`ChurnStream`],
+//!    which applies each update's churn to a live code bank as a key
+//!    delta, is bit-for-bit the rebuild — [`Timeline`] plus
+//!    [`Monitor::observe_keys`] over every key — for both backends and
+//!    both tag modes, including runs long enough to build the bank's
+//!    prefix index, which churn must then drop.
+//! 3. **Golden churn trace**: a fixed-seed [`ChurnStream`] run with steady
+//!    join/leave churn plus one missing-tag burst pins every per-update
+//!    estimate, windowed value, differential, and the alarm-fire update in
 //!    `tests/golden/monitor_trace.csv`. Re-bless after an intentional
 //!    protocol change with `PET_BLESS=1 cargo test -p pet --test
 //!    streaming_conformance`.
-//! 3. **Replay determinism**: producing the trace twice from scratch gives
+//! 4. **Replay determinism**: producing the trace twice from scratch gives
 //!    identical bytes — the property the server's byte-identical monitor
 //!    streams and the sim sweep's ledger rows stand on.
 
 use pet::prelude::*;
-use pet_core::monitor::{update_seed, windowed_mean, Monitor, MonitorConfig};
-use pet_tags::dynamics::{ChurnSchedule, Timeline};
+use pet_core::config::TagMode;
+use pet_core::monitor::{update_seed, windowed_mean, ChurnStream, Monitor, MonitorConfig};
+use pet_tags::dynamics::{ChurnSchedule, KeyTimeline, Timeline};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -93,10 +100,80 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Churn differential: the delta loop equals the rebuild, update by
+    /// update, in every field the server's delta line carries.
+    #[test]
+    fn churn_stream_equals_rebuild(
+        n in 1usize..1_500,
+        rate_share in 0.0f64..=1.0,
+        burst in (any::<bool>(), 0usize..6, 0.0f64..1.0),
+        rounds in 1u32..64,
+        window in 1usize..6,
+        zero_probe in any::<bool>(),
+        base_seed in any::<u64>(),
+    ) {
+        const UPDATES: usize = 6;
+        // A rate in 0..=n and a burst of 1..n tags at an update below 6.
+        let rate = (rate_share * n as f64) as usize;
+        let schedule = match burst {
+            (true, at, share) if n > 1 => ChurnSchedule {
+                rate,
+                burst_at: Some(at),
+                burst_size: 1 + (share * (n - 1) as f64) as usize,
+            },
+            _ => ChurnSchedule::steady(rate),
+        };
+        prop_assert_eq!(schedule.validate(n, UPDATES), Ok(()));
+        for backend in [Backend::Oracle, Backend::Kernel] {
+            for tag_mode in [TagMode::PassivePreloaded, TagMode::ActivePerRound] {
+                let monitor = || {
+                    Monitor::new(MonitorConfig {
+                        config: PetConfig::builder()
+                            .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+                            .backend(backend)
+                            .tag_mode(tag_mode)
+                            .zero_probe(zero_probe)
+                            .build()
+                            .unwrap(),
+                        rounds,
+                        window,
+                        alarm_fraction: 0.5,
+                        reference: None,
+                        base_seed,
+                    })
+                    .unwrap()
+                };
+                let mut rebuild = monitor();
+                let mut timeline = Timeline::new(TagPopulation::sequential(n));
+                let mut stream = ChurnStream::new(monitor(), schedule, KeyTimeline::sequential(n));
+                for update in 0..UPDATES {
+                    for event in schedule.events_at(update) {
+                        timeline.apply(event);
+                    }
+                    let keys: Vec<u64> = timeline.population().keys().collect();
+                    let want = rebuild.observe_keys(&keys).unwrap();
+                    let got = stream.next_update().unwrap();
+                    let bits = |u: &pet_core::monitor::MonitorUpdate| {
+                        [u.estimate, u.windowed, u.delta, u.p_value].map(f64::to_bits)
+                    };
+                    prop_assert!(
+                        bits(&got) == bits(&want) && got == want,
+                        "update {update}, {backend:?}, {tag_mode:?}:\n{got:?}\n{want:?}"
+                    );
+                    prop_assert_eq!(stream.population(), keys.len());
+                }
+            }
+        }
+    }
+}
+
 /// The fixed churn scenario behind the golden trace: steady churn of 5
 /// tags/update on 600 tags, then a burst of 400 leaving at update 6.
 fn churn_trace() -> String {
-    let mut monitor = Monitor::new(MonitorConfig {
+    let monitor = Monitor::new(MonitorConfig {
         config: config(Backend::Kernel),
         rounds: 32,
         window: 3,
@@ -110,21 +187,17 @@ fn churn_trace() -> String {
         burst_at: Some(6),
         burst_size: 400,
     };
-    let mut timeline = Timeline::new(TagPopulation::sequential(600));
+    let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(600));
     let mut out = String::from("update,population,estimate,windowed,delta,alarm\n");
-    for update in 0..10usize {
-        for event in schedule.events_at(update) {
-            timeline.apply(event);
-        }
-        let keys: Vec<u64> = timeline.population().keys().collect();
-        let u = monitor.observe_keys(&keys).unwrap();
+    for _ in 0..10usize {
+        let u = stream.next_update().unwrap();
         // `{:?}` prints the shortest f64 representation that round-trips,
         // so equal bytes ⇔ equal bits.
         writeln!(
             out,
             "{},{},{:?},{:?},{:?},{}",
             u.index,
-            keys.len(),
+            stream.population(),
             u.estimate,
             u.windowed,
             u.delta,
