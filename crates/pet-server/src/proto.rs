@@ -512,9 +512,8 @@ fn parse_monitor(root: &Json, id: &str) -> Result<MonitorParams, RequestError> {
     let churn_rate = u64_field(root, id, "churn_rate")?.unwrap_or(0) as usize;
     let burst_at = u64_field(root, id, "burst_at");
     let burst_size = u64_field(root, id, "burst_size");
-    // The churn rules live beside `ChurnSchedule`. A malformed burst field
-    // is reported where it was before the rules moved there: after the
-    // rules on the fields before it.
+    // Faults are reported in field order: a malformed burst field only
+    // after the churn rules on the fields before it.
     let fault = ChurnSchedule {
         rate: churn_rate,
         burst_at: burst_at.as_ref().ok().and_then(|&b| b).map(|b| b as usize),
@@ -941,8 +940,8 @@ mod tests {
         }
     }
 
-    /// The churn rules moved beside `ChurnSchedule`; each fault, and the
-    /// first of two faults, keeps its reply detail.
+    /// Each churn fault has its own reply detail, and of two faults the
+    /// one in the earlier field is reported.
     #[test]
     fn churn_faults_keep_their_details() {
         let integer = |key: &str| format!("\"{key}\" must be a non-negative integer");

@@ -694,8 +694,8 @@ mod tests {
         assert_eq!(reply, core2.execute_work(&req2, Instant::now()));
     }
 
-    /// The reply `execute_monitor` gave when every update rebuilt its bank
-    /// from a `Timeline` of tags through `Monitor::observe_keys`.
+    /// The reference reply: every update rebuilds from a `Timeline` of
+    /// tags through `Monitor::observe_keys`.
     fn rebuilt_monitor_reply(id: &str, params: &MonitorParams, seed: u64) -> String {
         use pet_tags::dynamics::Timeline;
         use pet_tags::population::TagPopulation;

@@ -199,9 +199,7 @@ impl Timeline {
             .tags()
             .iter()
             .map(Tag::epc)
-            .filter(|epc| {
-                (epc.header(), epc.manager(), epc.class()) == (0x30, VISITOR_MANAGER, VISITOR_CLASS)
-            })
+            .filter(|&epc| visitor_epc(epc.serial()) == epc)
             .map(|epc| epc.serial() + 1)
             .max()
             .unwrap_or(0);
