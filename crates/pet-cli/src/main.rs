@@ -567,6 +567,9 @@ fn cmd_monitor_stream(args: &Args) -> Result<(), ArgError> {
                 ChurnError::RateAboveTags => "--churn-rate must be <= --tags",
                 ChurnError::BurstAfterRun => "--burst-at must be < --updates",
                 ChurnError::BadBurstSize => "--burst-size must be 1..--tags with --burst-at",
+                ChurnError::RateAboveBurstSurvivors => {
+                    "--churn-rate must be <= --tags - --burst-size when an update follows --burst-at"
+                }
             }
             .into(),
         )

@@ -51,6 +51,16 @@ fn burst_size_outside_one_to_tags_is_a_usage_error() {
     }
 }
 
+/// A rate above the tags a burst leaves would saturate the next update's
+/// leaves while its joins add the full rate, bringing the lost tags back.
+#[test]
+fn churn_rate_above_the_burst_survivors_is_a_usage_error() {
+    assert_usage_error(
+        &["--churn-rate", "10", "--burst-at", "1", "--burst-size", "9"],
+        "--churn-rate must be <= --tags - --burst-size when an update follows --burst-at",
+    );
+}
+
 /// The largest valid shapes still run.
 #[test]
 fn valid_churn_shapes_run() {

@@ -52,6 +52,17 @@
 //! index lazily, in the first run long enough to repay the build, and
 //! shares it with every clone, so a cached bank pays for it once.
 //!
+//! # Editing a bank by its churn
+//!
+//! A monitored population changes by a few tags between estimates, and
+//! [`CodeBank::apply_key_delta`] edits a passive bank by that delta alone.
+//! It hashes and radix-sorts only the changed keys, then gallops through
+//! the sorted codes from one changed code to the next, the search a busy
+//! query uses to count its responders. The untouched runs between changed
+//! codes move as whole blocks: down in one compaction pass for the leaving
+//! codes, up in one expansion pass for the joining ones. Codes below the
+//! first change never move.
+//!
 //! The equivalence suite in `tests/kernel_equivalence.rs` and
 //! `crates/pet-core/tests/prop.rs` pins all of this, with and without the
 //! index, against [`crate::reader::run_round`] over both oracles. The perf
@@ -541,11 +552,16 @@ impl CodeBank {
     /// the bank and the `joined` keys enter it.
     ///
     /// A passive bank hashes only the changed keys under `config`'s
-    /// manufacture seed, sorts them, removes `left`'s codes from its sorted
-    /// codes and merges `joined`'s in. A passive code is a pure function of
-    /// (key, manufacture seed, family, height), so the result is bit for bit
-    /// the bank [`Self::for_config`] builds from the new key set. The codes
-    /// are edited through [`Arc::make_mut`], so clones sharing them keep
+    /// manufacture seed and radix-sorts them. It then takes `left`'s codes
+    /// out of its sorted codes in one compaction pass and puts `joined`'s
+    /// in with one expansion pass. Each pass gallops from one changed code
+    /// to the next, as a round counts its responders, and moves the
+    /// untouched run between them as one block, so an update costs its
+    /// delta plus one block move per side rather than a walk over every
+    /// code. A passive code is a pure function of (key, manufacture seed,
+    /// family, height), so the result is bit for bit the bank
+    /// [`Self::for_config`] builds from the new key set. The codes are
+    /// edited through [`Arc::make_mut`], so clones sharing them keep
     /// theirs, and a change drops the prefix index, which only ever
     /// describes the codes beside it; the next run that repays a table
     /// builds a fresh one. An active bank edits its key multiset: it
@@ -567,16 +583,15 @@ impl CodeBank {
         }
         match self {
             Self::Passive(passive) => {
-                let sorted_codes = |keys: &[u64]| {
-                    let mut codes = Vec::new();
-                    let (seed, height) = (config.manufacture_seed(), config.height());
-                    hash_codes_par(&family, seed, keys, height, &mut codes);
-                    codes.sort_unstable();
-                    codes
-                };
+                let (seed, height) = (config.manufacture_seed(), config.height());
+                let (mut changed, mut scratch) = (Vec::new(), RadixScratch::new());
                 let codes = Arc::make_mut(&mut passive.codes);
-                remove_sorted(codes, &sorted_codes(left));
-                merge_sorted(codes, &sorted_codes(joined));
+                let edit_out = compact_out as fn(&mut Vec<u64>, &[u64]);
+                for (keys, edit) in [(left, edit_out), (joined, expand_in)] {
+                    hash_codes_par(&family, seed, keys, height, &mut changed);
+                    radix_sort_codes(&mut changed, height, &mut scratch);
+                    edit(codes, &changed);
+                }
                 passive.index = Arc::default();
             }
             Self::Active { keys, .. } => {
@@ -602,39 +617,47 @@ impl CodeBank {
     }
 }
 
-/// Removes the sorted multiset `gone` from the sorted `codes` in one pass.
-fn remove_sorted(codes: &mut Vec<u64>, gone: &[u64]) {
-    let before = codes.len();
-    let mut gone_iter = gone.iter().copied().peekable();
-    codes.retain(|&code| {
-        // A smaller `gone` code is missing from `codes`; the count below
-        // catches it.
-        while gone_iter.next_if(|&g| g < code).is_some() {}
-        gone_iter.next_if_eq(&code).is_none()
-    });
-    assert_eq!(
-        before - codes.len(),
-        gone.len(),
-        "left holds a key the bank does not"
-    );
+/// Removes the sorted multiset `gone` from the sorted `codes` in one
+/// front-to-back compaction: each gone code is found by galloping from
+/// the one before it, and the untouched run between two gone codes moves
+/// down as one block. Codes before the first gone code never move.
+fn compact_out(codes: &mut Vec<u64>, gone: &[u64]) {
+    // `codes[..kept]` is final; `codes[read..]` is not yet visited.
+    let (mut kept, mut read) = (0, 0);
+    for &code in gone {
+        let at = read + gallop(codes.len() - read, |k| codes[read + k] < code);
+        assert!(
+            codes.get(at) == Some(&code),
+            "left holds a key the bank does not"
+        );
+        // Until a code is gone, the run is already in place.
+        if kept < read {
+            codes.copy_within(read..at, kept);
+        }
+        kept += at - read;
+        read = at + 1;
+    }
+    if kept < read {
+        codes.copy_within(read.., kept);
+    }
+    codes.truncate(codes.len() - gone.len());
 }
 
-/// Merges the sorted `added` into the sorted `codes` in place, filling
-/// from the back so that no element moves twice.
-fn merge_sorted(codes: &mut Vec<u64>, added: &[u64]) {
-    let mut kept = codes.len();
-    codes.resize(kept + added.len(), 0);
-    let mut rest = added.len();
+/// Inserts the sorted `added` into the sorted `codes` in one back-to-front
+/// expansion: each added code's place is found by galloping down from the
+/// one after it, and the untouched run above it moves up as one block.
+/// Codes below the smallest added code never move.
+fn expand_in(codes: &mut Vec<u64>, added: &[u64]) {
+    // `codes[..rest]` is not yet visited; `codes[end..]` is final.
+    let mut rest = codes.len();
+    codes.resize(rest + added.len(), 0);
     let mut end = codes.len();
-    while rest > 0 {
-        end -= 1;
-        if kept > 0 && codes[kept - 1] > added[rest - 1] {
-            kept -= 1;
-            codes[end] = codes[kept];
-        } else {
-            rest -= 1;
-            codes[end] = added[rest];
-        }
+    for &code in added.iter().rev() {
+        let above = gallop(rest, |k| codes[rest - 1 - k] > code);
+        codes.copy_within(rest - above..rest, end - above);
+        rest -= above;
+        end -= above + 1;
+        codes[end] = code;
     }
 }
 

@@ -3,7 +3,7 @@
 use pet_core::bits::BitString;
 use pet_core::config::{Backend, CommandEncoding, Mitigation, PetConfig, SearchStrategy, TagMode};
 use pet_core::front::Estimator;
-use pet_core::kernel::{fused_round, round_record, PrefixIndex};
+use pet_core::kernel::{build_passive_codes, fused_round, round_record, CodeBank, PrefixIndex};
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart, TagFleet};
 use pet_core::reader::{binary_round, linear_round, run_round};
 use pet_core::tree::Tree;
@@ -11,10 +11,12 @@ use pet_hash::bulk::{hash_codes_into, radix_sort_codes, RadixScratch};
 use pet_hash::family::AnyFamily;
 use pet_phy::channel::{ChannelModel, LossyChannel, PerfectChannel};
 use pet_phy::{Air, AirMetrics};
+use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn cfg(height: u32) -> PetConfig {
     PetConfig::builder().height(height).build().unwrap()
@@ -106,7 +108,125 @@ fn check_kernel_rounds(
     Ok(())
 }
 
+/// Heights the key-delta property draws from: 1–8, where distinct keys
+/// share codes, and the full-width 32 and 64.
+const DELTA_HEIGHTS: [u32; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 32, 64];
+
+/// A key and its code, as `(code, key)` so that pairs sort by code.
+type Coded = (u64, u64);
+
+/// Applies `(left, joined)` to a passive bank over `keys` and asserts that
+/// it leaves exactly the codes [`build_passive_codes`] builds over `kept`
+/// plus `joined`, while a clone taken before the edit keeps its codes.
+fn check_key_delta(
+    config: &PetConfig,
+    keys: &[u64],
+    left: &[u64],
+    kept: &[u64],
+    joined: &[u64],
+) -> Result<(), TestCaseError> {
+    let family = AnyFamily::default();
+    let codes = build_passive_codes(keys, config, family);
+    let mut bank = CodeBank::passive_shared(Arc::new(codes.clone()));
+    let shared = bank.clone();
+    bank.apply_key_delta(left, joined, config, family);
+    let after: Vec<u64> = kept.iter().chain(joined).copied().collect();
+    prop_assert_eq!(
+        bank.codes(),
+        &build_passive_codes(&after, config, family)[..]
+    );
+    prop_assert_eq!(shared.codes(), &codes[..], "a clone keeps its codes");
+    Ok(())
+}
+
+/// The benchmark's monitor subscription: 10⁴ sequential tags churned 20
+/// an update with 2,500 lost at update 5. Every edited bank equals a
+/// fresh one over the timeline's keys, and a clone taken before an update
+/// keeps its codes.
+#[test]
+fn key_delta_matches_a_fresh_bank_through_a_burst() {
+    let config = cfg(32);
+    let family = AnyFamily::default();
+    let schedule = ChurnSchedule {
+        rate: 20,
+        burst_at: Some(5),
+        burst_size: 2_500,
+    };
+    let mut timeline = KeyTimeline::sequential(10_000);
+    let first = build_passive_codes(timeline.keys(), &config, family);
+    let mut bank = CodeBank::passive_shared(Arc::new(first));
+    for update in 0..8 {
+        let shared = bank.clone();
+        let before = shared.codes().to_vec();
+        let delta = timeline.update(&schedule.events_at(update));
+        bank.apply_key_delta(delta.left, delta.joined, &config, family);
+        let fresh = build_passive_codes(timeline.keys(), &config, family);
+        assert_eq!(bank.codes(), fresh, "update {update}");
+        assert_eq!(
+            shared.codes(),
+            before,
+            "update {update}: a clone keeps its codes"
+        );
+    }
+    assert_eq!(bank.population(), 7_500);
+}
+
 proptest! {
+    /// A key delta leaves the codes a fresh bank over the new key set
+    /// holds, whatever leaves and wherever the joining codes land:
+    /// `left_shape` 0 takes nothing, 1 every key, 2 a random subset and 3
+    /// every key with a code in one range of the sorted codes (whole runs
+    /// of equal codes at heights up to 8); `placement` 0 joins keys with
+    /// random codes, 1 the pool's lowest codes (below every bank code), 2
+    /// its highest (above every bank code) and 3 copies of keys the bank
+    /// holds (equal to codes already present).
+    #[test]
+    fn key_delta_equals_a_fresh_bank(
+        height in 0usize..DELTA_HEIGHTS.len(),
+        pool in proptest::collection::vec(any::<u64>(), 0..400),
+        joining in 0usize..60,
+        placement in 0u8..4,
+        left_shape in 0u8..4,
+        left_share in 0.0f64..=1.0,
+        seed in any::<u64>(),
+    ) {
+        let config = PetConfig::builder()
+            .height(DELTA_HEIGHTS[height])
+            .manufacture_seed(seed)
+            .build()
+            .unwrap();
+        let mut codes = Vec::new();
+        hash_codes_into(&AnyFamily::default(), seed, &pool, config.height(), &mut codes);
+        let mut pairs: Vec<Coded> = codes.into_iter().zip(pool).collect();
+        let joining = joining.min(pairs.len());
+        if placement == 1 || placement == 2 {
+            pairs.sort_unstable();
+        }
+        let split = if placement == 2 { pairs.len() - joining } else { joining };
+        let (keys, joined) = match placement {
+            0 | 1 => (pairs[split..].to_vec(), pairs[..split].to_vec()),
+            2 => (pairs[..split].to_vec(), pairs[split..].to_vec()),
+            _ => (pairs.clone(), pairs[..split].to_vec()),
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sorted: Vec<u64> = keys.iter().map(|p| p.0).collect();
+        sorted.sort_unstable();
+        let code_at = |share: f64| {
+            let at = (share * sorted.len() as f64) as usize;
+            sorted.get(at).copied().unwrap_or(u64::MAX)
+        };
+        let range = code_at(left_share * rng.random::<f64>())..=code_at(left_share);
+        let (left, kept): (Vec<Coded>, Vec<Coded>) =
+            keys.iter().partition(|&&(code, _)| match left_shape {
+                0 => false,
+                1 => true,
+                2 => rng.random::<f64>() < left_share,
+                _ => range.contains(&code),
+            });
+        let key = |pairs: &[Coded]| pairs.iter().map(|p| p.1).collect::<Vec<u64>>();
+        check_key_delta(&config, &key(&keys), &key(&left), &key(&kept), &key(&joined))?;
+    }
+
     /// For any code set and path: linear search, binary search, and the
     /// definitional reference tree all report the same gray node.
     #[test]

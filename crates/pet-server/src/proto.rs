@@ -526,6 +526,9 @@ fn parse_monitor(root: &Json, id: &str) -> Result<MonitorParams, RequestError> {
             ChurnError::RateAboveTags => "\"churn_rate\" must be <= tags",
             ChurnError::BurstAfterRun => "\"burst_at\" must be < updates",
             ChurnError::BadBurstSize => "\"burst_size\" must be 1..tags when \"burst_at\" is set",
+            ChurnError::RateAboveBurstSurvivors => {
+                "\"churn_rate\" must be <= tags - burst_size when an update follows \"burst_at\""
+            }
         };
         Err(bad(Some(id), detail))
     };
@@ -948,6 +951,9 @@ mod tests {
         let rate = "\"churn_rate\" must be <= tags".to_string();
         let at = "\"burst_at\" must be < updates".to_string();
         let size = "\"burst_size\" must be 1..tags when \"burst_at\" is set".to_string();
+        let survivors =
+            "\"churn_rate\" must be <= tags - burst_size when an update follows \"burst_at\""
+                .to_string();
         for (fields, want) in [
             (r#""churn_rate":11"#, &rate),
             (r#""burst_at":8"#, &at),
@@ -959,6 +965,14 @@ mod tests {
             (r#""burst_at":8,"burst_size":"x""#, &at),
             (r#""burst_at":2,"burst_size":"x""#, &integer("burst_size")),
             (r#""burst_size":"x""#, &integer("burst_size")),
+            (r#""churn_rate":2,"burst_at":6,"burst_size":9"#, &survivors),
+            (r#""churn_rate":11,"burst_at":6,"burst_size":9"#, &rate),
+            (r#""churn_rate":2,"burst_at":8,"burst_size":9"#, &at),
+            (r#""churn_rate":2,"burst_at":6,"burst_size":10"#, &size),
+            (
+                r#""churn_rate":2,"burst_at":6,"burst_size":"x""#,
+                &integer("burst_size"),
+            ),
         ] {
             let line = format!(r#"{{"id":"m","verb":"monitor","tags":10,{fields}}}"#);
             let e = parse_request(&line).unwrap_err();

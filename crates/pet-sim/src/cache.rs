@@ -35,7 +35,7 @@ use pet_core::config::{PetConfig, TagMode};
 use pet_core::kernel::CodeBank;
 use pet_hash::bulk::{hash_codes_into, radix_sort_codes, RadixScratch};
 use pet_hash::family::{AnyFamily, HashKind};
-use pet_tags::population::TagPopulation;
+use pet_tags::population;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -162,14 +162,15 @@ impl RosterCache {
         }
     }
 
-    /// The `u64` hashing keys of `TagPopulation::sequential(n)`, shared.
+    /// The `u64` hashing keys of `TagPopulation::sequential(n)`, shared,
+    /// derived from the serials without building the tags.
     pub fn sequential_keys(&self, n: usize) -> Arc<Vec<u64>> {
         let lookup = self
             .keys
             .lock()
             .expect("cache poisoned")
             .get_or_insert_with(n, self.keys_cap, || {
-                Arc::new(TagPopulation::sequential(n).keys().collect())
+                Arc::new(population::sequential_keys(n).collect())
             });
         if pet_obs::enabled() {
             pet_obs::counter(
@@ -267,6 +268,7 @@ mod tests {
     use super::*;
     use pet_core::config::Backend;
     use pet_core::front::Estimator;
+    use pet_tags::population::TagPopulation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -446,11 +448,13 @@ mod tests {
     #[test]
     fn sequential_keys_match_population() {
         let cache = RosterCache::default();
-        let keys = cache.sequential_keys(123);
-        let expect: Vec<u64> = TagPopulation::sequential(123).keys().collect();
-        assert_eq!(*keys, expect);
-        // Second lookup shares the same allocation.
-        let again = cache.sequential_keys(123);
-        assert!(Arc::ptr_eq(&keys, &again));
+        for n in [0, 1, 123, 200, 10_000] {
+            let keys = cache.sequential_keys(n);
+            let expect: Vec<u64> = TagPopulation::sequential(n).keys().collect();
+            assert_eq!(*keys, expect, "n = {n}");
+            // Second lookup shares the same allocation.
+            let again = cache.sequential_keys(n);
+            assert!(Arc::ptr_eq(&keys, &again), "n = {n}");
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! such scenarios reproducibly.
 
 use crate::epc::Epc96;
-use crate::population::{leave_tail, sequential_epcs, TagPopulation};
+use crate::population::{leave_tail, sequential_keys, TagPopulation};
 use crate::tag::{Tag, TagKind};
 use std::fmt;
 
@@ -107,8 +107,11 @@ impl ChurnSchedule {
     /// in this order: a rate above `tags` (the leaves would saturate while
     /// the joins add the full rate, so balanced churn would grow the
     /// population), a burst at or after the last update (it would never
-    /// fire), and a burst size outside `1..tags` (it would be empty or
-    /// empty the region).
+    /// fire), a burst size outside `1..tags` (it would be empty or empty
+    /// the region), and a rate above the `tags − burst_size` tags a burst
+    /// leaves when an update follows it (that update's leaves would
+    /// saturate the same way, and its joins would bring the lost tags
+    /// back).
     ///
     /// # Errors
     ///
@@ -123,6 +126,9 @@ impl ChurnSchedule {
             }
             if self.burst_size == 0 || self.burst_size >= tags {
                 return Err(ChurnError::BadBurstSize);
+            }
+            if at + 1 < updates && self.rate > tags - self.burst_size {
+                return Err(ChurnError::RateAboveBurstSurvivors);
             }
         }
         Ok(())
@@ -139,6 +145,9 @@ pub enum ChurnError {
     BurstAfterRun,
     /// A burst is set but its size is not in `1..tags`.
     BadBurstSize,
+    /// An update follows the burst and the churn rate exceeds the
+    /// `tags − burst_size` tags the burst leaves.
+    RateAboveBurstSurvivors,
 }
 
 impl fmt::Display for ChurnError {
@@ -149,6 +158,10 @@ impl fmt::Display for ChurnError {
             Self::BadBurstSize => write!(
                 f,
                 "the burst size must be at least 1 and below the initial population"
+            ),
+            Self::RateAboveBurstSurvivors => write!(
+                f,
+                "churn rate must not exceed the population a burst leaves when an update follows it"
             ),
         }
     }
@@ -308,7 +321,7 @@ impl KeyTimeline {
     #[must_use]
     pub fn sequential(n: usize) -> Self {
         Self {
-            keys: sequential_epcs(n).map(|epc| epc.tag_key()).collect(),
+            keys: sequential_keys(n).collect(),
             next_serial: 0,
             left: Vec::new(),
         }
@@ -517,6 +530,25 @@ mod tests {
                 Err(ChurnError::BadBurstSize)
             );
         }
+        // A rate above the burst's survivors refills them one update later,
+        // unless the burst strikes at the last update.
+        assert_eq!(schedule(1, Some(6), 9).validate(10, 8), Ok(()));
+        assert_eq!(schedule(3, Some(2), 7).validate(10, 8), Ok(()));
+        for (rate, at, size) in [(2, 6, 9), (10, 1, 9), (4, 0, 7)] {
+            assert_eq!(
+                schedule(rate, Some(at), size).validate(10, 8),
+                Err(ChurnError::RateAboveBurstSurvivors),
+                "rate {rate}, burst of {size} at {at}"
+            );
+        }
+        assert_eq!(
+            schedule(11, Some(1), 9).validate(10, 8),
+            Err(ChurnError::RateAboveTags)
+        );
+        assert_eq!(
+            schedule(10, Some(1), 10).validate(10, 8),
+            Err(ChurnError::BadBurstSize)
+        );
     }
 
     #[test]

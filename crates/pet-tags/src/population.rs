@@ -156,6 +156,16 @@ pub(crate) fn sequential_epcs(n: usize) -> impl Iterator<Item = Epc96> {
     (0..n as u64).map(|serial| Epc96::new(0x30, 0x5EADED, 0x0001, serial).expect("fields in range"))
 }
 
+/// The hashing keys of [`TagPopulation::sequential`]`(n)`'s tags, in
+/// order, derived from their serials without building the tags.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds the 36-bit serial space.
+pub fn sequential_keys(n: usize) -> impl Iterator<Item = u64> {
+    sequential_epcs(n).map(|epc| epc.tag_key())
+}
+
 /// A leave event on a stack of tags or keys: pops up to `count` from the
 /// tail, saturating at empty, and returns how many left.
 pub(crate) fn leave_tail<T>(stack: &mut Vec<T>, count: usize) -> usize {

@@ -95,9 +95,13 @@ fi
 
 # Streaming-conformance gate: the monitor layer must be a pure composition
 # of one-shot estimates — zero-churn proptest differential on both
-# backends, the golden churn trace (per-update estimates + alarm-fire
-# round, PET_BLESS=1 re-blesses), and bit-for-bit replay.
-echo "==> streaming conformance (monitor vs one-shot, golden churn trace)"
+# backends, the churn differential (key deltas vs rebuilds), the golden
+# churn trace (per-update estimates + alarm-fire round, PET_BLESS=1
+# re-blesses), and bit-for-bit replay. Every update's key delta is hashed
+# through the lane's bulk kernel, so the suite runs under both lanes.
+echo "==> streaming conformance (forced scalar)"
+PET_FORCE_LANE=scalar cargo test -q -p pet --test streaming_conformance
+echo "==> streaming conformance (runtime dispatch)"
 cargo test -q -p pet --test streaming_conformance
 
 # PHY-conformance gate: the Gen2 pricing layer must be a pure observer —

@@ -116,15 +116,19 @@ proptest! {
         base_seed in any::<u64>(),
     ) {
         const UPDATES: usize = 6;
-        // A rate in 0..=n and a burst of 1..n tags at an update below 6.
-        let rate = (rate_share * n as f64) as usize;
+        // A burst of 1..n tags at an update below 6, and a rate in 0..=n,
+        // or in 0..=n − burst_size with a burst.
+        let rate = |tags: usize| (rate_share * tags as f64) as usize;
         let schedule = match burst {
-            (true, at, share) if n > 1 => ChurnSchedule {
-                rate,
-                burst_at: Some(at),
-                burst_size: 1 + (share * (n - 1) as f64) as usize,
-            },
-            _ => ChurnSchedule::steady(rate),
+            (true, at, share) if n > 1 => {
+                let burst_size = 1 + (share * (n - 1) as f64) as usize;
+                ChurnSchedule {
+                    rate: rate(n - burst_size),
+                    burst_at: Some(at),
+                    burst_size,
+                }
+            }
+            _ => ChurnSchedule::steady(rate(n)),
         };
         prop_assert_eq!(schedule.validate(n, UPDATES), Ok(()));
         for backend in [Backend::Oracle, Backend::Kernel] {
