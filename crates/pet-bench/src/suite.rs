@@ -105,8 +105,8 @@ pub fn run_kernel(quick: bool, best_of: usize) -> KernelBench {
     });
 
     // Whole lossless rounds, each drawing its own path: the search, the
-    // strategy replay with its metric accounting, the per-round telemetry
-    // calls and the session's aggregation.
+    // round plan's metric accounting with its responder counts, and the
+    // session's plan table and aggregation.
     let kernel_rounds: u32 = if quick { 200_000 } else { 1_000_000 };
     let estimator = Estimator::new(config);
     let kernel_arm = |session: u32, bank: &mut dyn FnMut() -> CodeBank| {

@@ -362,12 +362,17 @@ impl Estimator {
 
     /// The lossless arithmetic fast path: one [`kernel::fused_round`] per
     /// round, which finds the gray node with one search and synthesizes the
-    /// round's metrics, over the bank's prefix index once a run long enough
-    /// to repay it has built one (`CodeBank::prepare_run`). Bit-for-bit
-    /// identical to the slot-by-slot loop over
-    /// [`ChannelModel::Perfect`] (which draws no slot-level randomness),
-    /// consuming `rng` the same way: one path draw per round, plus one seed
-    /// draw in active mode.
+    /// round's metrics from the run's [`kernel::RoundPlans`], over the
+    /// bank's prefix index once a run long enough to repay it has built one
+    /// (`CodeBank::prepare_run`). Bit-for-bit identical to the slot-by-slot
+    /// loop over [`ChannelModel::Perfect`] (which draws no slot-level
+    /// randomness), consuming `rng` the same way: one path draw per round,
+    /// plus one seed draw in active mode.
+    ///
+    /// Whether a telemetry sink is installed is read once per run: with
+    /// none, the loop opens no span and makes no counter call; with one,
+    /// each round emits the `core.round` span and counters the slot loop
+    /// emits. A sink installed mid-run counts from the next run.
     fn run_fast_lossless<R: Rng + ?Sized>(
         &self,
         bank: &mut CodeBank,
@@ -395,26 +400,30 @@ impl Estimator {
             }
         }
         bank.prepare_run(rounds);
+        let plans = kernel::RoundPlans::new(config);
+        let traced = pet_obs::enabled();
         let mut records = Vec::with_capacity(rounds as usize);
         for _ in 0..rounds {
-            let round_span = pet_obs::span("core.round");
+            let round_span = traced.then(|| pet_obs::span("core.round"));
             let path = BitString::random(height, rng);
             let seed = match config.tag_mode() {
                 TagMode::ActivePerRound => Some(rng.random::<u64>()),
                 TagMode::PassivePreloaded => None,
             };
             bank.begin_round(seed, self.family, height);
-            let before = metrics;
+            let before = traced.then_some(metrics);
             let record = kernel::fused_round(
                 bank.codes(),
                 bank.prefix_index(),
                 &path,
-                config,
+                &plans,
                 &mut metrics,
             );
-            drop(round_span);
-            reader::record_round_telemetry(config, &record);
-            reader::record_outcome_telemetry(&before, &metrics);
+            if let Some(before) = before {
+                drop(round_span);
+                reader::record_round_telemetry(config, &record);
+                reader::record_outcome_telemetry(&before, &metrics);
+            }
             records.push(record);
         }
         Ok(EstimateReport::from_records(config, records, &metrics))

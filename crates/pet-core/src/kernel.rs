@@ -11,15 +11,18 @@
 //! 2. The longest responsive prefix is `L = max(lcp(path, pred),
 //!    lcp(path, succ))`, computed with one `XOR` + `leading_zeros` per
 //!    neighbor of `at`.
-//! 3. Replay the configured search strategy once. Given `L`, a query of
-//!    length `j` is busy iff `j <= L`, which fixes the slot count, the
-//!    disambiguation flag and the final prefix length (the
-//!    [`RoundRecord`]). The same replay records every slot into the
-//!    [`AirMetrics`]: an idle query has zero responders by definition of
-//!    `L`, and a busy query's responder count is the run of codes sharing
-//!    its prefix on either side of `at`, found by galloping outward from
-//!    `at` — O(log range) probes next to `at` instead of two O(log n)
-//!    searches over the whole array.
+//! 3. Look up the round's plan for `L`. Given `L`, a query of length `j`
+//!    is busy iff `j <= L`, so the slot count, the disambiguation flag,
+//!    the final prefix length (the [`RoundRecord`]), which lengths are
+//!    busy and how many idle slots the reader hears are all fixed by `L`.
+//!    [`RoundPlans`] replays the configured search once per `L = 0..=H` at
+//!    the start of a run and keeps those three things, so a round adds its
+//!    plan's sums to the [`AirMetrics`] plus one responder count per busy
+//!    query (an idle query has zero responders by definition of `L`). A
+//!    busy query's responders are the run of codes sharing its prefix on
+//!    either side of `at`, found by galloping outward from `at` — O(log
+//!    range) probes next to `at` instead of two O(log n) searches over the
+//!    whole array.
 //!
 //! **Why steps 2 and 3 are exact.** Codes sharing a `j`-bit prefix with the
 //! path form one contiguous range of the sorted array, and that range
@@ -33,7 +36,9 @@
 //! reader applies over a lossless channel. And because the range contains
 //! `at`, its members are precisely the matching codes met walking down from
 //! `at - 1` and up from `at` before the first non-match, which is what the
-//! gallop counts — duplicate codes included.
+//! gallop counts — duplicate codes included. The plan is a pure function of
+//! `(H, strategy, re-probes, L)`: the search asks each length at most once,
+//! so the busy lengths fit a 64-bit mask.
 //!
 //! # The prefix index: the tree's top levels as an offset table
 //!
@@ -43,14 +48,23 @@
 //! with `k = ⌊log₂ n⌋` clamped to 4..=20 (and to the codes' bit width), so
 //! `offsets[p + 1] − offsets[p]` is the number of tags under tree node `p`
 //! at depth `k`. With it, step 1 is one table load plus a search inside the
-//! path's bucket of about one code, and a busy query at `j <= k` counts its
-//! responders with two loads, `offsets[(p_j + 1) << (k − j)] − offsets[p_j
-//! << (k − j)]` for the path's `j`-bit prefix `p_j`; only queries below
-//! the table's depth gallop. Both are exact: a `j`-bit prefix with `j <= k`
-//! spans whole buckets, and the codes below the path's bucket all sort
-//! before the path and those above it all after. A [`CodeBank`] builds its
-//! index lazily, in the first run long enough to repay the build, and
-//! shares it with every clone, so a cached bank pays for it once.
+//! path's bucket `b` of about one code, and step 3 counts a busy query's
+//! responders from that bucket:
+//!
+//! - at the table's depth, `j = k`, the count is `offsets[b + 1] −
+//!   offsets[b]`;
+//! - above it, `j < k`, two loads, `offsets[(p_j + 1) << (k − j)] −
+//!   offsets[p_j << (k − j)]` for the path's `j`-bit prefix `p_j`;
+//! - below it, `j > k`, every matching code lies in the bucket, so two
+//!   searches inside the bucket count them, at a cost bounded by the
+//!   bucket's size rather than by the run's.
+//!
+//! All three are exact: a `j`-bit prefix with `j <= k` spans whole buckets,
+//! one with `j > k` lies inside one, and the codes below the path's bucket
+//! all sort before the path and those above it all after. A [`CodeBank`]
+//! builds its index lazily, in the first run long enough to repay the
+//! build, and shares it with every clone, so a cached bank pays for it
+//! once.
 //!
 //! # Editing a bank by its churn
 //!
@@ -66,7 +80,8 @@
 //! The equivalence suite in `tests/kernel_equivalence.rs` and
 //! `crates/pet-core/tests/prop.rs` pins all of this, with and without the
 //! index, against [`crate::reader::run_round`] over both oracles. The perf
-//! ledger's `rounds_per_sec_kernel*` arms time whole rounds through
+//! ledger's `rounds_per_sec_kernel*` arms and the `round_location/kernel`
+//! bench group time whole runs through
 //! [`crate::front::Estimator::try_run_bank`].
 
 use crate::bits::BitString;
@@ -74,8 +89,10 @@ use crate::config::{Mitigation, PetConfig, SearchStrategy, TagMode};
 use crate::reader::RoundRecord;
 use pet_hash::bulk::{hash_codes_par, radix_sort_codes, RadixScratch};
 use pet_hash::family::AnyFamily;
-use pet_phy::{AirMetrics, SlotOutcome};
+use pet_phy::AirMetrics;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Runs one round over a lossless channel against the sorted `codes`:
@@ -86,59 +103,49 @@ use std::sync::{Arc, OnceLock};
 /// per-query command bits, outcome tallies, per-slot responder counts, and
 /// the idle readings [`Mitigation::ReProbe`] repeats.
 ///
-/// `codes` must be sorted ascending and hold `config.height()`-bit values;
-/// `index`, when given, must have been built over `codes`. The result does
-/// not depend on whether an index is given, only the cost does.
+/// `codes` must be sorted ascending and hold `path.height()`-bit values;
+/// `index`, when given, must have been built over `codes`; `plans` must
+/// have been built for a config of the path's height. The result does not
+/// depend on whether an index is given, only the cost does.
 pub fn fused_round(
     codes: &[u64],
     index: Option<&PrefixIndex>,
     path: &BitString,
-    config: &PetConfig,
+    plans: &RoundPlans,
     metrics: &mut AirMetrics,
 ) -> RoundRecord {
     debug_assert!(index.map_or(true, |index| index.population() == codes.len()));
-    let height = config.height();
-    let bits = config.encoding().bits_per_query(height);
-    let probes = match config.mitigation() {
-        Mitigation::ReProbe { probes } => probes,
-        _ => 0,
-    };
-    let (at, l) = locate(codes, index, path);
-    metrics.command_bits += u64::from(config.round_start_bits());
-    replay(height, config.search(), l, probes, |j| {
-        if j <= l {
-            let responders = index
-                .and_then(|index| index.count_prefix(path, j))
-                .unwrap_or_else(|| count_around(codes, at, path, j));
-            metrics.record_slot(bits, responders, SlotOutcome::from_detected(responders));
-        } else {
-            // Perfect-channel re-probes repeat the idle reading verbatim.
-            for _ in 0..=probes {
-                metrics.record_slot(bits, 0, SlotOutcome::Idle);
-            }
+    debug_assert_eq!(path.height(), plans.height());
+    match index {
+        None => {
+            let (at, l) = locate(codes, path);
+            plans.apply(l, metrics, |j| count_around(codes, at, path, j))
         }
-    })
+        Some(index) => {
+            let bucket = index.bucket(path.bits());
+            let lo = bucket.start;
+            let bucket = &codes[bucket];
+            let at = lo + bucket.partition_point(|&c| c < path.bits());
+            let l = longest_prefix(codes, at, path);
+            plans.apply(l, metrics, |j| index.count_prefix(bucket, path, j))
+        }
+    }
 }
 
-/// Longest prefix of `path` shared by any code, via one search.
-///
-/// Returns 0 for an empty roster (every query idles). `codes` must be
-/// sorted ascending and hold `path.height()`-bit values.
-#[must_use]
-pub fn locate_prefix_len(codes: &[u64], path: &BitString) -> u32 {
-    locate(codes, None, path).1
-}
-
-/// Steps 1–2 of the module docs: the path's insertion point in `codes`
-/// and the longest prefix any code shares with the path.
+/// Steps 1–2 of the module docs without an index: the path's insertion
+/// point in `codes` and the longest prefix any code shares with the path
+/// (0 for an empty roster, where every query idles).
 #[inline]
-fn locate(codes: &[u64], index: Option<&PrefixIndex>, path: &BitString) -> (usize, u32) {
-    let height = path.height();
-    let bits = path.bits();
-    let at = match index {
-        Some(index) => index.insertion_point(codes, bits),
-        None => codes.partition_point(|&c| c < bits),
-    };
+fn locate(codes: &[u64], path: &BitString) -> (usize, u32) {
+    let at = codes.partition_point(|&c| c < path.bits());
+    (at, longest_prefix(codes, at, path))
+}
+
+/// Step 2 of the module docs: the longest prefix of `path` shared by the
+/// codes on either side of its insertion point `at`.
+#[inline]
+fn longest_prefix(codes: &[u64], at: usize, path: &BitString) -> u32 {
+    let (height, bits) = (path.height(), path.bits());
     let mut l = 0;
     if at < codes.len() {
         l = common_bits(codes[at], bits, height);
@@ -146,7 +153,7 @@ fn locate(codes: &[u64], index: Option<&PrefixIndex>, path: &BitString) -> (usiz
     if at > 0 {
         l = l.max(common_bits(codes[at - 1], bits, height));
     }
-    (at, l)
+    l
 }
 
 /// Number of codes sharing the first `len >= 1` bits of `path`, where `at`
@@ -183,6 +190,107 @@ fn gallop(n: usize, hit: impl Fn(usize) -> bool) -> usize {
         }
     }
     lo
+}
+
+/// The part of a lossless round that its gray-node depth `L` fixes.
+#[derive(Debug, Clone, Copy)]
+struct RoundPlan {
+    record: RoundRecord,
+    /// Bit `j − 1` is set iff the search queries length `j` and `j <= L`.
+    busy: u64,
+    /// Idle slots heard, re-probes included.
+    idle: u32,
+}
+
+/// A run's round plans: for each gray-node depth `L = 0..=H`, the
+/// [`RoundRecord`], the busy query lengths and the idle-slot count, from
+/// one replay of the configured search (step 3 of the module docs).
+/// Built once per run, so a round replays no search of its own.
+#[derive(Debug, Clone)]
+pub struct RoundPlans {
+    /// One plan per `L`, indexed by `L`.
+    plans: Box<[RoundPlan]>,
+    bits_per_query: u32,
+    round_start_bits: u32,
+}
+
+impl RoundPlans {
+    /// Replays `config`'s search strategy once for each `L = 0..=H`, with
+    /// the idle re-probes its mitigation adds over a lossless channel.
+    #[must_use]
+    pub fn new(config: &PetConfig) -> Self {
+        let height = config.height();
+        let probes = match config.mitigation() {
+            Mitigation::ReProbe { probes } => probes,
+            _ => 0,
+        };
+        let plans = (0..=height)
+            .map(|l| {
+                let (mut busy, mut idle) = (0u64, 0);
+                let record = replay(height, config.search(), l, probes, |j| {
+                    if j <= l {
+                        busy |= 1 << (j - 1);
+                    } else {
+                        // Perfect-channel re-probes repeat the idle reading.
+                        idle += 1 + probes;
+                    }
+                });
+                RoundPlan { record, busy, idle }
+            })
+            .collect();
+        Self {
+            plans,
+            bits_per_query: config.encoding().bits_per_query(height),
+            round_start_bits: config.round_start_bits(),
+        }
+    }
+
+    /// The record of a round whose longest responsive prefix is
+    /// `prefix_len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefix_len` exceeds the tree height.
+    #[must_use]
+    pub fn record(&self, prefix_len: u32) -> RoundRecord {
+        self.plans[prefix_len as usize].record
+    }
+
+    /// Tree height the plans were built for.
+    fn height(&self) -> u32 {
+        (self.plans.len() - 1) as u32
+    }
+
+    /// Adds the round of depth `l` to `metrics` — its plan's sums plus
+    /// `responders(j)` for each busy query length `j` — and returns its
+    /// record.
+    #[inline]
+    fn apply(
+        &self,
+        l: u32,
+        metrics: &mut AirMetrics,
+        mut responders: impl FnMut(u32) -> u64,
+    ) -> RoundRecord {
+        let plan = &self.plans[l as usize];
+        let slots = u64::from(plan.record.slots);
+        metrics.slots += slots;
+        metrics.command_bits +=
+            u64::from(self.round_start_bits) + slots * u64::from(self.bits_per_query);
+        metrics.idle += u64::from(plan.idle);
+        let mut busy = plan.busy;
+        while busy != 0 {
+            let count = responders(busy.trailing_zeros() + 1);
+            debug_assert!(count > 0, "a busy query has a responder");
+            busy &= busy - 1;
+            metrics.tag_responses += count;
+            if count == 1 {
+                metrics.singleton += 1;
+            } else {
+                metrics.collision += 1;
+            }
+        }
+        plan.record
+    }
 }
 
 /// Exact number of sorted codes matching the first `len` bits of `path`,
@@ -292,46 +400,59 @@ impl PrefixIndex {
         self.offsets[self.offsets.len() - 1] as usize
     }
 
-    /// Index of the first of the sorted `codes` that is `>= value`: one
-    /// table load, then a search inside `value`'s bucket. Every code in an
-    /// earlier bucket is below `value` and every code in a later one above
-    /// it; a value past the table sorts after every code.
+    /// The range of the sorted codes in `value`'s bucket, from one table
+    /// load: every code in an earlier bucket is below `value` and every
+    /// code in a later one above it. A value past the table sorts after
+    /// every code, so its bucket is the empty range at `n`.
     #[inline]
-    fn insertion_point(&self, codes: &[u64], value: u64) -> usize {
+    fn bucket(&self, value: u64) -> Range<usize> {
         let bucket = value >> self.shift;
         if bucket >= (self.offsets.len() - 1) as u64 {
-            return codes.len();
+            let n = self.population();
+            return n..n;
         }
         let bucket = bucket as usize;
-        let (lo, hi) = (
-            self.offsets[bucket] as usize,
-            self.offsets[bucket + 1] as usize,
-        );
-        lo + codes[lo..hi].partition_point(|&c| c < value)
+        self.offsets[bucket] as usize..self.offsets[bucket + 1] as usize
     }
 
-    /// Number of codes sharing the first `len >= 1` bits of `path`, from
-    /// two table loads, or `None` when those bits reach below the table
-    /// and the caller must search.
+    /// Number of codes sharing the first `len >= 1` bits of `path`, given
+    /// the codes of the path's bucket (see [`Self::bucket`]).
     ///
-    /// The table resolves the first `height − shift` bits of a path
-    /// (exactly `k` when the codes reach the tree's top level). For `len`
-    /// within them the prefix's value range `[p·2^(H−len), (p+1)·2^(H−len))`
-    /// spans whole buckets `[p << t, (p + 1) << t)` with `t = height −
-    /// shift − len`, and the count is the difference of their offsets.
+    /// The table resolves the first `depth = height − shift` bits of a
+    /// path (exactly `k` when the codes reach the tree's top level):
+    ///
+    /// - for `len < depth` the prefix's value range `[p·2^(H−len),
+    ///   (p+1)·2^(H−len))` spans whole buckets `[p << t, (p + 1) << t)`
+    ///   with `t = depth − len`, and the count is the difference of their
+    ///   offsets;
+    /// - for `len = depth` the prefix is the bucket;
+    /// - for `len > depth` every code with the prefix lies in the bucket,
+    ///   so two searches inside it find them, O(log) in the bucket's size.
     #[inline]
-    fn count_prefix(&self, path: &BitString, len: u32) -> Option<u64> {
-        debug_assert!(len >= 1);
-        let t = path.height().checked_sub(self.shift)?.checked_sub(len)?;
-        // The path's `len`-bit prefix, then its first bucket: below
-        // 2^(height − shift), so the shift loses no bits.
-        let prefix = path.bits() >> (path.height() - len);
-        let lo = prefix << t;
-        // `(prefix + 1) << t` is 2^64 for a prefix of ones when the table
-        // resolves all 64 bits of a height-64 path; saturating sends it,
-        // like any bucket past the table, to the count of every code.
-        let hi = lo.saturating_add(1 << t);
-        Some(u64::from(self.below(hi) - self.below(lo)))
+    fn count_prefix(&self, bucket: &[u64], path: &BitString, len: u32) -> u64 {
+        debug_assert!(len >= 1 && self.shift <= path.height());
+        let depth = path.height() - self.shift;
+        match len.cmp(&depth) {
+            Ordering::Less => {
+                let t = depth - len;
+                // The path's `len`-bit prefix, then its first bucket: below
+                // 2^depth, so the shift loses no bits.
+                let lo = (path.bits() >> (path.height() - len)) << t;
+                // `(prefix + 1) << t` is 2^64 for a prefix of ones when the
+                // table resolves all 64 bits of a height-64 path;
+                // saturating sends it, like any bucket past the table, to
+                // the count of every code.
+                let hi = lo.saturating_add(1 << t);
+                u64::from(self.below(hi) - self.below(lo))
+            }
+            Ordering::Equal => bucket.len() as u64,
+            Ordering::Greater => {
+                let shift = path.height() - len; // <= 63 since len >= 1
+                let prefix = path.bits() >> shift;
+                let start = bucket.partition_point(|&c| c >> shift < prefix);
+                bucket[start..].partition_point(|&c| c >> shift == prefix) as u64
+            }
+        }
     }
 
     /// Number of codes in buckets below `bucket`.
@@ -357,7 +478,7 @@ fn common_bits(a: u64, b: u64, height: u32) -> u32 {
 }
 
 /// Synthesizes the round outcome for a known longest responsive prefix
-/// `prefix_len` by the strategy replay [`fused_round`] uses. Bit-for-bit
+/// `prefix_len` by the strategy replay [`RoundPlans`] uses. Bit-for-bit
 /// identical to [`crate::reader::linear_round`] / `binary_round` over a
 /// lossless channel.
 #[must_use]
@@ -724,7 +845,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..500 {
             let path = BitString::random(16, &mut rng);
-            let l = locate_prefix_len(&codes, &path);
+            let l = locate(&codes, &path).1;
             // Definitional check: busy up to L, idle beyond.
             if l > 0 {
                 assert!(roster.count_prefix(&path, l) > 0, "L = {l} must be busy");
@@ -757,7 +878,7 @@ mod tests {
     #[test]
     fn locate_empty_roster_is_zero() {
         let path = BitString::from_bits(0b1010, 4).unwrap();
-        assert_eq!(locate_prefix_len(&[], &path), 0);
+        assert_eq!(locate(&[], &path), (0, 0));
     }
 
     #[test]
@@ -769,7 +890,7 @@ mod tests {
                 (1 << height) - 1
             };
             let path = BitString::from_bits(bits, height).unwrap();
-            assert_eq!(locate_prefix_len(&[bits], &path), height);
+            assert_eq!(locate(&[bits], &path), (0, height));
         }
     }
 
@@ -780,8 +901,9 @@ mod tests {
         let config = PetConfig::builder().height(64).build().unwrap();
         let codes = vec![u64::MAX - 3, u64::MAX - 1, u64::MAX];
         let path = BitString::from_bits(u64::MAX - 2, 64).unwrap();
+        let plans = RoundPlans::new(&config);
         let mut metrics = AirMetrics::default();
-        let rec = fused_round(&codes, None, &path, &config, &mut metrics);
+        let rec = fused_round(&codes, None, &path, &plans, &mut metrics);
         assert!(rec.prefix_len >= 62, "L = {}", rec.prefix_len);
         assert_eq!(
             rec,
@@ -793,7 +915,7 @@ mod tests {
         let mut indexed = AirMetrics::default();
         assert_eq!(
             rec,
-            fused_round(&codes, Some(&index), &path, &config, &mut indexed)
+            fused_round(&codes, Some(&index), &path, &plans, &mut indexed)
         );
         assert_eq!(indexed, metrics);
     }
@@ -846,7 +968,8 @@ mod tests {
     }
 
     /// Small heights force duplicate codes; the gallop around the
-    /// insertion point must count every copy, on both sides.
+    /// insertion point and the index's bucket counts must count every
+    /// copy, on both sides, above, at and below the table's depth.
     #[test]
     fn count_around_matches_range_count_with_duplicates() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -857,18 +980,23 @@ mod tests {
             let index = PrefixIndex::build(&codes);
             for _ in 0..100 {
                 let path = BitString::random(height, &mut rng);
-                let (at, l) = locate(&codes, None, &path);
-                assert_eq!(locate(&codes, Some(&index), &path), (at, l));
-                for len in 1..=l {
+                let at = locate(&codes, &path).0;
+                let bucket = index.bucket(path.bits());
+                let lo = bucket.start;
+                let bucket = &codes[bucket];
+                assert_eq!(lo + bucket.partition_point(|&c| c < path.bits()), at);
+                for len in 1..=height {
                     let want = count_prefix_sorted(&codes, &path, len);
                     assert_eq!(
                         count_around(&codes, at, &path, len),
                         want,
                         "H = {height}, len {len}"
                     );
-                    if let Some(got) = index.count_prefix(&path, len) {
-                        assert_eq!(got, want, "indexed, H = {height}, len {len}");
-                    }
+                    assert_eq!(
+                        index.count_prefix(bucket, &path, len),
+                        want,
+                        "indexed, H = {height}, len {len}"
+                    );
                 }
             }
         }
@@ -885,6 +1013,8 @@ mod tests {
                 .search(SearchStrategy::Linear)
                 .build()
                 .unwrap();
+            let plans = RoundPlans::new(&config);
+            let lin_plans = RoundPlans::new(&lin_config);
             for l in 0..=height {
                 // A roster holding exactly one code equal to the first l
                 // bits of the all-ones path, then a zero bit, yields L = l.
@@ -902,13 +1032,13 @@ mod tests {
                 };
                 let mut roster =
                     CodeRoster::from_codes(&[BitString::from_bits(code, height).unwrap()], height);
-                assert_eq!(locate_prefix_len(roster.codes(), &path), l);
+                assert_eq!(locate(roster.codes(), &path).1, l);
 
                 let mut rng = StdRng::seed_from_u64(0);
                 roster.begin_round(&RoundStart { path, seed: None });
-                for (cfg, search) in [
-                    (&config, SearchStrategy::Binary),
-                    (&lin_config, SearchStrategy::Linear),
+                for (cfg, plans, search) in [
+                    (&config, &plans, SearchStrategy::Binary),
+                    (&lin_config, &lin_plans, SearchStrategy::Linear),
                 ] {
                     let mut air = Air::new(PerfectChannel);
                     air.broadcast(cfg.round_start_bits());
@@ -924,7 +1054,7 @@ mod tests {
                     let mut metrics = AirMetrics::default();
                     assert_eq!(
                         rec,
-                        fused_round(roster.codes(), None, &path, cfg, &mut metrics)
+                        fused_round(roster.codes(), None, &path, plans, &mut metrics)
                     );
                     assert_eq!(&metrics, air.metrics(), "H = {height}, L = {l}");
                 }
@@ -950,6 +1080,7 @@ mod tests {
                 let mut roster = CodeRoster::new(&keys, &config, AnyFamily::default());
                 let mut rng = StdRng::seed_from_u64(42);
                 let index = PrefixIndex::build(&codes);
+                let plans = RoundPlans::new(&config);
                 let mut air = Air::new(PerfectChannel);
                 let mut fast = AirMetrics::default();
                 let mut indexed = AirMetrics::default();
@@ -965,11 +1096,11 @@ mod tests {
                             linear_round(&config, &mut roster, &mut air, &mut rng)
                         }
                     };
-                    assert_eq!(rec, fused_round(&codes, None, &path, &config, &mut fast));
+                    assert_eq!(rec, fused_round(&codes, None, &path, &plans, &mut fast));
                     let with_index = Some(&index);
                     assert_eq!(
                         rec,
-                        fused_round(&codes, with_index, &path, &config, &mut indexed)
+                        fused_round(&codes, with_index, &path, &plans, &mut indexed)
                     );
                 }
                 assert_eq!(&fast, air.metrics(), "H = {height}, n = {n}, {search:?}");

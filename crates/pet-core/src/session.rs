@@ -35,14 +35,15 @@ pub struct EstimateReport {
 }
 
 /// Folds finished [`AirMetrics`] into the configured PHY report (if any)
-/// and emits the `phy.wall_ms` / `phy.energy_uj` telemetry counters. Pure
+/// and emits the `phy.wall_us` / `phy.energy_nj` telemetry counters, in
+/// integer sub-units so that summing many short runs loses nothing. Pure
 /// with respect to the protocol: reads the config and metrics only.
 fn phy_fold(config: &PetConfig, metrics: &AirMetrics) -> Option<PhyReport> {
     let report = config.phy().map(|profile| profile.report(metrics));
     if let Some(r) = &report {
         if pet_obs::enabled() {
-            pet_obs::counter("phy.wall_ms", r.wall_ms.round() as u64);
-            pet_obs::counter("phy.energy_uj", r.energy_uj.round() as u64);
+            pet_obs::counter("phy.wall_us", r.wall_us());
+            pet_obs::counter("phy.energy_nj", r.energy_nj());
         }
     }
     report

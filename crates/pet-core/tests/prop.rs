@@ -3,7 +3,9 @@
 use pet_core::bits::BitString;
 use pet_core::config::{Backend, CommandEncoding, Mitigation, PetConfig, SearchStrategy, TagMode};
 use pet_core::front::Estimator;
-use pet_core::kernel::{build_passive_codes, fused_round, round_record, CodeBank, PrefixIndex};
+use pet_core::kernel::{
+    build_passive_codes, fused_round, round_record, CodeBank, PrefixIndex, RoundPlans,
+};
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart, TagFleet};
 use pet_core::reader::{binary_round, linear_round, run_round};
 use pet_core::tree::Tree;
@@ -75,19 +77,20 @@ fn check_kernel_rounds(
     let mut rng_a = StdRng::seed_from_u64(seed);
     let mut rng_b = StdRng::seed_from_u64(seed);
     let mut rng_k = StdRng::seed_from_u64(seed);
+    let plans = RoundPlans::new(config);
     let mut metrics = AirMetrics::default();
     let mut indexed = AirMetrics::default();
     for _ in 0..3 {
         let a = run_round(config, &mut roster, &mut air_a, &mut rng_a);
         let path = BitString::random(config.height(), &mut rng_k);
-        let k = fused_round(&codes, None, &path, config, &mut metrics);
+        let k = fused_round(&codes, None, &path, &plans, &mut metrics);
         prop_assert_eq!(
             (a.prefix_len, a.gray_height, a.slots, a.disambiguated),
             (k.prefix_len, k.gray_height, k.slots, k.disambiguated)
         );
         prop_assert_eq!(a, k);
         prop_assert_eq!(
-            fused_round(&codes, Some(index), &path, config, &mut indexed),
+            fused_round(&codes, Some(index), &path, &plans, &mut indexed),
             k
         );
         if let Some(fleet) = fleet.as_mut() {
@@ -169,6 +172,80 @@ fn key_delta_matches_a_fresh_bank_through_a_burst() {
         );
     }
     assert_eq!(bank.population(), 7_500);
+}
+
+/// Every plan a run builds matches [`round_record`] for every `L` (which
+/// spends no re-probes), at every height and under both strategies, with
+/// 0–2 re-probes, each of which repeats an idle query's slot. Applied by
+/// `fused_round` to a one-code population at depth `L`, with and without
+/// its prefix index, a plan adds exactly the record and the metrics the
+/// reference reader produces.
+#[test]
+fn round_plans_match_round_record_for_every_depth() {
+    for height in 1..=64u32 {
+        let ones = u64::MAX >> (64 - height);
+        let path = BitString::from_bits(ones, height).unwrap();
+        for search in [SearchStrategy::Binary, SearchStrategy::Linear] {
+            for probes in 0..3 {
+                let mitigation = if probes > 0 {
+                    Mitigation::ReProbe { probes }
+                } else {
+                    Mitigation::None
+                };
+                let config = PetConfig::builder()
+                    .height(height)
+                    .search(search)
+                    .mitigation(mitigation)
+                    .build()
+                    .unwrap();
+                let plans = RoundPlans::new(&config);
+                for l in 0..=height {
+                    let bare = round_record(height, search, l);
+                    let plan = plans.record(l);
+                    let case = format!("H = {height}, {search:?}, {probes} re-probes, L = {l}");
+                    assert_eq!(
+                        (plan.prefix_len, plan.gray_height, plan.disambiguated),
+                        (bare.prefix_len, bare.gray_height, bare.disambiguated),
+                        "{case}"
+                    );
+                    // The one code shares exactly `l` leading bits with
+                    // the all-ones path.
+                    let code = if l == height {
+                        ones
+                    } else {
+                        ones & !(1u64 << (height - l - 1))
+                    };
+                    let mut roster = roster_of(std::iter::once(code), height);
+                    roster.begin_round(&RoundStart { path, seed: None });
+                    let mut air = Air::new(PerfectChannel);
+                    air.broadcast(config.round_start_bits());
+                    let mut rng = StdRng::seed_from_u64(0);
+                    let rec = match search {
+                        SearchStrategy::Binary => {
+                            binary_round(&config, &mut roster, &mut air, &mut rng)
+                        }
+                        SearchStrategy::Linear => {
+                            linear_round(&config, &mut roster, &mut air, &mut rng)
+                        }
+                    };
+                    assert_eq!(plan, rec, "{case}");
+                    let idle_queries = air.metrics().idle / u64::from(1 + probes);
+                    assert_eq!(
+                        u64::from(plan.slots),
+                        u64::from(bare.slots) + u64::from(probes) * idle_queries,
+                        "{case}"
+                    );
+                    let index = PrefixIndex::build(&[code]);
+                    for index in [None, Some(&index)] {
+                        let mut metrics = AirMetrics::default();
+                        let round = fused_round(&[code], index, &path, &plans, &mut metrics);
+                        assert_eq!(round, rec, "{case}");
+                        assert_eq!(&metrics, air.metrics(), "{case}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -357,6 +434,10 @@ proptest! {
     ///   has the exclusive upper bound `2^64`.
     /// - 2: a shared population above `2^21`, whose table is clamped to
     ///   `k = 20` levels.
+    /// - 3: the hashed codes with their middle bits cleared, so that only
+    ///   the top two and the bottom `narrow` bits vary: the codes crowd a
+    ///   few of the index's buckets, duplicates included, and a busy query
+    ///   below the table's depth counts inside a wide bucket.
     #[test]
     fn kernel_matches_reader_over_both_oracles(
         keys in proptest::collection::vec(any::<u64>(), 0..60),
@@ -364,7 +445,7 @@ proptest! {
         seed in any::<u64>(),
         linear in any::<bool>(),
         probes in 0u32..3,
-        extra in 0u8..3,
+        extra in 0u8..4,
         narrow in 1u32..=8,
     ) {
         let search = if linear { SearchStrategy::Linear } else { SearchStrategy::Binary };
@@ -381,6 +462,10 @@ proptest! {
         let roster = CodeRoster::new(&keys, &config, AnyFamily::default());
         let fleet = TagFleet::new(&keys, &config, AnyFamily::default());
         let narrowed = roster_of(roster.codes().iter().map(|&c| c >> narrow.min(height)), height);
+        let ones = |bits: u32| u64::MAX >> (64 - bits.min(64));
+        let top = 2.min(height);
+        let kept = ones(top) << (height - top) | ones(narrow.min(height));
+        let crowded = roster_of(roster.codes().iter().map(|&c| c & kept), height);
         check_kernel_rounds(&config, roster, Some(fleet), None, seed)?;
         match extra {
             0 => check_kernel_rounds(&config, narrowed, None, None, seed)?,
@@ -388,11 +473,12 @@ proptest! {
                 let top = roster_of(keys.iter().map(|&k| u64::MAX - (k >> 58)), 64);
                 check_kernel_rounds(&config_at(64), top, None, None, seed)?;
             }
-            _ => {
+            2 => {
                 let (large, index) = large_population();
                 let config = config_at(LARGE_HEIGHT);
                 check_kernel_rounds(&config, large.clone(), None, Some(index), seed)?;
             }
+            _ => check_kernel_rounds(&config, crowded, None, None, seed)?,
         }
     }
 
@@ -416,7 +502,7 @@ proptest! {
         air.broadcast(config.round_start_bits());
         let rec = binary_round(&config, &mut roster, &mut air, &mut rng);
         let mut metrics = AirMetrics::default();
-        let k = fused_round(&codes, None, &path, &config, &mut metrics);
+        let k = fused_round(&codes, None, &path, &RoundPlans::new(&config), &mut metrics);
         prop_assert_eq!(k.prefix_len, u32::from(share_one));
         prop_assert_eq!(rec, k);
         prop_assert!(k.disambiguated);
@@ -449,13 +535,14 @@ proptest! {
             SearchStrategy::Linear => linear_round(&config, &mut roster, &mut air, &mut rng),
             SearchStrategy::Binary => binary_round(&config, &mut roster, &mut air, &mut rng),
         };
+        let plans = RoundPlans::new(&config);
         let mut metrics = AirMetrics::default();
-        prop_assert_eq!(rec, fused_round(&codes, None, &path, &config, &mut metrics));
+        prop_assert_eq!(rec, fused_round(&codes, None, &path, &plans, &mut metrics));
         prop_assert_eq!(rec, round_record(64, search, rec.prefix_len));
         prop_assert_eq!(&metrics, air.metrics());
         let index = PrefixIndex::build(&codes);
         let mut indexed = AirMetrics::default();
-        prop_assert_eq!(rec, fused_round(&codes, Some(&index), &path, &config, &mut indexed));
+        prop_assert_eq!(rec, fused_round(&codes, Some(&index), &path, &plans, &mut indexed));
         prop_assert_eq!(&indexed, air.metrics());
     }
 

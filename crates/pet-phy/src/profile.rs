@@ -125,6 +125,24 @@ pub struct PhyReport {
     pub energy_uj: f64,
 }
 
+impl PhyReport {
+    /// Total air time in whole µs, the unit telemetry sums runs in. Exact
+    /// for a profile whose slot and command-bit durations are whole µs,
+    /// such as [`PhyProfile::gen2`].
+    #[must_use]
+    pub fn wall_us(&self) -> u64 {
+        (self.wall_ms * 1e3).round() as u64
+    }
+
+    /// Total energy in whole nJ, the unit telemetry sums runs in. Exact
+    /// for a profile whose durations are whole µs, powers whole mW and tag
+    /// energy whole nJ, such as [`PhyProfile::gen2`].
+    #[must_use]
+    pub fn energy_nj(&self) -> u64 {
+        (self.energy_uj * 1e3).round() as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

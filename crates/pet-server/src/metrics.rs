@@ -52,8 +52,8 @@ pub struct ServerMetrics {
     err: [AtomicU64; 5],
     events: AtomicU64,
     latency: Mutex<LatencyAccum>,
-    phy_wall_ms: AtomicU64,
-    phy_energy_uj: AtomicU64,
+    phy_wall_us: AtomicU64,
+    phy_energy_nj: AtomicU64,
 }
 
 impl ServerMetrics {
@@ -112,16 +112,17 @@ impl ServerMetrics {
         forward(&Event::Counter { name, delta: 1 });
     }
 
-    /// Accumulates one run's PHY pricing into the snapshot counters
-    /// (rounded to whole ms/µJ). No global-sink forward here: the
-    /// per-run `phy.wall_ms`/`phy.energy_uj` events are already emitted
-    /// by `pet-core`'s fold, and doubling them would skew JSONL sums.
+    /// Accumulates one run's PHY pricing into the snapshot counters, in
+    /// whole µs and nJ so that many short runs sum exactly. No global-sink
+    /// forward here: the per-run `phy.wall_us`/`phy.energy_nj` events are
+    /// already emitted by `pet-core`'s fold, and doubling them would skew
+    /// JSONL sums.
     pub fn phy(&self, report: &pet_phy::PhyReport) {
         self.events.fetch_add(1, Ordering::Relaxed);
-        self.phy_wall_ms
-            .fetch_add(report.wall_ms.round() as u64, Ordering::Relaxed);
-        self.phy_energy_uj
-            .fetch_add(report.energy_uj.round() as u64, Ordering::Relaxed);
+        self.phy_wall_us
+            .fetch_add(report.wall_us(), Ordering::Relaxed);
+        self.phy_energy_nj
+            .fetch_add(report.energy_nj(), Ordering::Relaxed);
     }
 
     /// Records a request latency sample into the log₂ histogram.
@@ -179,13 +180,13 @@ impl ServerMetrics {
                 summary.set_counter(&format!("server.err.{}", code.wire()), total);
             }
         }
-        let wall_ms = self.phy_wall_ms.load(Ordering::Relaxed);
-        if wall_ms > 0 {
-            summary.set_counter("phy.wall_ms", wall_ms);
+        let wall_us = self.phy_wall_us.load(Ordering::Relaxed);
+        if wall_us > 0 {
+            summary.set_counter("phy.wall_us", wall_us);
         }
-        let energy_uj = self.phy_energy_uj.load(Ordering::Relaxed);
-        if energy_uj > 0 {
-            summary.set_counter("phy.energy_uj", energy_uj);
+        let energy_nj = self.phy_energy_nj.load(Ordering::Relaxed);
+        if energy_nj > 0 {
+            summary.set_counter("phy.energy_nj", energy_nj);
         }
         let lat = self.latency.lock().expect("metrics poisoned");
         if let Some(histogram) = &lat.histogram {

@@ -847,7 +847,45 @@ mod tests {
         }
         // The priced runs above accumulated into the snapshot counters.
         let snapshot = core.metrics.snapshot();
-        assert!(snapshot.counter("phy.wall_ms") > 0);
-        assert!(snapshot.counter("phy.energy_uj") > 0);
+        assert!(snapshot.counter("phy.wall_us") > 0);
+        assert!(snapshot.counter("phy.energy_nj") > 0);
+    }
+
+    /// The snapshot's PHY totals are the sums of the priced replies, to
+    /// within one µs and one nJ, however short each run: a one-round
+    /// estimate over 200 tags is priced at about 4.2 ms, which whole-ms
+    /// rounding per run would sum 4.8% short.
+    #[test]
+    fn phy_snapshot_totals_equal_the_sum_of_priced_replies() {
+        let core = ServiceCore::new(&ServerConfig {
+            deterministic: true,
+            ..ServerConfig::default()
+        });
+        let field = |reply: &str, name: &str| -> f64 {
+            let (_, rest) = reply.split_once(&format!("\"{name}\":")).expect(name);
+            rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+        };
+        let (mut wall_ms, mut energy_uj) = (0.0, 0.0);
+        for i in 0..40 {
+            let line =
+                format!(r#"{{"id":"p{i}","verb":"estimate","tags":200,"rounds":1,"phy":"gen2"}}"#);
+            let Some(Dispatch::Work(req)) = core.handle_line(line.as_bytes()) else {
+                panic!("work verbs must be queued");
+            };
+            let reply = core.execute_work(&req, Instant::now());
+            wall_ms += field(&reply, "wall_ms");
+            energy_uj += field(&reply, "energy_uj");
+        }
+        let snapshot = core.metrics.snapshot();
+        let wall_us = snapshot.counter("phy.wall_us") as f64;
+        let energy_nj = snapshot.counter("phy.energy_nj") as f64;
+        assert!(
+            (wall_us - wall_ms * 1e3).abs() <= 1.0,
+            "{wall_us} µs vs {wall_ms} ms"
+        );
+        assert!(
+            (energy_nj - energy_uj * 1e3).abs() <= 1.0,
+            "{energy_nj} nJ vs {energy_uj} µJ"
+        );
     }
 }

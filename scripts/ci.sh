@@ -61,6 +61,17 @@ for workload in $WORKLOADS; do
         --seconds 2 --trace 0
 done
 
+# Traced smoke: --trace 1 also runs the per-layer replay, which checks
+# each replayed operation (Estimator::try_run_bank for the estimate
+# workloads) bit for bit against ServiceCore::execute_work on the same
+# input, and fails when the layer spans cover less than 80% of the
+# operations' time, or more than all of it.
+echo "==> perfbench traced smoke (each BENCHMARK.json workload, 2 s)"
+for workload in $WORKLOADS; do
+    .bench_build/release/perfbench --workload "$workload" --seed 1 \
+        --seconds 2 --trace 1
+done
+
 # Statistical conformance gate: fixed-seed empirical checks of the paper's
 # (ε, δ) guarantee, the gray-node law (KS), lossy-channel backend
 # equivalence, and bias bounds under loss. Deterministic, runs in seconds.
