@@ -1002,61 +1002,76 @@ mod tests {
         }
     }
 
-    /// Every (height, L) pair replays to the same record and metrics the
-    /// reference reader produces when driven by an oracle with that L.
+    /// Every plan a run builds matches [`round_record`] for every `L`, at
+    /// every height, under both strategies and with 0–2 re-probes (each
+    /// repeats an idle query's slot, which `round_record` does not
+    /// spend). Applied by `fused_round` to a one-code population at depth
+    /// `L`, with and without its prefix index, a plan adds exactly the
+    /// record and the metrics the reference reader produces.
     #[test]
     fn record_replay_matches_reader_for_all_lengths() {
         for height in 1..=64u32 {
-            let config = PetConfig::builder().height(height).build().unwrap();
-            let lin_config = PetConfig::builder()
-                .height(height)
-                .search(SearchStrategy::Linear)
-                .build()
-                .unwrap();
-            let plans = RoundPlans::new(&config);
-            let lin_plans = RoundPlans::new(&lin_config);
-            for l in 0..=height {
-                // A roster holding exactly one code equal to the first l
-                // bits of the all-ones path, then a zero bit, yields L = l.
-                let path_bits = if height == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << height) - 1
-                };
-                let path = BitString::from_bits(path_bits, height).unwrap();
-                let code = if l == height {
-                    path_bits
-                } else {
-                    // Shares exactly l leading bits with the path.
-                    path_bits & !(1u64 << (height - l - 1))
-                };
-                let mut roster =
-                    CodeRoster::from_codes(&[BitString::from_bits(code, height).unwrap()], height);
-                assert_eq!(locate(roster.codes(), &path).1, l);
-
-                let mut rng = StdRng::seed_from_u64(0);
-                roster.begin_round(&RoundStart { path, seed: None });
-                for (cfg, plans, search) in [
-                    (&config, &plans, SearchStrategy::Binary),
-                    (&lin_config, &lin_plans, SearchStrategy::Linear),
-                ] {
-                    let mut air = Air::new(PerfectChannel);
-                    air.broadcast(cfg.round_start_bits());
-                    let rec = match search {
-                        SearchStrategy::Binary => {
-                            binary_round(cfg, &mut roster, &mut air, &mut rng)
-                        }
-                        SearchStrategy::Linear => {
-                            linear_round(cfg, &mut roster, &mut air, &mut rng)
-                        }
+            let ones = u64::MAX >> (64 - height);
+            let path = BitString::from_bits(ones, height).unwrap();
+            for search in [SearchStrategy::Binary, SearchStrategy::Linear] {
+                for probes in 0..3 {
+                    let mitigation = if probes > 0 {
+                        Mitigation::ReProbe { probes }
+                    } else {
+                        Mitigation::None
                     };
-                    assert_eq!(rec, round_record(height, search, l));
-                    let mut metrics = AirMetrics::default();
-                    assert_eq!(
-                        rec,
-                        fused_round(roster.codes(), None, &path, plans, &mut metrics)
-                    );
-                    assert_eq!(&metrics, air.metrics(), "H = {height}, L = {l}");
+                    let config = PetConfig::builder()
+                        .height(height)
+                        .search(search)
+                        .mitigation(mitigation)
+                        .build()
+                        .unwrap();
+                    let plans = RoundPlans::new(&config);
+                    for l in 0..=height {
+                        let case = format!("H = {height}, {search:?}, {probes} re-probes, L = {l}");
+                        // One code sharing exactly `l` leading bits with the
+                        // all-ones path.
+                        let code = if l == height {
+                            ones
+                        } else {
+                            ones & !(1u64 << (height - l - 1))
+                        };
+                        assert_eq!(locate(&[code], &path).1, l, "{case}");
+                        let mut roster = CodeRoster::from_codes(
+                            &[BitString::from_bits(code, height).unwrap()],
+                            height,
+                        );
+                        roster.begin_round(&RoundStart { path, seed: None });
+                        let mut air = Air::new(PerfectChannel);
+                        air.broadcast(config.round_start_bits());
+                        let mut rng = StdRng::seed_from_u64(0);
+                        let rec = match search {
+                            SearchStrategy::Binary => {
+                                binary_round(&config, &mut roster, &mut air, &mut rng)
+                            }
+                            SearchStrategy::Linear => {
+                                linear_round(&config, &mut roster, &mut air, &mut rng)
+                            }
+                        };
+                        assert_eq!(plans.record(l), rec, "{case}");
+                        let bare = round_record(height, search, l);
+                        let idle_queries = air.metrics().idle / u64::from(1 + probes);
+                        assert_eq!(
+                            RoundRecord {
+                                slots: bare.slots + probes * idle_queries as u32,
+                                ..bare
+                            },
+                            rec,
+                            "{case}"
+                        );
+                        let index = PrefixIndex::build(&[code]);
+                        for index in [None, Some(&index)] {
+                            let mut metrics = AirMetrics::default();
+                            let round = fused_round(&[code], index, &path, &plans, &mut metrics);
+                            assert_eq!(round, rec, "{case}");
+                            assert_eq!(&metrics, air.metrics(), "{case}");
+                        }
+                    }
                 }
             }
         }

@@ -174,80 +174,6 @@ fn key_delta_matches_a_fresh_bank_through_a_burst() {
     assert_eq!(bank.population(), 7_500);
 }
 
-/// Every plan a run builds matches [`round_record`] for every `L` (which
-/// spends no re-probes), at every height and under both strategies, with
-/// 0–2 re-probes, each of which repeats an idle query's slot. Applied by
-/// `fused_round` to a one-code population at depth `L`, with and without
-/// its prefix index, a plan adds exactly the record and the metrics the
-/// reference reader produces.
-#[test]
-fn round_plans_match_round_record_for_every_depth() {
-    for height in 1..=64u32 {
-        let ones = u64::MAX >> (64 - height);
-        let path = BitString::from_bits(ones, height).unwrap();
-        for search in [SearchStrategy::Binary, SearchStrategy::Linear] {
-            for probes in 0..3 {
-                let mitigation = if probes > 0 {
-                    Mitigation::ReProbe { probes }
-                } else {
-                    Mitigation::None
-                };
-                let config = PetConfig::builder()
-                    .height(height)
-                    .search(search)
-                    .mitigation(mitigation)
-                    .build()
-                    .unwrap();
-                let plans = RoundPlans::new(&config);
-                for l in 0..=height {
-                    let bare = round_record(height, search, l);
-                    let plan = plans.record(l);
-                    let case = format!("H = {height}, {search:?}, {probes} re-probes, L = {l}");
-                    assert_eq!(
-                        (plan.prefix_len, plan.gray_height, plan.disambiguated),
-                        (bare.prefix_len, bare.gray_height, bare.disambiguated),
-                        "{case}"
-                    );
-                    // The one code shares exactly `l` leading bits with
-                    // the all-ones path.
-                    let code = if l == height {
-                        ones
-                    } else {
-                        ones & !(1u64 << (height - l - 1))
-                    };
-                    let mut roster = roster_of(std::iter::once(code), height);
-                    roster.begin_round(&RoundStart { path, seed: None });
-                    let mut air = Air::new(PerfectChannel);
-                    air.broadcast(config.round_start_bits());
-                    let mut rng = StdRng::seed_from_u64(0);
-                    let rec = match search {
-                        SearchStrategy::Binary => {
-                            binary_round(&config, &mut roster, &mut air, &mut rng)
-                        }
-                        SearchStrategy::Linear => {
-                            linear_round(&config, &mut roster, &mut air, &mut rng)
-                        }
-                    };
-                    assert_eq!(plan, rec, "{case}");
-                    let idle_queries = air.metrics().idle / u64::from(1 + probes);
-                    assert_eq!(
-                        u64::from(plan.slots),
-                        u64::from(bare.slots) + u64::from(probes) * idle_queries,
-                        "{case}"
-                    );
-                    let index = PrefixIndex::build(&[code]);
-                    for index in [None, Some(&index)] {
-                        let mut metrics = AirMetrics::default();
-                        let round = fused_round(&[code], index, &path, &plans, &mut metrics);
-                        assert_eq!(round, rec, "{case}");
-                        assert_eq!(&metrics, air.metrics(), "{case}");
-                    }
-                }
-            }
-        }
-    }
-}
-
 proptest! {
     /// A key delta leaves the codes a fresh bank over the new key set
     /// holds, whatever leaves and wherever the joining codes land:
