@@ -16,9 +16,10 @@
 //!    the final prefix length (the [`RoundRecord`]), which lengths are
 //!    busy and how many idle slots the reader hears are all fixed by `L`.
 //!    [`RoundPlans`] replays the configured search once per `L = 0..=H` at
-//!    the start of a run and keeps those three things, so a round adds its
-//!    plan's sums to the [`AirMetrics`] plus one responder count per busy
-//!    query (an idle query has zero responders by definition of `L`). A
+//!    the start of a run and keeps three things per `L`: the record, the
+//!    busy lengths and the idle-slot count. A round adds its plan's sums to
+//!    the [`AirMetrics`] plus one responder count per busy query (an idle
+//!    query has zero responders by definition of `L`). Without an index, a
 //!    busy query's responders are the run of codes sharing its prefix on
 //!    either side of `at`, found by galloping outward from `at` — O(log
 //!    range) probes next to `at` instead of two O(log n) searches over the
@@ -104,9 +105,9 @@ use std::sync::{Arc, OnceLock};
 /// the idle readings [`Mitigation::ReProbe`] repeats.
 ///
 /// `codes` must be sorted ascending and hold `path.height()`-bit values;
-/// `index`, when given, must have been built over `codes`; `plans` must
-/// have been built for a config of the path's height. The result does not
-/// depend on whether an index is given, only the cost does.
+/// `index`, when given, must have been built over `codes`, and `plans`
+/// from the run's config. The result does not depend on whether an index
+/// is given, only the cost does.
 pub fn fused_round(
     codes: &[u64],
     index: Option<&PrefixIndex>,
