@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the protocol hot paths: hash families, geometric
-//! hashing, roster construction, and prefix-count queries.
+//! hashing, roster construction, prefix-count queries, whole kernel runs
+//! and the code sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pet_core::bits::BitString;
@@ -8,6 +9,7 @@ use pet_core::front::Estimator;
 use pet_core::kernel::CodeBank;
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart};
 use pet_core::reader::run_round;
+use pet_hash::bulk::{hash_codes_into, radix_sort_codes, RadixScratch};
 use pet_hash::family::{AnyFamily, HashFamily, HashKind};
 use pet_hash::{GeometricHasher, MixFamily};
 use pet_phy::channel::PerfectChannel;
@@ -112,6 +114,39 @@ fn bench_round_location(c: &mut Criterion) {
     group.finish();
 }
 
+/// The radix sort against `sort_unstable` on hashed 32-bit codes at a
+/// monitor burst's 2,500, the served 10⁴ and 10⁵, with warm buffers. Each
+/// iteration copies the unsorted codes in first, in both arms.
+fn bench_code_sort(c: &mut Criterion) {
+    let config = PetConfig::paper_default();
+    let mut group = c.benchmark_group("code_sort");
+    for &n in &[2_500u64, 10_000, 100_000] {
+        let keys: Vec<u64> = (0..n).collect();
+        let mut codes = Vec::new();
+        hash_codes_into(&AnyFamily::default(), 7, &keys, config.height(), &mut codes);
+        let mut work = codes.clone();
+        let mut scratch = RadixScratch::new();
+        group.throughput(Throughput::Elements(n));
+        group.bench_function(BenchmarkId::new("radix", n), |b| {
+            b.iter(|| {
+                work.clear();
+                work.extend_from_slice(&codes);
+                radix_sort_codes(&mut work, config.height(), &mut scratch);
+                black_box(work[0])
+            });
+        });
+        group.bench_function(BenchmarkId::new("sort_unstable", n), |b| {
+            b.iter(|| {
+                work.clear();
+                work.extend_from_slice(&codes);
+                work.sort_unstable();
+                black_box(work[0])
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_firmware(c: &mut Criterion) {
     use pet_firmware::TagChip;
     use pet_phy::command::CommandFrame;
@@ -130,6 +165,7 @@ criterion_group!(
     bench_geometric,
     bench_roster,
     bench_round_location,
+    bench_code_sort,
     bench_firmware
 );
 criterion_main!(benches);

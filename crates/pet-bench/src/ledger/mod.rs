@@ -412,16 +412,35 @@ pub fn noise_floor_of(samples: &[f64]) -> f64 {
     ((max - min) / max).clamp(0.0, 0.999_999)
 }
 
-/// Short hash of the working tree's HEAD, `"unknown"` when git is absent.
+/// Short hash of the working directory's HEAD, `"unknown"` outside a
+/// checkout or when git is absent (see [`commit_at`]).
 #[must_use]
 pub fn current_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+    commit_at(Path::new("."))
+}
+
+/// Short hash of the HEAD of the checkout at `dir`, with `-dirty` appended
+/// when a tracked file differs from it, so that a row timed on
+/// uncommitted code is not attributed to its parent; untracked files do
+/// not count. `"unknown"` outside a checkout or when git is absent.
+#[must_use]
+pub fn commit_at(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(head) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+        .is_some_and(|status| !status.trim().is_empty());
+    format!("{}{}", head.trim(), if dirty { "-dirty" } else { "" })
 }
 
 /// Seconds since the Unix epoch (0 if the clock is before it).

@@ -23,6 +23,50 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+// --------------------------------------------------------------- commit
+
+/// A row's commit is the checkout's short HEAD, marked `-dirty` while a
+/// tracked file differs from it (an untracked file does not count), and
+/// `unknown` outside a checkout.
+#[test]
+fn commit_marks_a_dirty_tree() {
+    let dir = tmp_dir("commit");
+    let outside = tmp_dir("commit-outside");
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git")
+            .arg("-C")
+            .arg(&dir)
+            .args(["-c", "user.name=ledger", "-c", "user.email=ledger@test"])
+            .args(["-c", "commit.gpgsign=false"])
+            .args(args)
+            .output()
+            .expect("git runs");
+        assert!(out.status.success(), "git {args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap().trim().to_string()
+    };
+    git(&["init", "-q"]);
+    std::fs::write(dir.join("a.txt"), "one").unwrap();
+    git(&["add", "a.txt"]);
+    git(&["commit", "-q", "-m", "one"]);
+    let head = git(&["rev-parse", "--short", "HEAD"]);
+    assert_eq!(ledger::commit_at(&dir), head);
+    std::fs::write(dir.join("untracked.txt"), "new").unwrap();
+    assert_eq!(
+        ledger::commit_at(&dir),
+        head,
+        "untracked files do not count"
+    );
+    std::fs::write(dir.join("a.txt"), "two").unwrap();
+    assert_eq!(ledger::commit_at(&dir), format!("{head}-dirty"));
+    git(&["commit", "-q", "-am", "two"]);
+    let next = git(&["rev-parse", "--short", "HEAD"]);
+    assert_eq!(ledger::commit_at(&dir), next);
+    assert_ne!(next, head);
+    assert_eq!(ledger::commit_at(&outside), "unknown");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&outside).unwrap();
+}
+
 // ---------------------------------------------------------------- serde
 
 #[test]

@@ -364,10 +364,12 @@ impl Estimator {
     /// round, which finds the gray node with one search and synthesizes the
     /// round's metrics from the run's [`kernel::RoundPlans`], over the
     /// bank's prefix index once a run long enough to repay it has built one
-    /// (`CodeBank::prepare_run`). Bit-for-bit identical to the slot-by-slot
-    /// loop over [`ChannelModel::Perfect`] (which draws no slot-level
-    /// randomness), consuming `rng` the same way: one path draw per round,
-    /// plus one seed draw in active mode.
+    /// ([`CodeBank::prepare_run`]), and replayed from the bank's round memo
+    /// when the path's node is known ([`CodeBank::lossless_round`]).
+    /// Bit-for-bit identical to the slot-by-slot loop over
+    /// [`ChannelModel::Perfect`] (which draws no slot-level randomness),
+    /// consuming `rng` the same way: one path draw per round, plus one seed
+    /// draw in active mode.
     ///
     /// Whether a telemetry sink is installed is read once per run: with
     /// none, the loop opens no span and makes no counter call; with one,
@@ -399,8 +401,8 @@ impl Estimator {
                 return Ok(EstimateReport::from_records(config, Vec::new(), &metrics));
             }
         }
-        bank.prepare_run(rounds);
         let plans = kernel::RoundPlans::new(config);
+        bank.prepare_run(rounds, &plans);
         let traced = pet_obs::enabled();
         let mut records = Vec::with_capacity(rounds as usize);
         for _ in 0..rounds {
@@ -412,13 +414,7 @@ impl Estimator {
             };
             bank.begin_round(seed, self.family, height);
             let before = traced.then_some(metrics);
-            let record = kernel::fused_round(
-                bank.codes(),
-                bank.prefix_index(),
-                &path,
-                &plans,
-                &mut metrics,
-            );
+            let record = bank.lossless_round(&path, &plans, &mut metrics);
             if let Some(before) = before {
                 drop(round_span);
                 reader::record_round_telemetry(config, &record);

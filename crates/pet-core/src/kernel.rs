@@ -67,6 +67,43 @@
 //! build, and shares it with every clone, so a cached bank pays for it
 //! once.
 //!
+//! # The round memo: a white node fixes its whole round
+//!
+//! By §4.1's colouring, a node at depth `D` with no code under it is
+//! white, and the gray node then lies above it: `L < D`. Such a round is
+//! fixed by the path's first `D` bits. Any path through the same node
+//! shares with each code exactly the prefix this one does, since every
+//! common prefix is shorter than `D`. So it has the same `L`, the same
+//! queries and the same responders at every busy length. A passive bank
+//! keeps a [`RoundMemo`] beside its index: one `AtomicU32` per node at
+//! depth `D = k + 2`, counted below the largest code's top bit as the
+//! index counts its levels and clamped to the codes' width, with zero
+//! meaning unknown.
+//!
+//! - *Fill.* A round whose `L` is below `D`, run through [`fused_round`]
+//!   as any other, stores one word with one relaxed store: `L + 1` in its
+//!   low 7 bits, its singleton count in the next 7 and its responder total
+//!   in the top 18. A round that reaches `D`, one whose counts do not fit,
+//!   and a path past the table store nothing. Every fill of a node stores
+//!   the same word, so concurrent runs need no lock.
+//! - *Hit.* A later round through the node adds its plan's sums for `L`,
+//!   the stored singletons and responders, and `busy(L) − singletons`
+//!   collisions, then returns the plan's record: bit for bit what the miss
+//!   computed.
+//! - *Key.* Which lengths are busy, and so the responder counts, depend on
+//!   the tree height and the search strategy. A memo therefore serves only
+//!   the height and strategy of the run that built it, and a run with
+//!   another neither reads nor fills it. Re-probes and the command
+//!   encoding change only plan sums, and trimming only the aggregation, so
+//!   runs that differ in those share it.
+//! - *Depth.* Over the server's cached 10⁴-tag bank (`k = 13`), the share
+//!   of white nodes is 0.29, 0.54, 0.74 and 0.86 at `k`, `k + 1`, `k + 2`
+//!   and `k + 3`. `k + 2` is the deepest level whose table, `4·2^(k+2)`
+//!   bytes, stays within `16·n` bytes from `n = 16` on: twice the codes.
+//! - *Lifetime.* The run that builds the index allocates the memo, zeroed,
+//!   and the rounds that run anyway fill it. Clones and cache hits share
+//!   it, and a key delta drops it with the index.
+//!
 //! # Editing a bank by its churn
 //!
 //! A monitored population changes by a few tags between estimates, and
@@ -94,6 +131,7 @@ use pet_phy::AirMetrics;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{self, AtomicU32};
 use std::sync::{Arc, OnceLock};
 
 /// Runs one round over a lossless channel against the sorted `codes`:
@@ -211,6 +249,8 @@ struct RoundPlan {
 pub struct RoundPlans {
     /// One plan per `L`, indexed by `L`.
     plans: Box<[RoundPlan]>,
+    /// The strategy replayed, part of a [`RoundMemo`]'s key.
+    search: SearchStrategy,
     bits_per_query: u32,
     round_start_bits: u32,
 }
@@ -241,6 +281,7 @@ impl RoundPlans {
             .collect();
         Self {
             plans,
+            search: config.search(),
             bits_per_query: config.encoding().bits_per_query(height),
             round_start_bits: config.round_start_bits(),
         }
@@ -272,12 +313,7 @@ impl RoundPlans {
         metrics: &mut AirMetrics,
         mut responders: impl FnMut(u32) -> u64,
     ) -> RoundRecord {
-        let plan = &self.plans[l as usize];
-        let slots = u64::from(plan.record.slots);
-        metrics.slots += slots;
-        metrics.command_bits +=
-            u64::from(self.round_start_bits) + slots * u64::from(self.bits_per_query);
-        metrics.idle += u64::from(plan.idle);
+        let plan = self.add_sums(l, metrics);
         let mut busy = plan.busy;
         while busy != 0 {
             let count = responders(busy.trailing_zeros() + 1);
@@ -291,6 +327,37 @@ impl RoundPlans {
             }
         }
         plan.record
+    }
+
+    /// Adds a memoized round of depth `l` (see [`RoundMemo`]) to `metrics`
+    /// — its plan's sums, `singletons` and `responders`, and the rest of
+    /// its busy queries as collisions — and returns its record.
+    #[inline]
+    fn apply_known(
+        &self,
+        l: u32,
+        singletons: u64,
+        responders: u64,
+        metrics: &mut AirMetrics,
+    ) -> RoundRecord {
+        let plan = self.add_sums(l, metrics);
+        metrics.tag_responses += responders;
+        metrics.singleton += singletons;
+        metrics.collision += u64::from(plan.busy.count_ones()) - singletons;
+        plan.record
+    }
+
+    /// Adds the sums the plan of depth `l` fixes to `metrics` — slots,
+    /// command bits and idle slots — and returns the plan.
+    #[inline]
+    fn add_sums(&self, l: u32, metrics: &mut AirMetrics) -> &RoundPlan {
+        let plan = &self.plans[l as usize];
+        let slots = u64::from(plan.record.slots);
+        metrics.slots += slots;
+        metrics.command_bits +=
+            u64::from(self.round_start_bits) + slots * u64::from(self.bits_per_query);
+        metrics.idle += u64::from(plan.idle);
+        plan
     }
 }
 
@@ -464,6 +531,119 @@ impl PrefixIndex {
     }
 }
 
+/// Tree levels a [`RoundMemo`] keys on below its bank's [`PrefixIndex`].
+const MEMO_EXTRA_LEVELS: u32 = 2;
+/// Width of a memo word's `L + 1` field and of its singleton field; the
+/// responder total takes the remaining 18 bits.
+const MEMO_FIELD_BITS: u32 = 7;
+/// Largest responder total a memo word holds.
+const MEMO_MAX_RESPONDERS: u64 = (1 << (u32::BITS - 2 * MEMO_FIELD_BITS)) - 1;
+
+/// A passive bank's round memo: one packed round per tree node at depth
+/// `k + 2`, counted as its bank's [`PrefixIndex`] counts levels, filled by
+/// the rounds whose gray node lies above their node and read by the later
+/// rounds through it (see the module docs).
+#[derive(Debug)]
+pub struct RoundMemo {
+    /// Tree height of the runs the memo serves.
+    height: u32,
+    /// Search strategy of the runs the memo serves.
+    search: SearchStrategy,
+    /// Right shift from a path to its node: the index's, two levels
+    /// deeper, and 0 where that passes the codes' width.
+    shift: u32,
+    /// Each node's round as `L + 1 | singletons << 7 | responders << 14`,
+    /// or 0 while unknown.
+    words: Box<[AtomicU32]>,
+}
+
+impl RoundMemo {
+    /// An empty memo two levels below `index` (fewer where the codes'
+    /// width ends first), serving the height and strategy of `plans`.
+    fn new(index: &PrefixIndex, plans: &RoundPlans) -> Self {
+        let shift = index.shift.saturating_sub(MEMO_EXTRA_LEVELS);
+        let nodes = (index.offsets.len() - 1) << (index.shift - shift);
+        Self {
+            height: plans.height(),
+            search: plans.search,
+            shift,
+            words: std::iter::repeat_with(AtomicU32::default)
+                .take(nodes)
+                .collect(),
+        }
+    }
+
+    /// Number of tree nodes the memo has a word for.
+    #[must_use]
+    pub fn nodes(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Number of nodes whose round is known.
+    #[must_use]
+    pub fn known(&self) -> usize {
+        self.words
+            .iter()
+            .filter(|word| word.load(atomic::Ordering::Relaxed) != 0)
+            .count()
+    }
+
+    /// Whether runs of `plans`' height and strategy may read and fill the
+    /// memo.
+    #[inline]
+    fn serves(&self, plans: &RoundPlans) -> bool {
+        self.height == plans.height() && self.search == plans.search
+    }
+
+    /// One lossless round over `codes` and their `index`: the stored round
+    /// when the path's node is known, else [`fused_round`], whose outcome
+    /// is stored when its gray node lies above the path's node and its
+    /// counts fit a word.
+    #[inline]
+    fn round(
+        &self,
+        codes: &[u64],
+        index: &PrefixIndex,
+        path: &BitString,
+        plans: &RoundPlans,
+        metrics: &mut AirMetrics,
+    ) -> RoundRecord {
+        debug_assert!(self.serves(plans));
+        let node = usize::try_from(path.bits() >> self.shift).ok();
+        let Some(word) = node.and_then(|node| self.words.get(node)) else {
+            return fused_round(codes, Some(index), path, plans, metrics);
+        };
+        let known = word.load(atomic::Ordering::Relaxed);
+        let field = (1 << MEMO_FIELD_BITS) - 1;
+        if known != 0 {
+            let singletons = (known >> MEMO_FIELD_BITS) & field;
+            let responders = known >> (2 * MEMO_FIELD_BITS);
+            return plans.apply_known(
+                (known & field) - 1,
+                singletons.into(),
+                responders.into(),
+                metrics,
+            );
+        }
+        let (singletons, responders) = (metrics.singleton, metrics.tag_responses);
+        let record = fused_round(codes, Some(index), path, plans, metrics);
+        let (singletons, responders) = (
+            metrics.singleton - singletons,
+            metrics.tag_responses - responders,
+        );
+        // The node's depth is the height less the shift; `L + 1` and the
+        // singletons, one per busy query at most, are then both <= 64.
+        if record.prefix_len < self.height - self.shift && responders <= MEMO_MAX_RESPONDERS {
+            debug_assert!(singletons <= field.into());
+            let packed = (record.prefix_len + 1)
+                | (singletons as u32) << MEMO_FIELD_BITS
+                | (responders as u32) << (2 * MEMO_FIELD_BITS);
+            word.store(packed, atomic::Ordering::Relaxed);
+        }
+        record
+    }
+}
+
 /// Length of the common prefix of two right-aligned `height`-bit values.
 #[inline]
 #[must_use]
@@ -556,11 +736,11 @@ fn replay(
 /// Sorted code storage for fast sessions.
 ///
 /// Passive banks hold one sorted array and its lazily built
-/// [`PrefixIndex`], both shareable across trials via [`Arc`] — see
-/// `pet-sim`'s roster cache — and editable in place by a churn delta
-/// ([`CodeBank::apply_key_delta`]); active banks re-hash and re-sort their
-/// key set every round with the bulk primitives from `pet_hash::bulk`,
-/// reusing both buffers.
+/// [`PrefixIndex`] and [`RoundMemo`], all shareable across trials via
+/// [`Arc`] — see `pet-sim`'s roster cache — and editable in place by a
+/// churn delta ([`CodeBank::apply_key_delta`]); active banks re-hash and
+/// re-sort their key set every round with the bulk primitives from
+/// `pet_hash::bulk`, reusing both buffers.
 #[derive(Debug, Clone)]
 pub enum CodeBank {
     /// Preloaded codes (`TagMode::PassivePreloaded`): fixed for the session.
@@ -578,14 +758,23 @@ pub enum CodeBank {
     },
 }
 
-/// A passive bank's sorted manufacture-time codes and the prefix index
-/// built over them, each shared by every clone of the bank. The fields are
-/// private so that the index can only ever describe these codes.
+/// A passive bank's sorted manufacture-time codes and the prefix index and
+/// round memo built over them, each shared by every clone of the bank. The
+/// fields are private so that the index and the memo can only ever
+/// describe these codes.
 #[derive(Debug, Clone)]
 pub struct PassiveCodes {
     codes: Arc<Vec<u64>>,
     /// Built by the first run that repays it (`CodeBank::prepare_run`).
-    index: Arc<OnceLock<PrefixIndex>>,
+    index: Arc<OnceLock<Indexed>>,
+}
+
+/// A passive bank's prefix index and the round memo beside it, built
+/// together.
+#[derive(Debug)]
+struct Indexed {
+    index: PrefixIndex,
+    memo: RoundMemo,
 }
 
 impl CodeBank {
@@ -650,23 +839,63 @@ impl CodeBank {
     /// The passive codes' prefix index, if a run has built it.
     #[must_use]
     pub fn prefix_index(&self) -> Option<&PrefixIndex> {
+        self.indexed().map(|indexed| &indexed.index)
+    }
+
+    /// The passive codes' round memo, if a run has built their index.
+    #[must_use]
+    pub fn round_memo(&self) -> Option<&RoundMemo> {
+        self.indexed().map(|indexed| &indexed.memo)
+    }
+
+    fn indexed(&self) -> Option<&Indexed> {
         match self {
             Self::Passive(passive) => passive.index.get(),
             Self::Active { .. } => None,
         }
     }
 
-    /// Readies a passive bank for a run of `rounds` lossless rounds: builds
-    /// its prefix index when none exists yet and the run repays the build,
-    /// `rounds · 32 >= n` (see `INDEX_CODES_PER_ROUND`). Short runs, such
-    /// as a monitor update's 32 rounds over more than 1,024 tags, never
-    /// build it; active banks, whose codes change every round, have none.
-    pub(crate) fn prepare_run(&self, rounds: u32) {
+    /// Readies a passive bank for a run of `rounds` lossless rounds under
+    /// `plans`: when no index exists yet and the run repays the build,
+    /// `rounds · 32 >= n` (see `INDEX_CODES_PER_ROUND`), builds the prefix
+    /// index and an empty round memo serving `plans`' height and strategy.
+    /// Short runs, such as a monitor update's 32 rounds over more than
+    /// 1,024 tags, never build them; active banks, whose codes change every
+    /// round, have none.
+    pub fn prepare_run(&self, rounds: u32, plans: &RoundPlans) {
         if let Self::Passive(PassiveCodes { codes, index }) = self {
             let repaid = u64::from(rounds) * INDEX_CODES_PER_ROUND >= codes.len() as u64;
             if repaid && u32::try_from(codes.len()).is_ok() {
-                index.get_or_init(|| PrefixIndex::build(codes));
+                index.get_or_init(|| {
+                    let index = PrefixIndex::build(codes);
+                    let memo = RoundMemo::new(&index, plans);
+                    Indexed { index, memo }
+                });
             }
+        }
+    }
+
+    /// Runs one lossless round over the current codes, as [`fused_round`]
+    /// with the bank's prefix index, if built: through the bank's round
+    /// memo when it serves `plans`' height and strategy.
+    pub fn lossless_round(
+        &self,
+        path: &BitString,
+        plans: &RoundPlans,
+        metrics: &mut AirMetrics,
+    ) -> RoundRecord {
+        let codes = self.codes();
+        match self.indexed() {
+            Some(Indexed { index, memo }) if memo.serves(plans) => {
+                memo.round(codes, index, path, plans, metrics)
+            }
+            indexed => fused_round(
+                codes,
+                indexed.map(|indexed| &indexed.index),
+                path,
+                plans,
+                metrics,
+            ),
         }
     }
 
@@ -684,10 +913,10 @@ impl CodeBank {
     /// family, height), so the result is bit for bit the bank
     /// [`Self::for_config`] builds from the new key set. The codes are
     /// edited through [`Arc::make_mut`], so clones sharing them keep
-    /// theirs, and a change drops the prefix index, which only ever
-    /// describes the codes beside it; the next run that repays a table
-    /// builds a fresh one. An active bank edits its key multiset: it
-    /// re-hashes every round anyway.
+    /// theirs, and a change drops the prefix index and the round memo,
+    /// which only ever describe the codes beside them; the next run that
+    /// repays a table builds fresh ones. An active bank edits its key
+    /// multiset: it re-hashes every round anyway.
     ///
     /// # Panics
     ///
@@ -948,24 +1177,128 @@ mod tests {
         }
     }
 
-    /// A bank builds its index only for a run that repays it, keeps it
-    /// for later runs of any length, and shares it with its clones.
+    /// A bank builds its index and memo only for a run that repays them,
+    /// keeps them for later runs of any length, and shares them with its
+    /// clones. The memo has a word per node two levels below the index.
     #[test]
     fn prepare_run_builds_the_index_once_and_shares_it() {
+        let plans = RoundPlans::new(&PetConfig::builder().height(16).build().unwrap());
         let bank = CodeBank::passive_shared(Arc::new((0..1_000).collect()));
-        bank.prepare_run(31); // 31 · 32 < 1,000
-        assert!(bank.prefix_index().is_none());
+        bank.prepare_run(31, &plans); // 31 · 32 < 1,000
+        assert!(bank.prefix_index().is_none() && bank.round_memo().is_none());
         let clone = bank.clone();
-        bank.prepare_run(32);
+        bank.prepare_run(32, &plans);
         let built = bank.prefix_index().expect("32 · 32 >= 1,000");
-        clone.prepare_run(1);
+        let memo = bank.round_memo().expect("built with the index");
+        // Codes below 2^10 with k = 9 levels: the memo takes the full
+        // width, one level short of k + 2.
+        assert_eq!(
+            (built.offsets().len(), memo.nodes()),
+            ((1 << 9) + 1, 1 << 10)
+        );
+        clone.prepare_run(1, &plans);
         assert!(std::ptr::eq(built, clone.prefix_index().unwrap()));
+        assert!(std::ptr::eq(memo, clone.round_memo().unwrap()));
         let fresh = CodeBank::passive_shared(Arc::new((0..1_000).collect()));
-        fresh.prepare_run(1);
+        fresh.prepare_run(1, &plans);
         assert!(
             fresh.prefix_index().is_none(),
             "one-shot banks stay unindexed"
         );
+        let wide = CodeBank::passive_shared(Arc::new((0..1_000).map(|c| c << 40).collect()));
+        wide.prepare_run(32, &plans);
+        assert_eq!(wide.round_memo().unwrap().nodes(), 1 << (9 + 2));
+    }
+
+    /// Every path of small trees, run twice through one bank's memo in
+    /// different orders: each round equals the unindexed round, rounds
+    /// through a gray or black node at the memo's depth included, and the
+    /// memo answers the second pass wherever the first filled it. Only
+    /// nodes with no code below them are ever filled.
+    #[test]
+    fn memo_rounds_equal_unindexed_rounds_for_every_path() {
+        for (height, n, search, probes) in [
+            (12u32, 300u64, SearchStrategy::Binary, 0u32),
+            (12, 300, SearchStrategy::Linear, 2),
+            (10, 40, SearchStrategy::Binary, 1),
+            (6, 200, SearchStrategy::Linear, 0), // duplicate codes
+        ] {
+            let mitigation = match probes {
+                0 => Mitigation::None,
+                probes => Mitigation::ReProbe { probes },
+            };
+            let config = PetConfig::builder()
+                .height(height)
+                .search(search)
+                .mitigation(mitigation)
+                .build()
+                .unwrap();
+            let codes = roster_codes(&(0..n).collect::<Vec<_>>(), &config);
+            let plans = RoundPlans::new(&config);
+            let bank = CodeBank::passive_shared(Arc::new(codes.clone()));
+            bank.prepare_run(u32::MAX, &plans);
+            let memo = bank.round_memo().unwrap();
+            let depth = height - memo.shift;
+            let low_first: Vec<u64> = (0..1u64 << height).collect();
+            let high_first: Vec<u64> = low_first.iter().rev().copied().collect();
+            let case = format!("H = {height}, n = {n}, {search:?}, {probes} re-probes");
+            for (pass, order) in [high_first, low_first].into_iter().enumerate() {
+                for bits in order {
+                    let path = BitString::from_bits(bits, height).unwrap();
+                    let (mut want, mut got) = (AirMetrics::default(), AirMetrics::default());
+                    let rec = fused_round(&codes, None, &path, &plans, &mut want);
+                    assert_eq!(bank.lossless_round(&path, &plans, &mut got), rec, "{case}");
+                    assert_eq!(got, want, "{case}, path {bits:#b}, pass {pass}");
+                }
+            }
+            assert!(memo.known() > 0, "{case}: the memo fills");
+            for (node, word) in memo.words.iter().enumerate() {
+                let below = count_prefix_sorted(
+                    &codes,
+                    &BitString::from_bits((node as u64) << memo.shift, height).unwrap(),
+                    depth,
+                );
+                let known = word.load(atomic::Ordering::Relaxed) != 0;
+                assert_eq!(known, below == 0, "{case}: node {node} holds {below} codes");
+            }
+        }
+    }
+
+    /// Two threads running clones of one cached bank, each filling and
+    /// reading the shared memo, report what the same runs do serially
+    /// over a fresh bank.
+    #[test]
+    fn concurrent_runs_over_one_memo_match_serial_runs() {
+        use crate::front::Estimator;
+        let config = PetConfig::paper_default();
+        let estimator = Estimator::new(config);
+        let codes = Arc::new(roster_codes(&(0..5_000).collect::<Vec<_>>(), &config));
+        let run = |bank: &mut CodeBank, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..4)
+                .map(|_| estimator.run_bank(bank, 400, &mut rng))
+                .collect::<Vec<_>>()
+        };
+        let serial: Vec<_> = (0..2u64)
+            .map(|seed| run(&mut CodeBank::passive_shared(Arc::clone(&codes)), seed))
+            .collect();
+        let shared = CodeBank::passive_shared(Arc::clone(&codes));
+        let concurrent: Vec<_> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2u64)
+                .map(|seed| {
+                    let mut bank = shared.clone();
+                    scope.spawn(move || run(&mut bank, seed))
+                })
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        for (serial, concurrent) in serial.iter().zip(&concurrent) {
+            for (a, b) in serial.iter().zip(concurrent) {
+                assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
+                assert_eq!((&a.records, &a.metrics), (&b.records, &b.metrics));
+            }
+        }
+        assert!(shared.round_memo().unwrap().known() > 0);
     }
 
     /// Small heights force duplicate codes; the gallop around the
@@ -1166,8 +1499,17 @@ mod tests {
             let mut bank = CodeBank::for_config(Arc::new(keys.clone()), &config, family);
             for step in 0..6 {
                 if tag_mode == TagMode::PassivePreloaded {
-                    bank.prepare_run(100);
+                    let plans = RoundPlans::new(&config);
+                    bank.prepare_run(100, &plans);
                     assert!(bank.prefix_index().is_some());
+                    let (mut metrics, mut paths) =
+                        (AirMetrics::default(), StdRng::seed_from_u64(step));
+                    for _ in 0..200 {
+                        let path = BitString::random(height, &mut paths);
+                        bank.lossless_round(&path, &plans, &mut metrics);
+                    }
+                    // At height 6 every node below the index holds a code.
+                    assert_eq!(bank.round_memo().unwrap().known() > 0, height == 32);
                 }
                 let shared = bank.clone();
                 let before = shared.population();
@@ -1189,6 +1531,8 @@ mod tests {
                     TagMode::PassivePreloaded => {
                         assert_eq!(bank.codes(), fresh.codes(), "H = {height}, step {step}");
                         assert!(bank.prefix_index().is_none(), "a delta drops the index");
+                        assert!(bank.round_memo().is_none(), "and the memo");
+                        assert!(shared.round_memo().is_some(), "a clone keeps its");
                     }
                     TagMode::ActivePerRound => {
                         let seed = Some(rng.random::<u64>());

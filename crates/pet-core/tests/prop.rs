@@ -35,40 +35,43 @@ fn roster_of(codes: impl Iterator<Item = u64>, height: u32) -> CodeRoster {
 /// Height of [`large_population`]'s codes.
 const LARGE_HEIGHT: u32 = 32;
 
-/// 2^21 + 5 sequential tags' codes at [`LARGE_HEIGHT`] and their prefix
-/// index, built once per test binary: `⌊log₂ n⌋ = 21`, above the index's
-/// 20-level clamp.
-fn large_population() -> &'static (CodeRoster, PrefixIndex) {
-    static LARGE: std::sync::OnceLock<(CodeRoster, PrefixIndex)> = std::sync::OnceLock::new();
+/// 2^21 + 5 sequential tags' codes at [`LARGE_HEIGHT`] and a bank over
+/// them, built once per test binary: `⌊log₂ n⌋ = 21`, above the index's
+/// 20-level clamp. The first case to run builds the bank's index and round
+/// memo, so the memo serves that case's strategy alone, and the cases of
+/// the other strategy run over the index without it.
+fn large_population() -> &'static (CodeRoster, CodeBank) {
+    static LARGE: std::sync::OnceLock<(CodeRoster, CodeBank)> = std::sync::OnceLock::new();
     LARGE.get_or_init(|| {
         let keys: Vec<u64> = (0..(1u64 << 21) + 5).collect();
         let mut codes = Vec::new();
         hash_codes_into(&AnyFamily::default(), 0, &keys, LARGE_HEIGHT, &mut codes);
         radix_sort_codes(&mut codes, LARGE_HEIGHT, &mut RadixScratch::new());
-        let index = PrefixIndex::build(&codes);
-        (roster_of(codes.into_iter(), LARGE_HEIGHT), index)
+        let bank = CodeBank::passive_shared(Arc::new(codes.clone()));
+        (roster_of(codes.into_iter(), LARGE_HEIGHT), bank)
     })
 }
 
 /// Runs three rounds of `config` through the reference reader over
 /// `roster` (and over `fleet`, for a population with keys) and through the
-/// fused kernel over the roster's sorted codes, without and with their
-/// prefix index (`index`, or one built here), and asserts identical round
-/// records and metrics. All paths consume the same stream: one path draw
-/// per round.
+/// fused kernel over the roster's sorted codes, without an index and
+/// through an indexed bank over them (`bank`, or one built here), and
+/// asserts identical round records and metrics. The bank runs the rounds
+/// twice, so the second pass reads what the first stored in its round
+/// memo. All paths consume the same stream: one path draw per round.
 fn check_kernel_rounds(
     config: &PetConfig,
     mut roster: CodeRoster,
     mut fleet: Option<TagFleet>,
-    index: Option<&PrefixIndex>,
+    bank: Option<&CodeBank>,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let codes = roster.codes().to_vec();
     let built;
-    let index = match index {
-        Some(index) => index,
+    let bank = match bank {
+        Some(bank) => bank,
         None => {
-            built = PrefixIndex::build(&codes);
+            built = CodeBank::passive_shared(Arc::new(codes.clone()));
             &built
         }
     };
@@ -78,8 +81,11 @@ fn check_kernel_rounds(
     let mut rng_b = StdRng::seed_from_u64(seed);
     let mut rng_k = StdRng::seed_from_u64(seed);
     let plans = RoundPlans::new(config);
+    bank.prepare_run(u32::MAX, &plans);
+    prop_assert!(bank.prefix_index().is_some());
     let mut metrics = AirMetrics::default();
     let mut indexed = AirMetrics::default();
+    let mut rounds = Vec::new();
     for _ in 0..3 {
         let a = run_round(config, &mut roster, &mut air_a, &mut rng_a);
         let path = BitString::random(config.height(), &mut rng_k);
@@ -89,10 +95,8 @@ fn check_kernel_rounds(
             (k.prefix_len, k.gray_height, k.slots, k.disambiguated)
         );
         prop_assert_eq!(a, k);
-        prop_assert_eq!(
-            fused_round(&codes, Some(index), &path, &plans, &mut indexed),
-            k
-        );
+        prop_assert_eq!(bank.lossless_round(&path, &plans, &mut indexed), k);
+        rounds.push((path, k));
         if let Some(fleet) = fleet.as_mut() {
             prop_assert_eq!(run_round(config, fleet, &mut air_b, &mut rng_b), k);
         }
@@ -103,8 +107,13 @@ fn check_kernel_rounds(
             );
         }
     }
+    let mut memoized = AirMetrics::default();
+    for (path, k) in &rounds {
+        prop_assert_eq!(bank.lossless_round(path, &plans, &mut memoized), *k);
+    }
     prop_assert_eq!(air_a.metrics(), &metrics);
     prop_assert_eq!(&indexed, &metrics);
+    prop_assert_eq!(&memoized, &metrics);
     if fleet.is_some() {
         prop_assert_eq!(air_b.metrics(), &metrics);
     }
@@ -344,8 +353,9 @@ proptest! {
         }
     }
 
-    /// The fused kernel round, over the bare sorted codes and over their
-    /// prefix index, agrees with the slot-by-slot reader over BOTH oracles
+    /// The fused kernel round, over the bare sorted codes, over their
+    /// prefix index and replayed from their round memo, agrees with the
+    /// slot-by-slot reader over BOTH oracles
     /// on every round-record field, and its synthetic metrics equal the
     /// Air's, for arbitrary populations, heights (small ones produce the
     /// duplicate codes the responder count must include, and `n < 16`
@@ -400,9 +410,9 @@ proptest! {
                 check_kernel_rounds(&config_at(64), top, None, None, seed)?;
             }
             2 => {
-                let (large, index) = large_population();
+                let (large, bank) = large_population();
                 let config = config_at(LARGE_HEIGHT);
-                check_kernel_rounds(&config, large.clone(), None, Some(index), seed)?;
+                check_kernel_rounds(&config, large.clone(), None, Some(bank), seed)?;
             }
             _ => check_kernel_rounds(&config, crowded, None, None, seed)?,
         }

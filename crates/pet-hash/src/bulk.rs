@@ -16,9 +16,10 @@
 //!   codes known to fit in `key_bits` bits — PET codes are right-aligned
 //!   `height`-bit values, so a 32-bit tree needs 4 byte passes instead of
 //!   the comparison sort's ~`n log n` branchy swaps. All per-pass digit
-//!   histograms are built in a *single* read pass over the input, and the
-//!   counting buffers live in a reusable [`RadixScratch`] so per-round
-//!   active-mode sorts allocate nothing.
+//!   histograms are built in a *single* read pass over the input into a
+//!   fixed `u32` table on the stack, and the ping-pong buffer lives in a
+//!   reusable [`RadixScratch`] so per-round active-mode sorts allocate
+//!   nothing.
 //!
 //! Both are exact drop-ins: the resulting sorted array is identical to the
 //! `sort_unstable` result (u64 sorting is total, so stability is moot).
@@ -109,19 +110,15 @@ fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-/// Reusable buffers for [`radix_sort_codes`]: the ping-pong array plus the
-/// per-pass digit histograms.
+/// Reusable buffer for [`radix_sort_codes`]: the ping-pong array.
 ///
 /// Active-mode banks and the roster cache keep one of these per fill path
 /// and hand it back every round, so steady-state sorting performs no
-/// allocation at all (the old signature reused only the ping-pong `Vec`
-/// and rebuilt the counting arrays per call).
+/// allocation at all.
 #[derive(Debug, Clone, Default)]
 pub struct RadixScratch {
     /// Ping-pong buffer; contents after a sort are unspecified.
     buf: Vec<u64>,
-    /// One 256-bucket histogram per potential byte pass.
-    counts: Vec<[usize; 256]>,
 }
 
 impl RadixScratch {
@@ -136,6 +133,8 @@ impl RadixScratch {
 /// bits (1..=64). Ping-pongs between `codes` and `scratch`'s buffer, and
 /// builds the digit histograms of **all** passes in one read sweep before
 /// any element moves (one cache-friendly pass instead of one per digit).
+/// The histograms count in `u32`, so more than `u32::MAX` codes fall back
+/// to `sort_unstable`.
 ///
 /// # Panics
 ///
@@ -143,20 +142,18 @@ impl RadixScratch {
 pub fn radix_sort_codes(codes: &mut Vec<u64>, key_bits: u32, scratch: &mut RadixScratch) {
     assert!((1..=64).contains(&key_bits), "key_bits must be in 1..=64");
     let _span = pet_obs::span("hash.radix_sort");
-    if codes.len() < RADIX_THRESHOLD {
-        codes.sort_unstable();
-        return;
-    }
+    let len = match u32::try_from(codes.len()) {
+        Ok(len) if codes.len() >= RADIX_THRESHOLD => len,
+        _ => {
+            codes.sort_unstable();
+            return;
+        }
+    };
     let passes = key_bits.div_ceil(8) as usize;
     scratch.buf.clear();
     scratch.buf.resize(codes.len(), 0);
-    if scratch.counts.len() < MAX_PASSES {
-        scratch.counts.resize(MAX_PASSES, [0usize; 256]);
-    }
-    let counts = &mut scratch.counts[..passes];
-    for c in counts.iter_mut() {
-        c.fill(0);
-    }
+    let mut table = [[0u32; 256]; MAX_PASSES];
+    let counts = &mut table[..passes];
     // Single histogram sweep covering every pass.
     for &v in codes.iter() {
         for (pass, c) in counts.iter_mut().enumerate() {
@@ -169,11 +166,11 @@ pub fn radix_sort_codes(codes: &mut Vec<u64>, key_bits: u32, scratch: &mut Radix
     let mut flipped = false;
     for (pass, count) in counts.iter().enumerate() {
         // A pass where every element lands in one bucket is the identity.
-        if count.contains(&src.len()) {
+        if count.contains(&len) {
             continue;
         }
         let shift = (pass * 8) as u32;
-        let mut offsets = [0usize; 256];
+        let mut offsets = [0u32; 256];
         let mut running = 0;
         for (o, &c) in offsets.iter_mut().zip(count) {
             *o = running;
@@ -181,7 +178,7 @@ pub fn radix_sort_codes(codes: &mut Vec<u64>, key_bits: u32, scratch: &mut Radix
         }
         for &v in src.iter() {
             let digit = ((v >> shift) & 0xFF) as usize;
-            dst[offsets[digit]] = v;
+            dst[offsets[digit] as usize] = v;
             offsets[digit] += 1;
         }
         std::mem::swap(&mut src, &mut dst);

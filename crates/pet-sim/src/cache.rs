@@ -14,8 +14,10 @@
 //! - **Passive code banks** keyed by `(n, manufacture_seed, family, mode,
 //!   height)` — hashed and radix-sorted once, then shared by every trial of
 //!   every cell with the same configuration, together with the bank's
-//!   prefix index (`pet_core::kernel::PrefixIndex`) once the first run
-//!   long enough to repay it has built it, so later hits pay nothing.
+//!   prefix index (`pet_core::kernel::PrefixIndex`) and round memo
+//!   (`pet_core::kernel::RoundMemo`) once the first run long enough to
+//!   repay them has built them, so later hits pay nothing and read the
+//!   rounds earlier hits stored.
 //!
 //! Reuse rules: cached codes are immutable and only valid for
 //! `TagMode::PassivePreloaded` banks (active mode re-hashes per round and
@@ -28,8 +30,11 @@
 //!
 //! Memory: a code entry holds its codes' `8·n` bytes and, once indexed,
 //! up to `4·(2^k + 1)` bytes of offset table (`k = ⌊log₂ n⌋` clamped to
-//! 4..=20), at most `4·(n + 1)` bytes from `n = 16` on: about half of
-//! its codes again. A byte bound on the cache must count both.
+//! 4..=20) and up to `4·2^(k+2)` bytes of round memo. From `n = 16` on
+//! that is at most `4·(n + 1)` bytes of index and `16·n` bytes of memo:
+//! a cached bank is its codes (`8·n`) plus its index (`≤ 4·(n + 1)`) plus
+//! its memo (`≤ 16·n`), up to three and a half times its codes. A byte
+//! bound on the cache must count all three.
 
 use pet_core::config::{PetConfig, TagMode};
 use pet_core::kernel::CodeBank;
@@ -301,6 +306,50 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 
+    /// One cached bank serves Binary, then Linear, then Binary with two
+    /// re-probes, each run twice on one path stream. The round memo serves
+    /// the strategy of the run that built it: the Linear runs neither read
+    /// nor fill it, and the re-probing runs read what the first runs
+    /// stored. Every run equals the same run over a fresh bank.
+    #[test]
+    fn one_cached_bank_serves_every_strategy() {
+        use pet_core::config::{Mitigation, SearchStrategy};
+        let cache = RosterCache::default();
+        let config = |search, mitigation| {
+            PetConfig::builder()
+                .manufacture_seed(0x5EA7)
+                .search(search)
+                .mitigation(mitigation)
+                .build()
+                .unwrap()
+        };
+        for config in [
+            config(SearchStrategy::Binary, Mitigation::None),
+            config(SearchStrategy::Linear, Mitigation::None),
+            config(SearchStrategy::Binary, Mitigation::ReProbe { probes: 2 }),
+        ] {
+            let estimator = Estimator::new(config);
+            for pass in 0..2 {
+                let mut bank = cache.sequential_bank(3_000, &config, estimator.family());
+                let known = bank.round_memo().map(|memo| memo.known());
+                let got = estimator.run_bank(&mut bank, 200, &mut StdRng::seed_from_u64(1));
+                let mut fresh = CodeBank::passive_shared(Arc::new(bank.codes().to_vec()));
+                let want = estimator.run_bank(&mut fresh, 200, &mut StdRng::seed_from_u64(1));
+                let case = format!("{:?}, pass {pass}", config.search());
+                assert_eq!(got.estimate.to_bits(), want.estimate.to_bits(), "{case}");
+                assert_eq!((&got.records, &got.metrics), (&want.records, &want.metrics));
+                let memo = bank.round_memo().expect("200 · 32 >= 3,000");
+                match (config.search(), known) {
+                    (SearchStrategy::Linear, known) => assert_eq!(Some(memo.known()), known),
+                    (SearchStrategy::Binary, None) => assert!(memo.known() > 0, "{case}"),
+                    // The stream repeats the first runs' paths.
+                    (SearchStrategy::Binary, known) => assert_eq!(Some(memo.known()), known),
+                }
+            }
+        }
+        assert_eq!(cache.stats().misses, 1, "one bank served all six runs");
+    }
+
     /// A hit after one long run reuses the prefix index that run built —
     /// the same allocation — and a short run on a one-shot bank builds
     /// none.
@@ -321,6 +370,8 @@ mod tests {
         let mut hit = cache.sequential_bank(2_000, &config, estimator.family());
         estimator.run_bank(&mut hit, 4, &mut rng);
         assert_eq!(table(&hit), Some(built), "the hit reuses the table");
+        let memo = first.round_memo().expect("built with the index");
+        assert!(std::ptr::eq(hit.round_memo().unwrap(), memo), "and the memo");
         assert_eq!(cache.stats().hits, 1);
 
         let mut one_shot = CodeBank::passive_shared(Arc::new(first.codes().to_vec()));

@@ -137,11 +137,18 @@ cargo test -q -p pet-server
 # every reply byte, so the evented rewrite answering even one request
 # differently from the threaded reference fails here.
 echo "==> loadgen smoke (both backends, digests must match)"
+# The output is kept in a variable rather than passed through
+# `tee /dev/stderr`: with ci.sh's output redirected to a file, tee reopens
+# that file through /dev/stderr, truncating it, and the log loses every
+# earlier stage.
 loadgen_digest() {
-    cargo run --release -q -p pet-cli --bin pet -- loadgen --local \
+    local out status=0
+    out=$(cargo run --release -q -p pet-cli --bin pet -- loadgen --local \
         --backend "$1" --requests 10000 --connections 8 --threads 8 \
-        --pipeline 4 --tags 200 --rounds 4 --verify-deterministic |
-        tee /dev/stderr | awk '/reply digest/ { d = $3 } END { print d }'
+        --pipeline 4 --tags 200 --rounds 4 --verify-deterministic) || status=$?
+    printf '%s\n' "$out" >&2
+    [[ $status -eq 0 ]] || return "$status"
+    awk '/reply digest/ { d = $3 } END { print d }' <<<"$out"
 }
 DIGEST_THREADED=$(loadgen_digest threaded)
 DIGEST_EVENTED=$(loadgen_digest evented)
