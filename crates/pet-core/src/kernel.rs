@@ -1205,8 +1205,12 @@ mod tests {
             fresh.prefix_index().is_none(),
             "one-shot banks stay unindexed"
         );
+        // Height-64 codes 50 bits wide leave room for both extra levels.
         let wide = CodeBank::passive_shared(Arc::new((0..1_000).map(|c| c << 40).collect()));
-        wide.prepare_run(32, &plans);
+        wide.prepare_run(
+            32,
+            &RoundPlans::new(&PetConfig::builder().height(64).build().unwrap()),
+        );
         assert_eq!(wide.round_memo().unwrap().nodes(), 1 << (9 + 2));
     }
 

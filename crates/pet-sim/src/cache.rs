@@ -371,7 +371,10 @@ mod tests {
         estimator.run_bank(&mut hit, 4, &mut rng);
         assert_eq!(table(&hit), Some(built), "the hit reuses the table");
         let memo = first.round_memo().expect("built with the index");
-        assert!(std::ptr::eq(hit.round_memo().unwrap(), memo), "and the memo");
+        assert!(
+            std::ptr::eq(hit.round_memo().unwrap(), memo),
+            "and the memo"
+        );
         assert_eq!(cache.stats().hits, 1);
 
         let mut one_shot = CodeBank::passive_shared(Arc::new(first.codes().to_vec()));
