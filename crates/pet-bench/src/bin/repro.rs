@@ -11,7 +11,7 @@
 //!
 //! Printed tables mirror the paper's rows; CSV files land in `results/`.
 
-use pet_bench::{ledger, suite};
+use pet_bench::ledger;
 use pet_sim::experiments::{
     ablations, detection, energy, fig4, fig6, fig7, fleet, monitor, motivation, phy, table3,
     table45,
@@ -38,25 +38,8 @@ const EXPERIMENTS: &[&str] = &[
     "detection",
     "monitor",
     "fleet",
-    "bench-kernel",
     "bench-server",
 ];
-
-/// Measures round throughput of the slot-by-slot oracle reader against the
-/// single-search kernel at paper scale (the measurement itself lives in
-/// [`pet_bench::suite::run_kernel`], shared with `pet bench record`),
-/// writes `results/BENCH_kernel.json`, and appends a normalized row to
-/// `results/ledger.jsonl`.
-fn bench_kernel(out_dir: &Path, quick: bool) {
-    let bench = suite::run_kernel(quick, 3);
-    std::fs::create_dir_all(out_dir).expect("results dir");
-    let commit = ledger::current_commit();
-    std::fs::write(out_dir.join("BENCH_kernel.json"), bench.bench_json(&commit))
-        .expect("write BENCH_kernel.json");
-    let row = bench.ledger_row(&commit, "repro:bench-kernel");
-    ledger::append(&out_dir.join("ledger.jsonl"), &[row]).expect("append ledger.jsonl");
-    println!("{}", bench.render(&commit));
-}
 
 /// Closed-loop serving throughput for both pet-server backends, each run
 /// with the configuration that favours it: the threaded backend at one
@@ -65,17 +48,14 @@ fn bench_kernel(out_dir: &Path, quick: bool) {
 /// connection fan-in. Each arm is best-of-3 against one server instance —
 /// the digest is identical across repeats (deterministic server, same id
 /// stream), so only the clock varies and the minimum is the least
-/// noise-contaminated sample. Rows merge into `results/BENCH_server.json`
-/// keyed by (backend, connections, pipeline) so repeated runs refresh in
-/// place.
+/// noise-contaminated sample. Each arm appends one `server-loadgen` row
+/// to `results/ledger.jsonl`.
 fn bench_server(out_dir: &Path, quick: bool) {
-    use pet_server::loadgen::{run_batch, write_bench_json, BatchReport, BenchRun, Plan};
+    use pet_server::loadgen::{run_batch, BatchReport, Plan};
     use pet_server::{serve, Backend, ServerConfig};
 
     let requests: usize = if quick { 20_000 } else { 200_000 };
     let repeats = 3;
-    let path = out_dir.join("BENCH_server.json");
-    let path = path.to_str().expect("utf-8 results path");
     // (backend, connections, pipeline, workers, queue).
     let arms: [(Backend, usize, usize, usize, usize); 2] = [
         (Backend::Threaded, 8, 1, 8, 512),
@@ -131,18 +111,13 @@ fn bench_server(out_dir: &Path, quick: bool) {
             report.percentile(0.99) as f64 / 1e6,
             report.digest,
         );
-        let run = BenchRun::new(backend.name(), &plan, &report);
-        write_bench_json(path, &run).expect("write BENCH_server.json");
-        let row = ledger::migrate::row_from_bench_run(
-            &run,
-            &ledger::current_commit(),
-            "repro:bench-server",
-            repeats as u64,
-            ledger::noise_floor_of(&rates),
-        );
+        let mut row = ledger::loadgen_row(backend.name(), &plan, &report);
+        row.source = "repro:bench-server".to_string();
+        row.best_of = repeats as u64;
+        row.noise_floor = ledger::noise_floor_of(&rates);
         ledger::append(&out_dir.join("ledger.jsonl"), &[row]).expect("append ledger.jsonl");
     }
-    println!("bench-server: rows merged into {path} and results/ledger.jsonl");
+    println!("bench-server: rows appended to results/ledger.jsonl");
 }
 
 fn main() {
@@ -436,10 +411,6 @@ fn main() {
         pet_bench::figures::loss(&loss, &out_dir).expect("loss svg");
         let adaptive = ablations::adaptive_stopping(50_000, 0.05, 0.01, runs.min(100), 0xAB6);
         pet_bench::print_adaptive(&adaptive);
-    }
-
-    if want("bench-kernel") {
-        bench_kernel(&out_dir, quick);
     }
 
     if want("bench-server") {

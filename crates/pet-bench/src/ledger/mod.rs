@@ -1,15 +1,15 @@
 //! The performance ledger: an append-only trajectory of benchmark results.
 //!
-//! `results/BENCH_kernel.json`, `BENCH_server.json`, and `BENCH_fleet.json`
-//! are point-in-time snapshots — each rerun replaces the previous numbers,
-//! so the repo knows where performance *is* but not where it *was*, and
-//! nothing fails when a pinned metric rots. This module gives every
-//! benchmark run a durable row in `results/ledger.jsonl`:
+//! Every benchmark run gets a durable row in `results/ledger.jsonl`, the
+//! repo's one perf record, so the repo knows where performance *was* as
+//! well as where it *is*, and a pinned metric that rots fails CI:
 //!
 //! - [`LedgerRow`] is the normalized schema (commit, timestamp, benchmark
-//!   id, config key, metrics map) that heterogeneous producers — the
-//!   kernel/fleet repro harness, `pet loadgen --bench-json`, Criterion
-//!   `estimates.json` — all map into (see [`migrate`]).
+//!   id, config key, metrics map) every producer appends: `pet bench
+//!   record` (the kernel suite, or a Criterion tree via [`criterion`]),
+//!   `pet loadgen --ledger` and `repro bench-server` (both through
+//!   [`loadgen_row`]), `pet fleet --ledger`, and `repro phy` / `repro
+//!   monitor`.
 //! - The ledger file is JSON Lines, append-only: [`append`] never rewrites
 //!   history, [`load`] replays it in order. A crash in the middle of an
 //!   append leaves at most a [`TornTail`], which readers skip and the next
@@ -23,11 +23,12 @@
 //! gate can tolerate machine noise without widening the threshold for
 //! genuinely stable metrics.
 
+pub mod criterion;
 pub mod gate;
-pub mod migrate;
 pub mod trend;
 
 use pet_server::json::{escape, Json};
+use pet_server::loadgen::{BatchReport, Plan};
 use std::collections::BTreeMap;
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
@@ -41,8 +42,7 @@ pub const LEDGER_SCHEMA_VERSION: u64 = 1;
 pub struct LedgerRow {
     /// Short commit hash the numbers belong to (`"unknown"` outside git).
     pub commit: String,
-    /// Unix seconds when the row was recorded (0 for migrated snapshots
-    /// whose recording time is unknown).
+    /// Unix seconds when the row was recorded (0 when unknown).
     pub timestamp_s: u64,
     /// Benchmark id: `"kernel"`, `"server-loadgen"`, `"fleet"`,
     /// `"criterion"`, ...
@@ -51,8 +51,8 @@ pub struct LedgerRow {
     /// `"n=100000/lane=avx2"`. Gate and trend series are keyed by
     /// (bench, config, metric).
     pub config: String,
-    /// Where the row came from: `"repro:bench-kernel"`, `"loadgen"`,
-    /// `"migrate:BENCH_server.json"`, ...
+    /// Where the row came from: `"pet:bench-record"`, `"pet:loadgen"`,
+    /// `"repro:bench-server"`, ...
     pub source: String,
     /// How many repeats these numbers are the best of (≥ 1).
     pub best_of: u64,
@@ -219,6 +219,36 @@ impl LedgerRow {
     }
 }
 
+/// The `server-loadgen` row of one loadgen batch against `backend`, at the
+/// working directory's commit and stamped now. The config is
+/// `{backend}/c{connections}/p{pipeline}`; the metrics are the batch's
+/// throughput over its request phase, that phase's length, and the
+/// nearest-rank latency percentiles. `pet loadgen --ledger` and `repro
+/// bench-server` both record this row; callers set `source` (and
+/// `best_of` / `noise_floor` for a best-of-N run).
+///
+/// # Panics
+///
+/// Never: the throughput divides by a clock floored at 1 ns, so every
+/// metric is finite.
+#[must_use]
+pub fn loadgen_row(backend: &str, plan: &Plan, report: &BatchReport) -> LedgerRow {
+    let config = format!("{backend}/c{}/p{}", plan.connections, plan.pipeline);
+    let mut row = LedgerRow::new("server-loadgen", &config, &current_commit());
+    let elapsed_s = report.elapsed.as_secs_f64();
+    for (name, value) in [
+        ("throughput_rps", plan.requests as f64 / elapsed_s.max(1e-9)),
+        ("elapsed_s", elapsed_s),
+        ("latency_p50_ns", report.percentile(0.50) as f64),
+        ("latency_p95_ns", report.percentile(0.95) as f64),
+        ("latency_p99_ns", report.percentile(0.99) as f64),
+        ("latency_max_ns", report.percentile(1.0) as f64),
+    ] {
+        row.metric(name, value).expect("finite loadgen metrics");
+    }
+    row.stamped_now()
+}
+
 /// Shortest round-trip decimal rendering of an f64. Rust's `Display`
 /// prints the minimal digits that parse back to the same bits and never
 /// uses exponent notation, which keeps the JSONL both stable and readable.
@@ -354,34 +384,6 @@ pub fn parse_ledger(text: &str) -> Result<Vec<LedgerRow>, String> {
         eprintln!("ledger: ignoring {torn}");
     }
     Ok(rows)
-}
-
-/// Nearest-rank percentile over unsorted finite samples.
-///
-/// Returns `None` when the slice is empty or contains a non-finite value —
-/// the caller decides whether that is an error, instead of receiving a
-/// silently garbage rank.
-#[must_use]
-pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|v| !v.is_finite()) {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-    Some(sorted[rank - 1])
-}
-
-/// Geometric mean of strictly positive finite samples (`None` otherwise).
-/// Used to aggregate per-config ratios into one headline number without
-/// letting a single huge config dominate an arithmetic mean.
-#[must_use]
-pub fn geomean(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|v| !v.is_finite() || *v <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = samples.iter().map(|v| v.ln()).sum();
-    Some((log_sum / samples.len() as f64).exp())
 }
 
 /// Relative change `(candidate - baseline) / baseline`, defined only for a

@@ -1,11 +1,8 @@
-//! The kernel measurement suite behind `repro bench-kernel` and
-//! `pet bench record --suite kernel`.
+//! The kernel measurement suite behind `pet bench record --suite kernel`.
 //!
-//! One implementation, two producers: the repro binary writes the
-//! `BENCH_kernel.json` snapshot *and* appends a ledger row; the CLI's
-//! `record` command appends a fresh ledger row on demand (the fast pinned
-//! subset the CI gate runs). Keeping the measurement here means the
-//! snapshot, the ledger, and the gate always describe the same workload.
+//! `record` appends one `kernel` ledger row per run (the `--quick` run is
+//! the fast pinned subset the CI gate measures). Keeping the measurement
+//! here means the ledger and the gate always describe the same workload.
 
 use crate::ledger::{noise_floor_of, LedgerRow};
 use pet_core::bits::BitString;
@@ -194,32 +191,11 @@ impl KernelBench {
         row.stamped_now()
     }
 
-    /// The flat `BENCH_kernel.json` body (v1 snapshot format, unchanged
-    /// since the SIMD PR so downstream tooling keeps parsing it).
-    #[must_use]
-    pub fn bench_json(&self, commit: &str) -> String {
-        format!(
-            "{{\"n\": {n}, \"lane\": \"{lane}\", \"commit\": \"{commit}\", \
-             \"rounds_per_sec_oracle\": {oracle:.1}, \
-             \"rounds_per_sec_kernel\": {kernel:.1}, \
-             \"rounds_per_sec_kernel_simd\": {simd:.1}, \
-             \"hash_elems_per_sec_scalar\": {hs:.1}, \
-             \"hash_elems_per_sec_simd\": {hv:.1}}}\n",
-            n = self.n,
-            lane = self.lane,
-            oracle = self.rounds_per_sec_oracle,
-            kernel = self.rounds_per_sec_kernel,
-            simd = self.rounds_per_sec_kernel_simd,
-            hs = self.hash_elems_per_sec_scalar,
-            hv = self.hash_elems_per_sec_simd,
-        )
-    }
-
-    /// The one-line human summary both producers print.
+    /// The one-line human summary `pet bench record` prints.
     #[must_use]
     pub fn render(&self, commit: &str) -> String {
         format!(
-            "bench-kernel: n = {n} (lane {lane}, commit {commit}, best of {bo}): oracle \
+            "kernel suite: n = {n} (lane {lane}, commit {commit}, best of {bo}): oracle \
              {oracle:.0} rounds/s, kernel {kernel:.0} rounds/s one-shot / {simd:.0} rounds/s \
              cached ({x:.1}x over oracle), bulk hash {hs:.1}M elem/s scalar / {hv:.1}M \
              elem/s {lane}, noise floor {nf:.1}%",

@@ -1,10 +1,10 @@
-//! Test net over the perf-ledger core: serde round-trips, migration of
-//! every snapshot generation in `results/`, the statistics helpers, and
-//! the regression-gate edge cases the CI stage depends on.
+//! Test net over the perf-ledger core: serde round-trips, criterion
+//! ingestion, the loadgen row, the committed ledger itself, the
+//! statistics helpers, and the regression-gate edge cases the CI stage
+//! depends on.
 
-use pet_bench::ledger::{
-    self, gate, geomean, migrate, noise_floor_of, percentile, rel_change, LedgerRow,
-};
+use pet_bench::ledger::{self, criterion, gate, noise_floor_of, rel_change, LedgerRow};
+use pet_server::loadgen::{BatchReport, Plan};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -169,92 +169,12 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------------ migration
+// ------------------------------------------------------------ producers
 
-/// The committed seed-era kernel snapshot (v1 flat with lane + commit).
-const KERNEL_V1: &str = r#"{"n": 100000, "lane": "avx2", "commit": "8d4ee64",
- "rounds_per_sec_oracle": 2917574.5, "rounds_per_sec_kernel": 9643304.5,
- "rounds_per_sec_kernel_simd": 10002171.0,
- "hash_elems_per_sec_scalar": 310808224.9, "hash_elems_per_sec_simd": 1198892423.2}"#;
-
-#[test]
-fn kernel_v1_snapshot_migrates() {
-    let rows = migrate::sniff_snapshot(KERNEL_V1, "migrate:BENCH_kernel.json", None).unwrap();
-    assert_eq!(rows.len(), 1);
-    let r = &rows[0];
-    assert_eq!(r.bench, "kernel");
-    assert_eq!(r.config, "n=100000/lane=avx2");
-    assert_eq!(r.commit, "8d4ee64", "kernel snapshot keeps its own commit");
-    assert_eq!(r.source, "migrate:BENCH_kernel.json");
-    assert_eq!(r.metrics["rounds_per_sec_kernel_simd"], 10_002_171.0);
-    assert_eq!(r.metrics.len(), 5);
-    // Pre-SIMD kernel files lack the simd arm: still migrates.
-    let older = r#"{"n": 100000, "rounds_per_sec_oracle": 2.9e6, "rounds_per_sec_kernel": 9.6e6}"#;
-    let rows = migrate::sniff_snapshot(older, "m", None).unwrap();
-    assert_eq!(rows[0].config, "n=100000/lane=scalar");
-    assert_eq!(rows[0].metrics.len(), 2);
-}
-
-#[test]
-fn server_v2_snapshot_migrates_per_run() {
-    let v2 = r#"{"benchmark":"pet-server-loadgen","schema_version":2,"runs":[
-      {"backend":"evented","requests":200000,"connections":16,"threads":8,"pipeline":64,
-       "tags":200,"rounds":4,"elapsed_s":0.542705,"throughput_rps":368524.9,
-       "ok":200000,"overloaded":0,"errors":0,"malformed":0,"lost":0,
-       "latency_ns":{"p50":2244608,"p95":4538368,"p99":5174272,"max":11140096},
-       "digest":"0x00002713e0071742"},
-      {"backend":"threaded","requests":200000,"connections":8,"threads":8,"pipeline":1,
-       "tags":200,"rounds":4,"elapsed_s":4.05,"throughput_rps":49382.7,
-       "ok":200000,"overloaded":0,"errors":0,"malformed":0,"lost":0,
-       "latency_ns":{"p50":150000,"p95":290000,"p99":400000,"max":900000},
-       "digest":"0x00002713e0071742"}]}"#;
-    let rows = migrate::sniff_snapshot(v2, "migrate:BENCH_server.json", Some("a2eda42")).unwrap();
-    assert_eq!(rows.len(), 2);
-    assert_eq!(rows[0].bench, "server-loadgen");
-    assert_eq!(rows[0].config, "evented/c16/p64");
-    assert_eq!(rows[0].commit, "a2eda42");
-    assert_eq!(rows[0].metrics["throughput_rps"], 368_524.9);
-    assert_eq!(rows[0].metrics["latency_p99_ns"], 5_174_272.0);
-    assert_eq!(rows[1].config, "threaded/c8/p1");
-}
-
-#[test]
-fn server_pre_v2_flat_snapshot_migrates_with_defaults() {
-    let flat = r#"{"benchmark":"pet-server-loadgen","requests":10000,"threads":4,
-      "elapsed_s":0.25,"latency_ns":{"p50":90000,"p95":200000,"p99":300000,"max":800000}}"#;
-    let rows = migrate::sniff_snapshot(flat, "m", None).unwrap();
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].config, "threaded/c4/p1");
-    // throughput derived from requests / elapsed_s.
-    assert_eq!(rows[0].metrics["throughput_rps"], 40_000.0);
-}
-
-#[test]
-fn fleet_snapshot_migrates() {
-    let fleet = r#"{"benchmark":"pet-fleet","readers":3,"tags":5000,"zones":3,"rounds":32,
-      "estimate":5039.014,"effective_coverage":0.835100,"full_rounds":16,"partial_rounds":16,
-      "degraded":true,"round_latency_ns":{"mean":2355944,"p95_bound":33554431,"max":31391405},
-      "digest":"0x270f92fcbbb71e42"}"#;
-    let rows = migrate::sniff_snapshot(fleet, "migrate:BENCH_fleet.json", None).unwrap();
-    assert_eq!(rows.len(), 1);
-    let r = &rows[0];
-    assert_eq!(r.bench, "fleet");
-    assert_eq!(r.config, "r3/z3/t5000");
-    assert_eq!(r.metrics["round_latency_mean_ns"], 2_355_944.0);
-    assert_eq!(r.metrics["effective_coverage"], 0.8351);
-}
-
-#[test]
-fn unknown_snapshot_shapes_are_rejected() {
-    assert!(migrate::sniff_snapshot(r#"{"benchmark":"mystery"}"#, "m", None).is_err());
-    assert!(migrate::sniff_snapshot(r#"{"hello":1}"#, "m", None).is_err());
-    assert!(migrate::sniff_snapshot("not json", "m", None).is_err());
-}
-
-#[test]
-fn criterion_estimates_tree_migrates() {
-    let root = tmp_dir("criterion");
-    for (label, median) in [("group/alpha", 125.5), ("group/beta/4096", 998.0)] {
+/// Writes a criterion `estimates.json` tree with one benchmark per
+/// `(label, median ns)` pair under `root`.
+fn criterion_tree(root: &std::path::Path, benches: &[(&str, f64)]) {
+    for (label, median) in benches {
         let dir = root.join(label).join("new");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
@@ -266,7 +186,13 @@ fn criterion_estimates_tree_migrates() {
         )
         .unwrap();
     }
-    let rows = migrate::criterion_dir(&root, "criterion:bench", "abc1234").unwrap();
+}
+
+#[test]
+fn criterion_estimates_tree_migrates() {
+    let root = tmp_dir("criterion");
+    criterion_tree(&root, &[("group/alpha", 125.5), ("group/beta/4096", 998.0)]);
+    let rows = criterion::criterion_dir(&root, "criterion:bench", "abc1234").unwrap();
     assert_eq!(rows.len(), 2);
     assert_eq!(rows[0].bench, "criterion");
     assert_eq!(rows[0].config, "group/alpha");
@@ -277,17 +203,85 @@ fn criterion_estimates_tree_migrates() {
 
 #[test]
 fn re_ingesting_the_same_snapshot_is_idempotent() {
-    let first = migrate::sniff_snapshot(KERNEL_V1, "migrate:BENCH_kernel.json", None).unwrap();
-    let again = migrate::sniff_snapshot(KERNEL_V1, "migrate:BENCH_kernel.json", None).unwrap();
-    assert!(migrate::without_duplicates(&first, again).is_empty());
+    let root = tmp_dir("reingest");
+    criterion_tree(&root, &[("group/alpha", 125.5)]);
+    let first = criterion::criterion_dir(&root, "criterion:bench", "abc1234").unwrap();
+    let again = criterion::criterion_dir(&root, "criterion:bench", "abc1234").unwrap();
+    assert!(criterion::without_duplicates(&first, again).is_empty());
     // A changed number is not a duplicate.
-    let moved = migrate::sniff_snapshot(
-        &KERNEL_V1.replace("10002171.0", "10002172.0"),
-        "migrate:BENCH_kernel.json",
-        None,
-    )
-    .unwrap();
-    assert_eq!(migrate::without_duplicates(&first, moved).len(), 1);
+    criterion_tree(&root, &[("group/alpha", 125.75)]);
+    let moved = criterion::criterion_dir(&root, "criterion:bench", "abc1234").unwrap();
+    assert_eq!(criterion::without_duplicates(&first, moved).len(), 1);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `pet loadgen --ledger` and `repro bench-server` record this row: the
+/// bench, config and metric names the gate's default pin and the trend
+/// series key on.
+#[test]
+fn loadgen_row_keeps_the_server_series_names() {
+    let plan = Plan {
+        requests: 400,
+        connections: 16,
+        pipeline: 64,
+        ..Plan::default()
+    };
+    let report = BatchReport {
+        ok: 400,
+        latency_ns: (1..=100).rev().map(|i| i * 1_000).collect(),
+        elapsed: std::time::Duration::from_millis(250),
+        ..BatchReport::default()
+    };
+    let row = ledger::loadgen_row("evented", &plan, &report);
+    assert_eq!(
+        (row.bench.as_str(), row.config.as_str()),
+        ("server-loadgen", "evented/c16/p64")
+    );
+    let metrics: Vec<(&str, f64)> = row.metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    assert_eq!(
+        metrics,
+        [
+            ("elapsed_s", 0.25),
+            ("latency_max_ns", 100_000.0),
+            ("latency_p50_ns", 50_000.0),
+            ("latency_p95_ns", 95_000.0),
+            ("latency_p99_ns", 99_000.0),
+            ("throughput_rps", 1_600.0),
+        ]
+    );
+    assert!(row.timestamp_s > 0, "stamped when recorded");
+    let pin = gate::default_pins()
+        .into_iter()
+        .find(|p| p.bench == "server-loadgen")
+        .unwrap();
+    assert!(row.config.starts_with(&pin.config_prefix));
+    assert!(row.metrics.contains_key(&pin.metric));
+}
+
+/// `results/ledger.jsonl` is the only copy of every recorded number: it
+/// parses with no torn tail, every default pin has a committed row to
+/// gate against, and the committed rows gate clean against themselves.
+#[test]
+fn committed_ledger_parses_and_covers_every_default_pin() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/ledger.jsonl");
+    let text = std::fs::read_to_string(path).unwrap();
+    assert_eq!(ledger::torn_tail(&text), None);
+    assert!(text.ends_with('\n'), "every committed row is complete");
+    let rows = ledger::parse_ledger(&text).unwrap();
+    let pins = gate::default_pins();
+    for pin in &pins {
+        assert!(
+            rows.iter().any(|r| r.bench == pin.bench
+                && r.config.starts_with(&pin.config_prefix)
+                && r.metrics.contains_key(&pin.metric)),
+            "no committed row for pin {}:{}:{}",
+            pin.bench,
+            pin.config_prefix,
+            pin.metric
+        );
+    }
+    let outcome = gate::evaluate(&rows, &rows, &pins, 0.0);
+    assert!(outcome.pass(), "{}", outcome.render());
 }
 
 #[test]
@@ -370,24 +364,11 @@ fn append_truncates_a_torn_tail() {
 
 // ------------------------------------------------------------ statistics
 
-#[test]
-fn percentile_is_nearest_rank_and_guards_inputs() {
-    let samples: Vec<f64> = (1..=100).map(f64::from).collect();
-    assert_eq!(percentile(&samples, 0.50), Some(50.0));
-    assert_eq!(percentile(&samples, 0.99), Some(99.0));
-    assert_eq!(percentile(&samples, 1.0), Some(100.0));
-    assert_eq!(percentile(&samples, 0.0), Some(1.0));
-    assert_eq!(percentile(&[], 0.5), None);
-    assert_eq!(percentile(&[1.0, f64::NAN], 0.5), None);
-}
-
+/// The noise floor stored on best-of-N rows. (The name is historical: the
+/// ledger's geometric mean, which this test also covered, had no caller
+/// and is gone.)
 #[test]
 fn geomean_and_noise_floor_edge_cases() {
-    let g = geomean(&[4.0, 9.0]).unwrap();
-    assert!((g - 6.0).abs() < 1e-12, "geomean(4,9) = {g}");
-    assert_eq!(geomean(&[]), None);
-    assert_eq!(geomean(&[1.0, 0.0]), None, "zero has no log");
-    assert_eq!(geomean(&[1.0, -2.0]), None);
     assert_eq!(noise_floor_of(&[]), 0.0);
     assert_eq!(noise_floor_of(&[5.0]), 0.0, "single shot: unknown, not inf");
     assert_eq!(noise_floor_of(&[100.0, 90.0]), 0.1);
@@ -396,28 +377,6 @@ fn geomean_and_noise_floor_edge_cases() {
 }
 
 proptest! {
-    /// Percentile always returns an element of the input.
-    #[test]
-    fn prop_percentile_is_an_input_element(
-        samples in proptest::collection::vec(0.0f64..1.0e9, 1..50),
-        q in 0.0f64..=1.0,
-    ) {
-        let p = percentile(&samples, q).unwrap();
-        prop_assert!(samples.contains(&p));
-    }
-
-    /// Geomean sits between min and max of positive samples.
-    #[test]
-    fn prop_geomean_is_bounded(
-        samples in proptest::collection::vec(1.0e-3f64..1.0e9, 1..50),
-    ) {
-        let g = geomean(&samples).unwrap();
-        let min = samples.iter().copied().fold(f64::MAX, f64::min);
-        let max = samples.iter().copied().fold(f64::MIN, f64::max);
-        // Tiny epsilon: ln/exp round-trips are not exact at the bounds.
-        prop_assert!(g >= min * (1.0 - 1e-12) && g <= max * (1.0 + 1e-12));
-    }
-
     /// rel_change(b, b*(1+x)) recovers x for positive baselines.
     #[test]
     fn prop_rel_change_recovers_factor(

@@ -1,7 +1,10 @@
 //! Minimal argument parsing for the `pet` binary (no external parser — the
 //! workspace's dependency set stays at rand/proptest/criterion).
 //!
-//! Grammar: `pet <command> [--flag value]... [--switch]...`.
+//! Grammar: `pet <command> [--flag value]... [--switch]...`. A flag
+//! followed by another flag, or by nothing, is bare: [`Args::switch`] reads
+//! it as set, and every value reader refuses it, so a forgotten value is a
+//! usage error instead of the string `"true"`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -11,7 +14,8 @@ use std::fmt;
 pub struct Args {
     /// The subcommand (first positional word).
     pub command: String,
-    flags: BTreeMap<String, String>,
+    /// Flag name → value, `None` for a bare flag.
+    flags: BTreeMap<String, Option<String>>,
 }
 
 /// Parse failure with a user-facing message.
@@ -57,10 +61,9 @@ impl Args {
             if name.is_empty() {
                 return Err(ArgError("empty flag name".into()));
             }
-            // A flag is boolean when followed by another flag or nothing.
             let value = match it.peek() {
-                Some(next) if !next.starts_with("--") => it.next().expect("peeked"),
-                _ => "true".to_string(),
+                Some(next) if !next.starts_with("--") => it.next(),
+                _ => None,
             };
             if flags.insert(name.to_string(), value).is_some() {
                 return Err(ArgError(format!("duplicate flag --{name}")));
@@ -69,19 +72,27 @@ impl Args {
         Ok(Self { command, flags })
     }
 
-    /// A string flag value.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
+    /// A string flag value (`None` when the flag is absent).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the flag when it is bare.
+    pub fn get(&self, name: &str) -> Result<Option<&str>, ArgError> {
+        match self.flags.get(name) {
+            None => Ok(None),
+            Some(Some(value)) => Ok(Some(value.as_str())),
+            Some(None) => Err(ArgError(format!("--{name} needs a value"))),
+        }
     }
 
     /// A parsed numeric/boolean flag, defaulting when absent.
     ///
     /// # Errors
     ///
-    /// Returns an error when the value does not parse as `T`.
+    /// Returns an error when the flag is bare or its value does not parse
+    /// as `T`.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
-        match self.flags.get(name) {
+        match self.get(name)? {
             None => Ok(default),
             Some(raw) => raw
                 .parse()
@@ -93,20 +104,23 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns an error when the flag is absent or does not parse.
+    /// Returns an error when the flag is absent, bare, or does not parse.
     pub fn require<T: std::str::FromStr>(&self, name: &str) -> Result<T, ArgError> {
         let raw = self
-            .flags
-            .get(name)
+            .get(name)?
             .ok_or_else(|| ArgError(format!("missing required flag --{name}")))?;
         raw.parse()
             .map_err(|_| ArgError(format!("--{name}: cannot parse {raw:?}")))
     }
 
-    /// Whether a boolean switch is set.
+    /// Whether a boolean switch is set: bare, or given `true`, `1` or `yes`.
     #[must_use]
     pub fn switch(&self, name: &str) -> bool {
-        matches!(self.get(name), Some("true" | "1" | "yes"))
+        match self.flags.get(name) {
+            None => false,
+            Some(None) => true,
+            Some(Some(value)) => matches!(value.as_str(), "true" | "1" | "yes"),
+        }
     }
 
     /// Rejects flags outside the allowed set (typo protection).
@@ -192,6 +206,23 @@ mod tests {
         let a = parse(&["run", "--flag", "--next", "7"]).unwrap();
         assert!(a.switch("flag"));
         assert_eq!(a.require::<u32>("next").unwrap(), 7);
+    }
+
+    /// A bare flag is a switch; reading it as a value names the flag
+    /// instead of yielding the string "true".
+    #[test]
+    fn bare_flags_are_not_values() {
+        let a = parse(&["run", "--out", "--verbose"]).unwrap();
+        for err in [
+            a.get("out").unwrap_err(),
+            a.get_or("out", String::new()).unwrap_err(),
+            a.require::<String>("verbose").unwrap_err(),
+        ] {
+            assert!(err.0.contains("needs a value"), "{err}");
+        }
+        assert_eq!(a.get("out").unwrap_err().0, "--out needs a value");
+        assert!(a.switch("out") && a.switch("verbose"));
+        assert_eq!(a.get("absent").unwrap(), None);
     }
 
     #[test]

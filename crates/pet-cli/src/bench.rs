@@ -1,37 +1,35 @@
 //! `pet bench` — the perf-ledger surface of the CLI.
 //!
-//! Four actions over the append-only `results/ledger.jsonl`:
+//! Three actions over the append-only `results/ledger.jsonl`:
 //!
 //! - `record` appends fresh rows: a live kernel-suite run (`--suite
-//!   kernel`), a snapshot file (`--from BENCH_*.json`, format sniffed), or
-//!   a criterion output tree (`--criterion-dir`).
-//! - `migrate` ingests every `BENCH_*.json` under `--results` in one go —
-//!   how the ledger bootstraps its history from pre-ledger snapshots.
+//!   kernel`) or a criterion output tree (`--criterion-dir`).
 //! - `report` renders per-metric trend CSV + per-bench SVG charts.
 //! - `gate` compares pinned metrics between a baseline ledger (a file or a
 //!   git ref holding one) and the current ledger, writes a machine-readable
 //!   verdict, and exits nonzero on regression.
 
 use crate::args::{ArgError, Args};
-use pet_bench::ledger::{self, gate, migrate, trend, LedgerRow};
+use pet_bench::ledger::{self, criterion, gate, trend, LedgerRow};
 use std::path::{Path, PathBuf};
 
-/// Dispatches `pet bench <record|migrate|report|gate> [--flags]`; `argv`
-/// is everything after the `bench` word.
+/// Dispatches `pet bench <record|report|gate> [--flags]`; `argv` is
+/// everything after the `bench` word.
 pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
     match args.command.as_str() {
         "record" => cmd_record(args),
-        "migrate" => cmd_migrate(args),
         "report" => cmd_report(args),
         "gate" => cmd_gate(args),
         other => Err(ArgError(format!(
-            "unknown bench action {other:?} (expected record, migrate, report or gate)"
+            "unknown bench action {other:?} (expected record, report or gate)"
         ))),
     }
 }
 
-fn ledger_path(args: &Args) -> PathBuf {
-    PathBuf::from(args.get("ledger").unwrap_or("results/ledger.jsonl"))
+fn ledger_path(args: &Args) -> Result<PathBuf, ArgError> {
+    Ok(PathBuf::from(
+        args.get("ledger")?.unwrap_or("results/ledger.jsonl"),
+    ))
 }
 
 fn append_deduped(path: &Path, rows: Vec<LedgerRow>) -> Result<usize, ArgError> {
@@ -41,70 +39,55 @@ fn append_deduped(path: &Path, rows: Vec<LedgerRow>) -> Result<usize, ArgError> 
     } else {
         Vec::new()
     };
-    let fresh = migrate::without_duplicates(&existing, rows);
+    let fresh = criterion::without_duplicates(&existing, rows);
     let appended = fresh.len();
     ledger::append(path, &fresh).map_err(|e| ArgError(format!("{}: {e}", path.display())))?;
     Ok(appended)
 }
 
-/// `pet bench record (--suite kernel [--quick] [--best-of 3] | --from FILE
-/// | --criterion-dir DIR) [--ledger results/ledger.jsonl] [--commit C]
+/// `pet bench record (--suite kernel [--quick] [--best-of 3] |
+/// --criterion-dir DIR) [--ledger results/ledger.jsonl] [--commit C]
 /// [--source LABEL]`
 fn cmd_record(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "suite",
         "quick",
         "best-of",
-        "from",
         "criterion-dir",
         "ledger",
         "commit",
         "source",
         "telemetry",
     ])?;
-    let path = ledger_path(args);
+    let path = ledger_path(args)?;
     let commit = args
-        .get("commit")
+        .get("commit")?
         .map_or_else(ledger::current_commit, str::to_string);
-    let rows = match (
-        args.get("suite"),
-        args.get("from"),
-        args.get("criterion-dir"),
-    ) {
-        (Some("kernel"), None, None) => {
+    let rows = match (args.get("suite")?, args.get("criterion-dir")?) {
+        (Some("kernel"), None) => {
             let best_of: usize = args.get_or("best-of", 3)?;
             if best_of == 0 {
                 return Err(ArgError("--best-of must be >= 1".into()));
             }
             let bench = pet_bench::suite::run_kernel(args.switch("quick"), best_of);
             println!("{}", bench.render(&commit));
-            let source = args.get("source").unwrap_or("pet:bench-record");
+            let source = args.get("source")?.unwrap_or("pet:bench-record");
             vec![bench.ledger_row(&commit, source)]
         }
-        (Some(other), None, None) => {
+        (Some(other), None) => {
             return Err(ArgError(format!(
                 "unknown suite {other:?} (available: kernel)"
             )))
         }
-        (None, Some(file), None) => {
-            let text = std::fs::read_to_string(file)
-                .map_err(|e| ArgError(format!("--from {file}: {e}")))?;
+        (None, Some(dir)) => {
             let source = args
-                .get("source")
-                .map_or_else(|| format!("record:{file}"), str::to_string);
-            migrate::sniff_snapshot(&text, &source, Some(&commit))
-                .map_err(|e| ArgError(format!("--from {file}: {e}")))?
-        }
-        (None, None, Some(dir)) => {
-            let source = args
-                .get("source")
+                .get("source")?
                 .map_or_else(|| format!("criterion:{dir}"), str::to_string);
-            migrate::criterion_dir(Path::new(dir), &source, &commit).map_err(ArgError)?
+            criterion::criterion_dir(Path::new(dir), &source, &commit).map_err(ArgError)?
         }
         _ => {
             return Err(ArgError(
-                "record needs exactly one of --suite kernel, --from FILE, --criterion-dir DIR"
-                    .into(),
+                "record needs exactly one of --suite kernel, --criterion-dir DIR".into(),
             ))
         }
     };
@@ -118,53 +101,12 @@ fn cmd_record(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `pet bench migrate [--results results] [--ledger results/ledger.jsonl]`
-///
-/// Ingests `BENCH_kernel.json`, `BENCH_server.json` and `BENCH_fleet.json`
-/// (whichever exist) so ledger history starts from the committed seed
-/// numbers. Idempotent: re-running appends nothing new.
-fn cmd_migrate(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&["results", "ledger", "commit", "telemetry"])?;
-    let results = PathBuf::from(args.get("results").unwrap_or("results"));
-    let path = ledger_path(args);
-    let mut rows = Vec::new();
-    let mut seen_any = false;
-    for name in ["BENCH_kernel.json", "BENCH_server.json", "BENCH_fleet.json"] {
-        let file = results.join(name);
-        let Ok(text) = std::fs::read_to_string(&file) else {
-            continue;
-        };
-        seen_any = true;
-        // Migrated rows keep the snapshot's own commit when it records one
-        // (only the kernel snapshot does) unless --commit overrides.
-        let migrated =
-            migrate::sniff_snapshot(&text, &format!("migrate:{name}"), args.get("commit"))
-                .map_err(|e| ArgError(format!("{}: {e}", file.display())))?;
-        println!("bench migrate: {name}: {} row(s)", migrated.len());
-        rows.extend(migrated);
-    }
-    if !seen_any {
-        return Err(ArgError(format!(
-            "no BENCH_*.json snapshots under {}",
-            results.display()
-        )));
-    }
-    let total = rows.len();
-    let appended = append_deduped(&path, rows)?;
-    println!(
-        "bench migrate: {appended} row(s) appended to {} ({} duplicate(s) skipped)",
-        path.display(),
-        total - appended
-    );
-    Ok(())
-}
-
 /// `pet bench report [--ledger results/ledger.jsonl] [--out results]`
 fn cmd_report(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&["ledger", "out", "telemetry"])?;
-    let path = ledger_path(args);
+    let path = ledger_path(args)?;
     let rows = load_required(&path)?;
-    let out = PathBuf::from(args.get("out").map_or_else(
+    let out = PathBuf::from(args.get("out")?.map_or_else(
         || {
             path.parent()
                 .filter(|p| !p.as_os_str().is_empty())
@@ -204,9 +146,9 @@ fn cmd_gate(args: &Args) -> Result<(), ArgError> {
         "telemetry",
     ])?;
     let baseline_spec: String = args.require("baseline")?;
-    let threshold = gate::parse_threshold(args.get("threshold").unwrap_or("10%"))
+    let threshold = gate::parse_threshold(args.get("threshold")?.unwrap_or("10%"))
         .map_err(|e| ArgError(format!("--threshold: {e}")))?;
-    let pins = match args.get("pin") {
+    let pins = match args.get("pin")? {
         None => gate::default_pins(),
         Some(raw) => raw
             .split(',')
@@ -214,12 +156,12 @@ fn cmd_gate(args: &Args) -> Result<(), ArgError> {
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| ArgError(format!("--pin: {e}")))?,
     };
-    let path = ledger_path(args);
+    let path = ledger_path(args)?;
     let candidate = load_required(&path)?;
     let baseline = load_baseline(&baseline_spec, &path)?;
     let outcome = gate::evaluate(&baseline, &candidate, &pins, threshold);
     print!("{}", outcome.render());
-    if let Some(verdict) = args.get("verdict") {
+    if let Some(verdict) = args.get("verdict")? {
         if let Some(parent) = Path::new(verdict).parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)
@@ -243,7 +185,7 @@ fn load_required(path: &Path) -> Result<Vec<LedgerRow>, ArgError> {
     let rows = ledger::load(path).map_err(|e| ArgError(format!("{}: {e}", path.display())))?;
     if rows.is_empty() {
         return Err(ArgError(format!(
-            "{} has no rows (run `pet bench migrate` or `pet bench record` first)",
+            "{} has no rows (run `pet bench record` first)",
             path.display()
         )));
     }

@@ -10,7 +10,7 @@
 //! digest, which the CI fleet smoke asserts.
 
 use crate::args::{ArgError, Args};
-use pet_bench::ledger;
+use pet_bench::ledger::{self, LedgerRow};
 use pet_core::config::PetConfig;
 use pet_fleet::{
     Coordinator, FaultAction, FaultEvent, FaultProxy, FleetConfig, FleetReport, FleetSpec,
@@ -25,7 +25,10 @@ use std::time::Duration;
 /// [--deploy-seed 7] [--coverage 0,1;1,2;…] [--rounds 64] [--seed 42]
 /// [--quorum 1] [--deadline-ms 2000] [--dead-after 2] [--miss P]
 /// [--kill R@ROUND,…] [--stall R@ROUND:MS,…] [--drop R@ROUND,…]
-/// [--restore R@ROUND,…] [--shutdown-agents] [--bench-json path]`
+/// [--restore R@ROUND,…] [--shutdown-agents] [--ledger path]`
+///
+/// `--ledger` appends the session's `fleet` row (round latency, coverage,
+/// estimate) to the ledger at that path.
 pub fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "spawn",
@@ -48,13 +51,14 @@ pub fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
         "drop",
         "restore",
         "shutdown-agents",
-        "bench-json",
+        "ledger",
         "phy",
         "telemetry",
     ])?;
+    let ledger_path = args.get("ledger")?;
 
     // --- Fleet shape -------------------------------------------------------
-    let spawned: Option<Vec<ServerHandle>> = match (args.get("spawn"), args.get("agents")) {
+    let spawned: Option<Vec<ServerHandle>> = match (args.get("spawn")?, args.get("agents")?) {
         (Some(_), Some(_)) => return Err(ArgError("--spawn and --agents are exclusive".into())),
         (None, None) => return Err(ArgError("fleet needs --spawn N or --agents H:P,…".into())),
         (Some(_), None) => {
@@ -77,7 +81,7 @@ pub fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
         }
         (None, Some(_)) => None,
     };
-    let mut agents: Vec<String> = match (&spawned, args.get("agents")) {
+    let mut agents: Vec<String> = match (&spawned, args.get("agents")?) {
         (Some(handles), _) => handles.iter().map(|h| h.addr().to_string()).collect(),
         (None, Some(list)) => list
             .split(',')
@@ -92,7 +96,7 @@ pub fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
     }
     let readers = agents.len();
 
-    let coverages: Vec<Vec<u32>> = match args.get("coverage") {
+    let coverages: Vec<Vec<u32>> = match args.get("coverage")? {
         Some(raw) => parse_coverages(raw)?,
         // Default: one private zone per reader.
         None => (0..readers).map(|i| vec![i as u32]).collect(),
@@ -178,24 +182,43 @@ pub fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
 
     let report = outcome.map_err(|e| ArgError(e.to_string()))?;
     print_fleet_report(&spec, &report);
-    if let Some(path) = args.get("bench-json") {
-        let json = write_fleet_bench_json(path, &spec, &report)
-            .map_err(|e| ArgError(format!("--bench-json {path}: {e}")))?;
-        println!("bench json     : {path}");
-        // Mirror the snapshot into the append-only perf ledger beside it
-        // (same adapter `pet bench record --from` would use).
-        let ledger_path = std::path::Path::new(path)
-            .parent()
-            .unwrap_or_else(|| std::path::Path::new("."))
-            .join("ledger.jsonl");
-        let rows =
-            ledger::migrate::sniff_snapshot(&json, "pet:fleet", Some(&ledger::current_commit()))
-                .map_err(ArgError)?;
-        ledger::append(&ledger_path, &rows)
-            .map_err(|e| ArgError(format!("{}: {e}", ledger_path.display())))?;
-        println!("ledger         : {}", ledger_path.display());
+    if let Some(path) = ledger_path {
+        ledger::append(std::path::Path::new(path), &[fleet_row(&spec, &report)?])
+            .map_err(|e| ArgError(format!("--ledger {path}: {e}")))?;
+        println!("ledger         : {path}");
     }
     Ok(())
+}
+
+/// The session's `fleet` ledger row, config `r{readers}/z{zones}/t{tags}`:
+/// round latency from the coordinator's `fleet.round` span, effective
+/// coverage, the merged estimate and the rounds run.
+fn fleet_row(spec: &FleetSpec, r: &FleetReport) -> Result<LedgerRow, ArgError> {
+    // A finished session merged at least one round, so it has the span.
+    let span = r
+        .telemetry
+        .span_stats("fleet.round")
+        .ok_or_else(|| ArgError("fleet report has no round latency".into()))?;
+    let config = format!("r{}/z{}/t{}", spec.reader_count(), spec.zones, spec.tags);
+    let mut row = LedgerRow::new("fleet", &config, &ledger::current_commit());
+    row.source = "pet:fleet".to_string();
+    for (name, value) in [
+        ("round_latency_mean_ns", span.mean_nanos()),
+        (
+            "round_latency_p95_bound_ns",
+            span.histogram.quantile_bound(0.95).unwrap_or(0) as f64,
+        ),
+        (
+            "round_latency_max_ns",
+            span.histogram.max().unwrap_or(0) as f64,
+        ),
+        ("effective_coverage", r.effective_coverage),
+        ("estimate", r.estimate),
+        ("rounds", f64::from(r.rounds)),
+    ] {
+        row.metric(name, value).map_err(ArgError)?;
+    }
+    Ok(row.stamped_now())
 }
 
 fn print_fleet_report(spec: &FleetSpec, r: &FleetReport) {
@@ -245,53 +268,6 @@ fn print_fleet_report(spec: &FleetSpec, r: &FleetReport) {
     println!("fleet digest   : {:#018x}", r.digest());
 }
 
-/// The machine-readable artifact for fleet drills: merged-estimate digest,
-/// coverage, and round-latency tail from the coordinator's histogram.
-fn write_fleet_bench_json(
-    path: &str,
-    spec: &FleetSpec,
-    r: &FleetReport,
-) -> std::io::Result<String> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let span = r.telemetry.span_stats("fleet.round");
-    let (mean_ns, p95_ns, max_ns) = span.map_or((0.0, 0, 0), |s| {
-        (
-            s.mean_nanos(),
-            s.histogram.quantile_bound(0.95).unwrap_or(0),
-            s.histogram.max().unwrap_or(0),
-        )
-    });
-    let json = format!(
-        concat!(
-            "{{\"benchmark\":\"pet-fleet\",",
-            "\"readers\":{},\"tags\":{},\"zones\":{},\"rounds\":{},",
-            "\"estimate\":{:.3},\"effective_coverage\":{:.6},",
-            "\"full_rounds\":{},\"partial_rounds\":{},\"degraded\":{},",
-            "\"round_latency_ns\":{{\"mean\":{:.0},\"p95_bound\":{},\"max\":{}}},",
-            "\"digest\":\"{:#018x}\"}}\n"
-        ),
-        spec.reader_count(),
-        spec.tags,
-        spec.zones,
-        r.rounds,
-        r.estimate,
-        r.effective_coverage,
-        r.full_rounds,
-        r.partial_rounds,
-        r.degraded,
-        mean_ns,
-        p95_ns,
-        max_ns,
-        r.digest(),
-    );
-    std::fs::write(path, &json)?;
-    Ok(json)
-}
-
 /// `0,1;1,2;3` → one zone list per reader.
 fn parse_coverages(raw: &str) -> Result<Vec<Vec<u32>>, ArgError> {
     raw.split(';')
@@ -322,7 +298,7 @@ fn parse_faults(args: &Args) -> Result<Vec<FaultEvent>, ArgError> {
         ("drop", Some(FaultAction::DropReplies)),
         ("restore", Some(FaultAction::Restore)),
     ] {
-        let Some(raw) = args.get(flag) else { continue };
+        let Some(raw) = args.get(flag)? else { continue };
         for entry in raw.split(',').filter(|s| !s.is_empty()) {
             let (reader, round) = parse_reader_at_round(flag, entry)?;
             faults.push(FaultEvent {
@@ -332,7 +308,7 @@ fn parse_faults(args: &Args) -> Result<Vec<FaultEvent>, ArgError> {
             });
         }
     }
-    if let Some(raw) = args.get("stall") {
+    if let Some(raw) = args.get("stall")? {
         for entry in raw.split(',').filter(|s| !s.is_empty()) {
             let (spec, ms) = entry
                 .split_once(':')

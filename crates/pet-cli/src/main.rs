@@ -66,18 +66,15 @@ const USAGE: &str = "usage: pet <estimate|identify|compare|monitor|tree|info> [-
                [--queue 64] [--deterministic] [--deadline-ms D] [--addr-file path]
   pet loadgen  (--addr HOST:PORT | --local) [--backend threaded|evented]
                [--requests 10000] [--connections 8] [--threads 8] [--pipeline 1]
-               [--tags 200] [--rounds 4] [--verify-deterministic]
-               [--bench-json results/BENCH_server.json]
+               [--tags 200] [--rounds 4] [--verify-deterministic] [--ledger path]
   pet fleet    (--spawn N [--backend threaded|evented] | --agents H:P,...)
                [--tags 10000] [--zones Z] [--phy gen2]
                [--coverage 0,1;1,2;...] [--deploy-seed 7] [--rounds 64] [--seed 42]
                [--quorum 1] [--deadline-ms 2000] [--dead-after 2] [--miss P]
                [--kill R@ROUND,...] [--stall R@ROUND:MS,...] [--drop R@ROUND,...]
-               [--restore R@ROUND,...] [--shutdown-agents] [--bench-json path]
-  pet bench record  (--suite kernel [--quick] [--best-of 3] | --from BENCH_*.json
-               | --criterion-dir DIR) [--ledger results/ledger.jsonl]
-               [--commit C] [--source LABEL]
-  pet bench migrate [--results results] [--ledger results/ledger.jsonl]
+               [--restore R@ROUND,...] [--shutdown-agents] [--ledger path]
+  pet bench record  (--suite kernel [--quick] [--best-of 3] | --criterion-dir DIR)
+               [--ledger results/ledger.jsonl] [--commit C] [--source LABEL]
   pet bench report  [--ledger results/ledger.jsonl] [--out results]
   pet bench gate    --baseline <file|git-ref> [--threshold 10%]
                [--pin bench[:prefix]:metric,...] [--verdict path]
@@ -139,16 +136,9 @@ struct TelemetryGuard {
 
 impl TelemetryGuard {
     fn from_args(args: &Args) -> Result<Self, ArgError> {
-        let Some(path) = args.get("telemetry") else {
+        let Some(path) = args.get("telemetry")? else {
             return Ok(Self { installed: false });
         };
-        // A bare `--telemetry` parses as the boolean sentinel "true"; don't
-        // silently write a telemetry file named `true` into the cwd.
-        if path == "true" {
-            return Err(ArgError(
-                "--telemetry requires a file path (e.g. --telemetry run.jsonl)".into(),
-            ));
-        }
         let sink = pet_obs::JsonlSink::create(path)
             .map_err(|e| ArgError(format!("--telemetry {path}: {e}")))?;
         pet_obs::install(std::sync::Arc::new(sink));
@@ -200,7 +190,7 @@ fn channel_from(args: &Args) -> Result<ChannelModel, ArgError> {
 /// Builds the mitigation from `--probes R` (slot-level re-probe) or
 /// `--trim K` (aggregation-level trimmed mean); the two are exclusive.
 fn mitigation_from(args: &Args) -> Result<Mitigation, ArgError> {
-    match (args.get("probes"), args.get("trim")) {
+    match (args.get("probes")?, args.get("trim")?) {
         (Some(_), Some(_)) => Err(ArgError(
             "--probes and --trim are mutually exclusive mitigations".into(),
         )),
@@ -236,7 +226,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
     let n: usize = args.require("tags")?;
     let accuracy = accuracy_from(args)?;
     let seed: u64 = args.get_or("seed", 0xD0C5)?;
-    let protocol = args.get("protocol").unwrap_or("pet");
+    let protocol = args.get("protocol")?.unwrap_or("pet");
     let channel = channel_from(args)?;
     let mitigation = mitigation_from(args)?;
     let phy = phy_from(args)?;
@@ -256,7 +246,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
             .phy(phy)
             .build()
             .map_err(|e| ArgError(e.to_string()))?;
-        if args.switch("adaptive") && args.get("rounds").is_some() {
+        if args.switch("adaptive") && args.get("rounds")?.is_some() {
             return Err(ArgError(
                 "--adaptive and --rounds are mutually exclusive (adaptive runs pick their own \
                  round count)"
@@ -272,7 +262,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
             // The unified front door: the configured backend (kernel by
             // default) produces reports bit-for-bit equal to the oracle
             // reader.
-            let rounds = match args.get("rounds") {
+            let rounds = match args.get("rounds")? {
                 Some(raw) => raw
                     .parse()
                     .map_err(|_| ArgError("--rounds: not an integer".into()))?,
@@ -313,7 +303,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
         ));
     }
     let mut air = Air::new(channel);
-    let est = if let Some(rounds) = args.get("rounds") {
+    let est = if let Some(rounds) = args.get("rounds")? {
         let rounds: u32 = rounds
             .parse()
             .map_err(|_| ArgError("--rounds: not an integer".into()))?;
@@ -351,7 +341,7 @@ fn cmd_robustness(args: &Args) -> Result<(), ArgError> {
         "telemetry",
     ])?;
     let defaults = robustness::RobustnessParams::default();
-    let miss_rates = match args.get("miss") {
+    let miss_rates = match args.get("miss")? {
         None => defaults.miss_rates.clone(),
         Some(raw) => raw
             .split(',')
@@ -371,7 +361,7 @@ fn cmd_robustness(args: &Args) -> Result<(), ArgError> {
         false_busy: args.get_or("false-busy", defaults.false_busy)?,
         probes: args.get_or("probes", defaults.probes)?,
     };
-    let out: String = args.get("out").unwrap_or("target/robustness").to_string();
+    let out: String = args.get("out")?.unwrap_or("target/robustness").to_string();
     let out_dir = std::path::Path::new(&out);
     std::fs::create_dir_all(out_dir).map_err(|e| ArgError(format!("--out {out}: {e}")))?;
     let rows = robustness::sweep(&params);
@@ -390,16 +380,16 @@ fn cmd_identify(args: &Args) -> Result<(), ArgError> {
     let n: usize = args.require("tags")?;
     let seed: u64 = args.get_or("seed", 0x1DE)?;
     let keys: Vec<u64> = (0..n as u64).collect();
-    let protocol: Box<dyn IdentificationProtocol> = match args.get("protocol").unwrap_or("treewalk")
-    {
-        "aloha" => Box::new(FramedAloha::unbounded()),
-        "treewalk" => Box::new(TreeWalk::new()),
-        other => {
-            return Err(ArgError(format!(
-                "unknown protocol {other:?} (aloha|treewalk)"
-            )))
-        }
-    };
+    let protocol: Box<dyn IdentificationProtocol> =
+        match args.get("protocol")?.unwrap_or("treewalk") {
+            "aloha" => Box::new(FramedAloha::unbounded()),
+            "treewalk" => Box::new(TreeWalk::new()),
+            other => {
+                return Err(ArgError(format!(
+                    "unknown protocol {other:?} (aloha|treewalk)"
+                )))
+            }
+        };
     let mut air = Air::new(ChannelModel::Perfect);
     let mut rng = StdRng::seed_from_u64(seed);
     let report = protocol.identify(&keys, &mut air, &mut rng);
@@ -450,7 +440,7 @@ fn cmd_monitor(args: &Args) -> Result<(), ArgError> {
     // (--expected/--present, the original `pet-apps` monitor) and the
     // streaming estimation loop (--tags ..., `pet-core::monitor`), local
     // or against a running server (--addr).
-    if args.get("tags").is_some() || args.get("addr").is_some() {
+    if args.get("tags")?.is_some() || args.get("addr")?.is_some() {
         return cmd_monitor_stream(args);
     }
     args.expect_only(&["expected", "present", "alpha", "seed", "telemetry"])?;
@@ -513,14 +503,14 @@ fn cmd_monitor_stream(args: &Args) -> Result<(), ArgError> {
     let rounds: u32 = args.get_or("rounds", 32)?;
     let alarm_fraction: f64 = args.get_or("alarm-fraction", 0.5)?;
     let churn_rate: usize = args.get_or("churn-rate", 0)?;
-    let burst_at: Option<usize> = match args.get("burst-at") {
+    let burst_at: Option<usize> = match args.get("burst-at")? {
         Some(_) => Some(args.require("burst-at")?),
         None => None,
     };
     let burst_size: usize = args.get_or("burst-size", 0)?;
     let seed: u64 = args.get_or("seed", 0x40)?;
 
-    if let Some(addr) = args.get("addr") {
+    if let Some(addr) = args.get("addr")? {
         let mut client =
             pet_server::Client::connect(addr).map_err(|e| ArgError(format!("{addr}: {e}")))?;
         client
@@ -621,7 +611,7 @@ fn cmd_tree(args: &Args) -> Result<(), ArgError> {
         .map(|&c| BitString::from_bits(c, height).expect("in range"))
         .collect();
     let tree = Tree::build(&codes, height);
-    let path = match args.get("path") {
+    let path = match args.get("path")? {
         Some(bits) => {
             let v = u64::from_str_radix(bits, 2)
                 .map_err(|_| ArgError("--path must be a binary string".into()))?;
@@ -755,7 +745,7 @@ fn cmd_lane(args: &Args) -> Result<(), ArgError> {
 
 /// Parses `--phy NAME` into a profile, `None` when the flag is absent.
 fn phy_from(args: &Args) -> Result<Option<PhyProfile>, ArgError> {
-    match args.get("phy") {
+    match args.get("phy")? {
         None => Ok(None),
         Some(name) => PhyProfile::named(name)
             .map(Some)

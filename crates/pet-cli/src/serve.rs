@@ -12,7 +12,7 @@
 
 use crate::args::{ArgError, Args};
 use pet_bench::ledger;
-use pet_server::loadgen::{run_batch, BatchReport, BenchRun, Plan};
+use pet_server::loadgen::{run_batch, BatchReport, Plan};
 use pet_server::{serve, Backend, ServerConfig, ServerHandle};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -34,7 +34,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let config = server_config(args, "127.0.0.1:7878")?;
     let handle = serve(&config).map_err(|e| ArgError(format!("bind {}: {e}", config.addr)))?;
     let addr = handle.addr();
-    if let Some(path) = args.get("addr-file") {
+    if let Some(path) = args.get("addr-file")? {
         // Lets scripts (and the CI smoke gate) discover an ephemeral port.
         std::fs::write(path, format!("{addr}\n"))
             .map_err(|e| ArgError(format!("--addr-file {path}: {e}")))?;
@@ -56,11 +56,13 @@ pub fn cmd_serve(args: &Args) -> Result<(), ArgError> {
 /// `pet loadgen (--addr HOST:PORT | --local) [--requests 10000]
 /// [--connections 8] [--threads 8] [--pipeline 1] [--tags 200]
 /// [--rounds 4] [--backend threaded|evented] [--workers 4] [--queue 64]
-/// [--verify-deterministic] [--bench-json results/BENCH_server.json]`
+/// [--verify-deterministic] [--ledger path]`
 ///
 /// `--backend` picks the in-process server for `--local` and labels the
-/// bench artifact; with `--addr` it must match the remote server for the
-/// label to be honest.
+/// ledger row; with `--addr` it must match the remote server for the
+/// label to be honest. `--ledger` appends the first run's
+/// `server-loadgen` row to the ledger at that path once every check has
+/// passed.
 pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "addr",
@@ -75,7 +77,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
         "workers",
         "queue",
         "verify-deterministic",
-        "bench-json",
+        "ledger",
         "telemetry",
     ])?;
     let requests: usize = args.get_or("requests", 10_000)?;
@@ -85,6 +87,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
     let tags: usize = args.get_or("tags", 200)?;
     let rounds: u32 = args.get_or("rounds", 4)?;
     let verify = args.switch("verify-deterministic");
+    let ledger_path = args.get("ledger")?;
     if requests == 0 || threads == 0 || connections == 0 || pipeline == 0 {
         return Err(ArgError(
             "--requests, --connections, --threads and --pipeline must be positive".into(),
@@ -110,7 +113,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
     } else {
         None
     };
-    let addr: SocketAddr = match (&local, args.get("addr")) {
+    let addr: SocketAddr = match (&local, args.get("addr")?) {
         (Some(handle), None) => handle.addr(),
         (None, Some(raw)) => raw
             .parse()
@@ -121,29 +124,6 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
 
     let first = run_batch(addr, &plan);
     print_report("run 1", &plan, backend, &first);
-    if let Some(path) = args.get("bench-json") {
-        let run = BenchRun::new(backend.name(), &plan, &first);
-        pet_server::loadgen::write_bench_json(path, &run)
-            .map_err(|e| ArgError(format!("--bench-json {path}: {e}")))?;
-        println!("bench json    : {path}");
-        // The snapshot's directory also carries the append-only perf
-        // ledger, so every recorded loadgen run lands in the trend history
-        // without a separate `pet bench record` step.
-        let ledger_path = std::path::Path::new(path)
-            .parent()
-            .unwrap_or_else(|| std::path::Path::new("."))
-            .join("ledger.jsonl");
-        let row = ledger::migrate::row_from_bench_run(
-            &run,
-            &ledger::current_commit(),
-            "pet:loadgen",
-            1,
-            0.0,
-        );
-        ledger::append(&ledger_path, &[row])
-            .map_err(|e| ArgError(format!("{}: {e}", ledger_path.display())))?;
-        println!("ledger        : {}", ledger_path.display());
-    }
     if verify {
         let second = run_batch(addr, &plan);
         print_report("run 2", &plan, backend, &second);
@@ -166,11 +146,20 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
             first.lost, first.malformed, plan.requests, first.connect_failures
         )));
     }
+    // Only a run that passed is recorded: a run whose connections failed
+    // finishes at once and would read as a huge throughput.
+    if let Some(path) = ledger_path {
+        let mut row = ledger::loadgen_row(backend.name(), &plan, &first);
+        row.source = "pet:loadgen".to_string();
+        ledger::append(std::path::Path::new(path), &[row])
+            .map_err(|e| ArgError(format!("--ledger {path}: {e}")))?;
+        println!("ledger        : {path}");
+    }
     Ok(())
 }
 
 pub(crate) fn parse_backend(args: &Args) -> Result<Backend, ArgError> {
-    match args.get("backend") {
+    match args.get("backend")? {
         None => Ok(Backend::default()),
         Some(raw) => Backend::parse(raw)
             .ok_or_else(|| ArgError(format!("--backend: {raw:?} is not threaded|evented"))),
@@ -185,7 +174,7 @@ fn server_config(args: &Args, default_addr: &str) -> Result<ServerConfig, ArgErr
     }
     let deadline_ms: u64 = args.get_or("deadline-ms", 0)?;
     Ok(ServerConfig {
-        addr: args.get("addr").unwrap_or(default_addr).to_string(),
+        addr: args.get("addr")?.unwrap_or(default_addr).to_string(),
         backend: parse_backend(args)?,
         workers,
         queue_capacity,

@@ -1,9 +1,11 @@
-//! End-to-end exercise of `pet bench` in subprocesses: record a snapshot
-//! into a temp ledger twice, gate the identical runs (must pass), then
-//! gate against a synthetic −15% regression (must fail with exit 1 and a
-//! machine-readable verdict). Everything happens under a temp dir —
+//! End-to-end exercise of the perf ledger in subprocesses: gate two
+//! identical runs (must pass), then a synthetic −15% regression (must
+//! fail with exit 1 and a machine-readable verdict); record a criterion
+//! tree twice and report it; and append the rows `pet loadgen --ledger`
+//! and `pet fleet --ledger` produce. Everything happens under a temp dir —
 //! `results/ledger.jsonl` in the repo is never touched.
 
+use pet_bench::ledger::{self, LedgerRow};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -34,51 +36,33 @@ fn assert_ok(out: &Output, what: &str) {
     );
 }
 
-/// A deterministic kernel snapshot standing in for a live measurement.
-const SNAPSHOT: &str = r#"{"n": 100000, "lane": "avx2", "commit": "aaaaaaa",
- "rounds_per_sec_oracle": 2900000.0, "rounds_per_sec_kernel": 9600000.0,
- "rounds_per_sec_kernel_simd": 10000000.0,
- "hash_elems_per_sec_scalar": 310000000.0, "hash_elems_per_sec_simd": 1190000000.0}"#;
+/// A kernel ledger row at `commit` with fixed numbers, standing in for a
+/// live measurement.
+fn kernel_row(commit: &str) -> String {
+    let mut row = LedgerRow::new("kernel", "n=100000/lane=avx2", commit);
+    row.source = "test".to_string();
+    for (name, value) in [
+        ("rounds_per_sec_oracle", 2_900_000.0),
+        ("rounds_per_sec_kernel", 9_600_000.0),
+        ("rounds_per_sec_kernel_simd", 10_000_000.0),
+    ] {
+        row.metric(name, value).unwrap();
+    }
+    row.to_jsonl()
+}
 
+/// Gates two recorded runs that measured the same numbers (their rows are
+/// written into the ledger directly), then a doctored −15% row.
 #[test]
 fn record_twice_then_gate_passes_and_synthetic_regression_fails() {
     let dir = tmp_dir("record_twice_then_gate_passes_and_synthetic_regression_fails");
-    std::fs::write(dir.join("snap.json"), SNAPSHOT).unwrap();
     let ledger = dir.join("ledger.jsonl");
     let ledger = ledger.to_str().unwrap();
 
-    // Record the same snapshot twice under different commits — two honest
-    // runs that measured identical numbers.
-    let out = pet(
-        &[
-            "bench",
-            "record",
-            "--from",
-            "snap.json",
-            "--ledger",
-            ledger,
-            "--commit",
-            "base001",
-        ],
-        &dir,
-    );
-    assert_ok(&out, "first record");
-    let out = pet(
-        &[
-            "bench",
-            "record",
-            "--from",
-            "snap.json",
-            "--ledger",
-            ledger,
-            "--commit",
-            "cand001",
-        ],
-        &dir,
-    );
-    assert_ok(&out, "second record");
-    let rows = std::fs::read_to_string(ledger).unwrap();
-    assert_eq!(rows.lines().count(), 2, "two recorded rows:\n{rows}");
+    // Two honest runs under different commits that measured identical
+    // numbers.
+    let rows = format!("{}\n{}\n", kernel_row("base001"), kernel_row("cand001"));
+    std::fs::write(ledger, &rows).unwrap();
 
     // Baseline = only the first row, in its own file.
     let baseline = dir.join("baseline.jsonl");
@@ -153,53 +137,48 @@ fn record_twice_then_gate_passes_and_synthetic_regression_fails() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Records a criterion tree into a fresh ledger twice (the second run
+/// appends nothing) and reports it.
 #[test]
 fn migrate_report_round_trip_in_temp_results() {
     let dir = tmp_dir("migrate_report_round_trip_in_temp_results");
-    let results = dir.join("results");
-    std::fs::create_dir_all(&results).unwrap();
-    std::fs::write(results.join("BENCH_kernel.json"), SNAPSHOT).unwrap();
-    std::fs::write(
-        results.join("BENCH_fleet.json"),
-        r#"{"benchmark":"pet-fleet","readers":3,"tags":5000,"zones":3,"rounds":32,
-           "estimate":5039.0,"effective_coverage":0.8351,"full_rounds":16,"partial_rounds":16,
-           "degraded":true,"round_latency_ns":{"mean":2355944,"p95_bound":33554431,"max":31391405},
-           "digest":"0x0"}"#,
-    )
-    .unwrap();
+    let tree = dir.join("criterion");
+    for (label, median) in [("round_location/kernel", 410.5), ("code_sort/10000", 98.0)] {
+        let new = tree.join(label).join("new");
+        std::fs::create_dir_all(&new).unwrap();
+        std::fs::write(
+            new.join("estimates.json"),
+            format!("{{\"median\":{{\"point_estimate\":{median}}}}}"),
+        )
+        .unwrap();
+    }
     let ledger = dir.join("ledger.jsonl");
     let ledger_s = ledger.to_str().unwrap();
+    let record = [
+        "bench",
+        "record",
+        "--criterion-dir",
+        tree.to_str().unwrap(),
+        "--ledger",
+        ledger_s,
+        "--commit",
+        "aaaaaaa",
+    ];
 
-    let out = pet(
-        &[
-            "bench",
-            "migrate",
-            "--results",
-            results.to_str().unwrap(),
-            "--ledger",
-            ledger_s,
-        ],
-        &dir,
+    let out = pet(&record, &dir);
+    assert_ok(&out, "record");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("2 row(s) appended"),
+        "first record appends both benchmarks"
     );
-    assert_ok(&out, "migrate");
-    // Idempotent: a second migrate appends nothing.
+    // Idempotent: a second record appends nothing.
     let before = std::fs::read_to_string(&ledger).unwrap();
-    let out = pet(
-        &[
-            "bench",
-            "migrate",
-            "--results",
-            results.to_str().unwrap(),
-            "--ledger",
-            ledger_s,
-        ],
-        &dir,
-    );
-    assert_ok(&out, "second migrate");
+    let out = pet(&record, &dir);
+    assert_ok(&out, "second record");
     assert_eq!(std::fs::read_to_string(&ledger).unwrap(), before);
     assert!(
         String::from_utf8_lossy(&out.stdout).contains("0 row(s) appended"),
-        "second migrate reports dedupe"
+        "second record reports dedupe"
     );
 
     let out_dir = dir.join("report");
@@ -217,11 +196,116 @@ fn migrate_report_round_trip_in_temp_results() {
     assert_ok(&out, "report");
     let csv = std::fs::read_to_string(out_dir.join("trends.csv")).unwrap();
     assert!(csv.starts_with("bench,config,metric,seq,commit,timestamp_s,value"));
-    assert!(csv.contains("kernel,n=100000/lane=avx2,rounds_per_sec_kernel_simd,0,aaaaaaa"));
-    assert!(csv.contains("fleet,r3/z3/t5000,round_latency_mean_ns"));
-    assert!(out_dir.join("svg/trend_kernel.svg").is_file());
-    assert!(out_dir.join("svg/trend_fleet.svg").is_file());
+    assert!(csv.contains("criterion,round_location/kernel,ns_per_iter,0,aaaaaaa"));
+    assert!(csv.contains("criterion,code_sort/10000,ns_per_iter,0,aaaaaaa"));
+    assert!(out_dir.join("svg/trend_criterion.svg").is_file());
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The one row at `path`, which must hold exactly one.
+fn only_row(path: &Path) -> LedgerRow {
+    let rows = ledger::load(path).unwrap();
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    rows.into_iter().next().unwrap()
+}
+
+#[test]
+fn loadgen_appends_one_server_loadgen_row() {
+    let dir = tmp_dir("loadgen_appends_one_server_loadgen_row");
+    let ledger = dir.join("ledger.jsonl");
+    let out = pet(
+        &[
+            "loadgen",
+            "--local",
+            "--requests",
+            "200",
+            "--ledger",
+            ledger.to_str().unwrap(),
+        ],
+        &dir,
+    );
+    assert_ok(&out, "loadgen --ledger");
+    let row = only_row(&ledger);
+    assert_eq!(row.bench, "server-loadgen");
+    assert_eq!(row.source, "pet:loadgen");
+    assert!(row.config.ends_with("/c8/p1"), "{}", row.config);
+    let metrics: Vec<&str> = row.metrics.keys().map(String::as_str).collect();
+    assert_eq!(
+        metrics,
+        [
+            "elapsed_s",
+            "latency_max_ns",
+            "latency_p50_ns",
+            "latency_p95_ns",
+            "latency_p99_ns",
+            "throughput_rps",
+        ]
+    );
+
+    // A run that cannot connect fails and records nothing: it would
+    // otherwise read as a huge throughput.
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let out = pet(
+        &[
+            "loadgen",
+            "--addr",
+            &closed,
+            "--requests",
+            "4",
+            "--connections",
+            "1",
+            "--threads",
+            "1",
+            "--ledger",
+            ledger.to_str().unwrap(),
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2), "a failed run is an error");
+    assert_eq!(ledger::load(&ledger).unwrap().len(), 1, "and adds no row");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fleet_appends_one_fleet_row() {
+    let dir = tmp_dir("fleet_appends_one_fleet_row");
+    let ledger = dir.join("ledger.jsonl");
+    let out = pet(
+        &[
+            "fleet",
+            "--spawn",
+            "2",
+            "--tags",
+            "500",
+            "--rounds",
+            "8",
+            "--ledger",
+            ledger.to_str().unwrap(),
+        ],
+        &dir,
+    );
+    assert_ok(&out, "fleet --ledger");
+    let row = only_row(&ledger);
+    assert_eq!(
+        (row.bench.as_str(), row.config.as_str()),
+        ("fleet", "r2/z2/t500")
+    );
+    assert_eq!(row.source, "pet:fleet");
+    assert_eq!(row.metrics["rounds"], 8.0);
+    for metric in [
+        "round_latency_mean_ns",
+        "round_latency_p95_bound_ns",
+        "round_latency_max_ns",
+        "effective_coverage",
+        "estimate",
+    ] {
+        assert!(row.metrics.contains_key(metric), "{metric} in {row:?}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -237,5 +321,28 @@ fn gate_with_unknown_flags_or_actions_reports_usage_errors() {
         Some(2),
         "missing --baseline is a usage error"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A value flag given bare is a usage error naming the flag, not a
+/// directory called `true`.
+#[test]
+fn bare_report_out_is_a_usage_error() {
+    let dir = tmp_dir("bare_report_out_is_a_usage_error");
+    let ledger = dir.join("ledger.jsonl");
+    std::fs::write(&ledger, format!("{}\n", kernel_row("base001"))).unwrap();
+    let out = pet(
+        &[
+            "bench",
+            "report",
+            "--ledger",
+            ledger.to_str().unwrap(),
+            "--out",
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--out needs a value"));
+    assert!(!dir.join("true").exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }

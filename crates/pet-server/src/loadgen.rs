@@ -2,11 +2,12 @@
 //!
 //! This used to live in the CLI; it moved into the server crate so the
 //! benchmark harness (`repro bench-server`) and the CLI drive the exact
-//! same traffic shape and write the exact same artifact. The generator is
-//! *closed-loop with a window*: [`Plan::connections`] sockets are all
-//! opened up front (that is what makes an N-connection claim real), split
-//! across [`Plan::threads`] driver threads, and each connection keeps at
-//! most [`Plan::pipeline`] requests in flight — a burst is written as one
+//! same traffic shape and record the same perf-ledger row
+//! (`pet_bench::ledger::loadgen_row`). The generator is *closed-loop with
+//! a window*: [`Plan::connections`] sockets are all opened up front (that
+//! is what makes an N-connection claim real), split across
+//! [`Plan::threads`] driver threads, and each connection keeps at most
+//! [`Plan::pipeline`] requests in flight — a burst is written as one
 //! syscall via [`Client::send_raw`], then its replies are collected in
 //! order before the next burst goes out.
 //!
@@ -356,280 +357,6 @@ fn classify(reply: &str, expect_id: &str) -> Reply {
     }
 }
 
-/// One row of the benchmark artifact: a (backend, connections, pipeline)
-/// configuration and what it measured.
-#[derive(Clone, Debug)]
-pub struct BenchRun {
-    /// Serving backend name (`"threaded"` / `"evented"`).
-    pub backend: String,
-    /// Total requests sent.
-    pub requests: u64,
-    /// Concurrent connections held open.
-    pub connections: u64,
-    /// Driver threads.
-    pub threads: u64,
-    /// Pipeline depth per connection.
-    pub pipeline: u64,
-    /// `tags` parameter of each request.
-    pub tags: u64,
-    /// `rounds` parameter of each request.
-    pub rounds: u64,
-    /// Wall time of the request phase, seconds.
-    pub elapsed_s: f64,
-    /// requests / elapsed_s.
-    pub throughput_rps: f64,
-    /// Reply counts, as in [`BatchReport`].
-    pub ok: u64,
-    /// Honest overload refusals.
-    pub overloaded: u64,
-    /// Other structured errors.
-    pub errors: u64,
-    /// Replies failing validation.
-    pub malformed: u64,
-    /// Requests with no reply.
-    pub lost: u64,
-    /// Latency percentiles in nanoseconds.
-    pub p50_ns: u64,
-    /// 95th percentile.
-    pub p95_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// Worst observed.
-    pub max_ns: u64,
-    /// `{:#018x}` rendering of the reply-set digest.
-    pub digest: String,
-}
-
-impl BenchRun {
-    /// Builds the artifact row for a finished batch.
-    #[must_use]
-    pub fn new(backend: &str, plan: &Plan, report: &BatchReport) -> Self {
-        let mut sorted = report.latency_ns.clone();
-        sorted.sort_unstable();
-        Self {
-            backend: backend.to_string(),
-            requests: plan.requests as u64,
-            connections: plan.connections as u64,
-            threads: plan.threads as u64,
-            pipeline: plan.pipeline as u64,
-            tags: plan.tags as u64,
-            rounds: u64::from(plan.rounds),
-            elapsed_s: report.elapsed.as_secs_f64(),
-            throughput_rps: plan.requests as f64 / report.elapsed.as_secs_f64().max(1e-9),
-            ok: report.ok as u64,
-            overloaded: report.overloaded as u64,
-            errors: report.errors as u64,
-            malformed: report.malformed as u64,
-            lost: report.lost as u64,
-            p50_ns: percentile_of(&sorted, 0.50),
-            p95_ns: percentile_of(&sorted, 0.95),
-            p99_ns: percentile_of(&sorted, 0.99),
-            max_ns: sorted.last().copied().unwrap_or(0),
-            digest: format!("{:#018x}", report.digest),
-        }
-    }
-
-    /// Merge key: one row per measured configuration.
-    fn key(&self) -> (String, u64, u64) {
-        (self.backend.clone(), self.connections, self.pipeline)
-    }
-
-    fn render(&self) -> String {
-        format!(
-            concat!(
-                "{{\"backend\":\"{}\",",
-                "\"requests\":{},\"connections\":{},\"threads\":{},\"pipeline\":{},",
-                "\"tags\":{},\"rounds\":{},",
-                "\"elapsed_s\":{:.6},\"throughput_rps\":{:.1},",
-                "\"ok\":{},\"overloaded\":{},\"errors\":{},\"malformed\":{},\"lost\":{},",
-                "\"latency_ns\":{{\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}},",
-                "\"digest\":\"{}\"}}"
-            ),
-            crate::json::escape(&self.backend),
-            self.requests,
-            self.connections,
-            self.threads,
-            self.pipeline,
-            self.tags,
-            self.rounds,
-            self.elapsed_s,
-            self.throughput_rps,
-            self.ok,
-            self.overloaded,
-            self.errors,
-            self.malformed,
-            self.lost,
-            self.p50_ns,
-            self.p95_ns,
-            self.p99_ns,
-            self.max_ns,
-            self.digest,
-        )
-    }
-
-    /// Parses a pre-v2 flat artifact (one run, no `backend` /
-    /// `connections` / `pipeline` keys) with the defaults that benchmark
-    /// actually ran: the threaded backend, one connection per thread, no
-    /// pipelining. `requests` and `elapsed_s` are the only hard
-    /// requirements.
-    fn from_flat_json(v: &Json) -> Option<Self> {
-        let field = |k: &str| v.get(k).and_then(Json::as_u64);
-        let requests = field("requests")?;
-        let elapsed_s = v.get("elapsed_s").and_then(Json::as_f64)?;
-        let threads = field("threads").unwrap_or(8);
-        let lat = |k: &str| {
-            v.get("latency_ns")
-                .and_then(|l| l.get(k))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        };
-        Some(Self {
-            backend: v
-                .get("backend")
-                .and_then(Json::as_str)
-                .unwrap_or("threaded")
-                .to_string(),
-            requests,
-            connections: field("connections").unwrap_or(threads),
-            threads,
-            pipeline: field("pipeline").unwrap_or(1),
-            tags: field("tags").unwrap_or(0),
-            rounds: field("rounds").unwrap_or(0),
-            elapsed_s,
-            throughput_rps: v
-                .get("throughput_rps")
-                .and_then(Json::as_f64)
-                .unwrap_or(requests as f64 / elapsed_s.max(1e-9)),
-            ok: field("ok").unwrap_or(requests),
-            overloaded: field("overloaded").unwrap_or(0),
-            errors: field("errors").unwrap_or(0),
-            malformed: field("malformed").unwrap_or(0),
-            lost: field("lost").unwrap_or(0),
-            p50_ns: lat("p50"),
-            p95_ns: lat("p95"),
-            p99_ns: lat("p99"),
-            max_ns: lat("max"),
-            digest: v
-                .get("digest")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-        })
-    }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        let field = |k: &str| v.get(k).and_then(Json::as_u64);
-        let lat = v.get("latency_ns")?;
-        Some(Self {
-            backend: v.get("backend").and_then(Json::as_str)?.to_string(),
-            requests: field("requests")?,
-            connections: field("connections")?,
-            threads: field("threads")?,
-            pipeline: field("pipeline")?,
-            tags: field("tags")?,
-            rounds: field("rounds")?,
-            elapsed_s: v.get("elapsed_s").and_then(Json::as_f64)?,
-            throughput_rps: v.get("throughput_rps").and_then(Json::as_f64)?,
-            ok: field("ok")?,
-            overloaded: field("overloaded")?,
-            errors: field("errors")?,
-            malformed: field("malformed")?,
-            lost: field("lost")?,
-            p50_ns: lat.get("p50").and_then(Json::as_u64)?,
-            p95_ns: lat.get("p95").and_then(Json::as_u64)?,
-            p99_ns: lat.get("p99").and_then(Json::as_u64)?,
-            max_ns: lat.get("max").and_then(Json::as_u64)?,
-            digest: v.get("digest").and_then(Json::as_str)?.to_string(),
-        })
-    }
-}
-
-/// Version tag of the BENCH_server.json layout written by
-/// [`write_bench_json`] (v2 added `backend`/`connections`/`pipeline` and
-/// turned the file into a merged `runs` array).
-pub const BENCH_SCHEMA_VERSION: u64 = 2;
-
-/// The (backend, connections, pipeline) merge key of a bench row.
-type RowKey = (String, u64, u64);
-
-/// Merge key of a raw JSON row, when extractable.
-fn raw_key(item: &Json) -> Option<RowKey> {
-    Some((
-        item.get("backend").and_then(Json::as_str)?.to_string(),
-        item.get("connections").and_then(Json::as_u64)?,
-        item.get("pipeline").and_then(Json::as_u64)?,
-    ))
-}
-
-/// Writes (or merges into) the machine-readable benchmark artifact.
-///
-/// The file holds one row per (backend, connections, pipeline)
-/// configuration; rewriting a configuration replaces its row and leaves
-/// the others intact, so threaded and evented measurements accumulate in
-/// one artifact — a partial rerun never loses rows it didn't measure.
-/// Rows a future (or past) schema dialect that `BenchRun::from_json`
-/// cannot parse are preserved verbatim, keyed when their (backend,
-/// connections, pipeline) fields are extractable. A pre-v2 flat file is
-/// migrated into a keyed v2 row instead of being discarded, so seed-era
-/// history survives the first rerun.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error from reading or writing the file.
-pub fn write_bench_json(path: &str, run: &BenchRun) -> std::io::Result<()> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    // (sort key, keyed?, rendered row). Unkeyed passthrough rows sort
-    // after every keyed row, in file order.
-    let mut rows: Vec<(Option<RowKey>, String)> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        if let Ok(v) = Json::parse(existing.trim()) {
-            let is_v2 =
-                v.get("schema_version").and_then(Json::as_u64) == Some(BENCH_SCHEMA_VERSION);
-            if is_v2 {
-                for item in v.get("runs").and_then(Json::as_arr).unwrap_or(&[]) {
-                    match BenchRun::from_json(item) {
-                        Some(parsed) => {
-                            if parsed.key() != run.key() {
-                                rows.push((Some(parsed.key()), parsed.render()));
-                            }
-                        }
-                        // Not our dialect: keep the row byte-equivalent
-                        // rather than silently dropping someone's data.
-                        None => {
-                            let key = raw_key(item);
-                            if key.as_ref() != Some(&run.key()) {
-                                rows.push((key, item.render()));
-                            }
-                        }
-                    }
-                }
-            } else if let Some(flat) = BenchRun::from_flat_json(&v) {
-                if flat.key() != run.key() {
-                    rows.push((Some(flat.key()), flat.render()));
-                }
-            }
-        }
-    }
-    rows.push((Some(run.key()), run.render()));
-    rows.sort_by(|a, b| match (&a.0, &b.0) {
-        (Some(x), Some(y)) => x.cmp(y),
-        (Some(_), None) => std::cmp::Ordering::Less,
-        (None, Some(_)) => std::cmp::Ordering::Greater,
-        (None, None) => std::cmp::Ordering::Equal,
-    });
-    let body: Vec<String> = rows.into_iter().map(|(_, text)| text).collect();
-    let json = format!(
-        "{{\"benchmark\":\"pet-server-loadgen\",\"schema_version\":{},\"runs\":[{}]}}\n",
-        BENCH_SCHEMA_VERSION,
-        body.join(",")
-    );
-    std::fs::write(path, json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,112 +379,6 @@ mod tests {
         assert_eq!(percentile_of(&sorted, 0.99), 99);
         assert_eq!(percentile_of(&sorted, 1.0), 100);
         assert_eq!(percentile_of(&[], 0.5), 0);
-    }
-
-    #[test]
-    fn bench_json_merges_by_configuration() {
-        let dir = std::env::temp_dir().join(format!("pet-bench-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_server.json");
-        let path = path.to_str().unwrap();
-        let plan = Plan::default();
-        let mut report = BatchReport {
-            ok: plan.requests,
-            elapsed: Duration::from_millis(250),
-            ..BatchReport::default()
-        };
-        report.latency_ns = vec![1_000; 16];
-
-        write_bench_json(path, &BenchRun::new("threaded", &plan, &report)).unwrap();
-        write_bench_json(path, &BenchRun::new("evented", &plan, &report)).unwrap();
-        // Same key again: replaces, not appends.
-        report.elapsed = Duration::from_millis(125);
-        write_bench_json(path, &BenchRun::new("evented", &plan, &report)).unwrap();
-
-        let text = std::fs::read_to_string(path).unwrap();
-        let v = Json::parse(text.trim()).unwrap();
-        assert_eq!(v.get("schema_version").and_then(Json::as_u64), Some(2));
-        let runs = v.get("runs").and_then(Json::as_arr).unwrap();
-        assert_eq!(runs.len(), 2);
-        let evented = runs
-            .iter()
-            .find(|r| r.get("backend").and_then(Json::as_str) == Some("evented"))
-            .unwrap();
-        assert_eq!(evented.get("elapsed_s").and_then(Json::as_f64), Some(0.125));
-        assert_eq!(
-            evented.get("connections").and_then(Json::as_u64),
-            Some(plan.connections as u64)
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Regression: a partial rerun must never lose rows it didn't measure
-    /// — neither rows this dialect can't parse (preserved verbatim) nor a
-    /// pre-v2 flat file (migrated into a keyed v2 row, not discarded).
-    #[test]
-    fn bench_json_partial_rerun_preserves_foreign_and_flat_rows() {
-        let dir =
-            std::env::temp_dir().join(format!("pet-bench-json-preserve-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let plan = Plan::default();
-        let mut report = BatchReport {
-            ok: plan.requests,
-            elapsed: Duration::from_millis(250),
-            ..BatchReport::default()
-        };
-        report.latency_ns = vec![1_000; 16];
-
-        // A v2 file holding one parseable row and one row from a richer
-        // future dialect (extra field, missing `latency_ns` so
-        // `from_json` rejects it).
-        let path = dir.join("BENCH_server.json");
-        let path = path.to_str().unwrap();
-        write_bench_json(path, &BenchRun::new("threaded", &plan, &report)).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        let foreign =
-            "{\"backend\":\"evented\",\"connections\":512,\"pipeline\":8,\"cpu_pct\":93.5}";
-        let text = text.replace("\"runs\":[", &format!("\"runs\":[{foreign},"));
-        std::fs::write(path, text).unwrap();
-
-        // Partial rerun of the threaded arm only.
-        report.elapsed = Duration::from_millis(125);
-        write_bench_json(path, &BenchRun::new("threaded", &plan, &report)).unwrap();
-        let v = Json::parse(std::fs::read_to_string(path).unwrap().trim()).unwrap();
-        let runs = v.get("runs").and_then(Json::as_arr).unwrap();
-        assert_eq!(runs.len(), 2, "foreign evented row must survive");
-        let evented = runs
-            .iter()
-            .find(|r| r.get("backend").and_then(Json::as_str) == Some("evented"))
-            .expect("foreign row preserved");
-        assert_eq!(evented.get("cpu_pct").and_then(Json::as_f64), Some(93.5));
-        assert_eq!(evented.get("connections").and_then(Json::as_u64), Some(512));
-
-        // A pre-v2 flat file: the rerun migrates it instead of clobbering.
-        let flat_path = dir.join("BENCH_server_flat.json");
-        let flat_path = flat_path.to_str().unwrap();
-        std::fs::write(
-            flat_path,
-            "{\"benchmark\":\"pet-server-loadgen\",\"requests\":20000,\"threads\":4,\
-             \"elapsed_s\":0.5,\"latency_ns\":{\"p50\":900,\"p95\":2000,\"p99\":3000,\
-             \"max\":9000},\"digest\":\"0xdead\"}\n",
-        )
-        .unwrap();
-        write_bench_json(flat_path, &BenchRun::new("evented", &plan, &report)).unwrap();
-        let v = Json::parse(std::fs::read_to_string(flat_path).unwrap().trim()).unwrap();
-        let runs = v.get("runs").and_then(Json::as_arr).unwrap();
-        assert_eq!(runs.len(), 2, "flat row must migrate, not vanish");
-        let migrated = runs
-            .iter()
-            .find(|r| r.get("backend").and_then(Json::as_str) == Some("threaded"))
-            .expect("flat row migrated with threaded defaults");
-        assert_eq!(migrated.get("requests").and_then(Json::as_u64), Some(20000));
-        assert_eq!(migrated.get("connections").and_then(Json::as_u64), Some(4));
-        assert_eq!(migrated.get("pipeline").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            migrated.get("throughput_rps").and_then(Json::as_f64),
-            Some(40000.0)
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -137,6 +137,11 @@ cargo test -q -p pet-server
 # every reply byte, so the evented rewrite answering even one request
 # differently from the threaded reference fails here.
 echo "==> loadgen smoke (both backends, digests must match)"
+# Both smokes below append their row to one scratch ledger, which the
+# perf-ledger stage reports on.
+LEDGER_TMP=$(mktemp -d)
+trap 'rm -rf "$LEDGER_TMP"' EXIT
+CI_LEDGER="$LEDGER_TMP/ledger.jsonl"
 # The output is kept in a variable rather than passed through
 # `tee /dev/stderr`: with ci.sh's output redirected to a file, tee reopens
 # that file through /dev/stderr, truncating it, and the log loses every
@@ -145,7 +150,8 @@ loadgen_digest() {
     local out status=0
     out=$(cargo run --release -q -p pet-cli --bin pet -- loadgen --local \
         --backend "$1" --requests 10000 --connections 8 --threads 8 \
-        --pipeline 4 --tags 200 --rounds 4 --verify-deterministic) || status=$?
+        --pipeline 4 --tags 200 --rounds 4 --verify-deterministic \
+        --ledger "$CI_LEDGER") || status=$?
     printf '%s\n' "$out" >&2
     [[ $status -eq 0 ]] || return "$status"
     awk '/reply digest/ { d = $3 } END { print d }' <<<"$out"
@@ -213,7 +219,7 @@ cargo test -q -p pet-fleet
 echo "==> fleet smoke (3 live agents, deterministic digest)"
 PET_BIN=target/release/pet
 FLEET_TMP=$(mktemp -d)
-trap 'rm -rf "$FLEET_TMP"' EXIT
+trap 'rm -rf "$LEDGER_TMP" "$FLEET_TMP"' EXIT
 AGENT_PIDS=()
 for i in 0 1 2; do
     "$PET_BIN" serve --addr 127.0.0.1:0 --deterministic \
@@ -235,7 +241,7 @@ done
 AGENTS=$(cat "$FLEET_TMP"/agent{0,1,2}.addr | paste -sd, -)
 fleet_run() {
     "$PET_BIN" fleet --agents "$AGENTS" --tags 2000 --rounds 16 \
-        --seed 42 --quorum 2 "$@"
+        --seed 42 --quorum 2 --ledger "$CI_LEDGER" "$@"
 }
 fleet_run | tee "$FLEET_TMP/run1.out"
 fleet_run --shutdown-agents | tee "$FLEET_TMP/run2.out"
@@ -248,15 +254,28 @@ D2=$(grep '^fleet digest' "$FLEET_TMP/run2.out")
 wait "${AGENT_PIDS[@]}"
 echo "fleet smoke: reproducible ($D1)"
 
-# Perf-ledger gate: the golden report rendering always runs (byte-stable
-# CSV from a fixed fixture), and when PET_CI_GATE=1 the regression gate
-# measures the fast pinned subset live — a quick best-of-3 kernel suite
-# into a scratch ledger — and compares it against the committed ledger
-# history at a 10% threshold (+ per-row noise floors). Env-guarded because
-# wall-clock numbers from an arbitrarily loaded CI box are only meaningful
-# when the operator says the machine is quiet(ish).
-echo "==> perf ledger: golden report rendering"
-cargo test -q -p pet-bench --test ledger_report
+# Perf-ledger gate: `pet bench report` over the smokes' scratch ledger
+# must find the row each live run appended — one per loadgen backend and
+# one per fleet run — so both producers are exercised against live
+# servers (the golden report rendering runs with `cargo test -q` above).
+# When PET_CI_GATE=1 the regression gate also measures the fast pinned
+# subset live — a quick best-of-3 kernel suite into a scratch ledger —
+# and compares it against the committed ledger history at a 10% threshold
+# (+ per-row noise floors). Env-guarded because wall-clock numbers from
+# an arbitrarily loaded CI box are only meaningful when the operator says
+# the machine is quiet(ish).
+echo "==> perf ledger: report over the smokes' rows"
+"$PET_BIN" bench report --ledger "$CI_LEDGER" --out "$LEDGER_TMP/report"
+LOADGEN_ROWS=$(grep -c '^server-loadgen,.*,throughput_rps,' \
+    "$LEDGER_TMP/report/trends.csv" || true)
+FLEET_ROWS=$(grep -c '^fleet,.*,round_latency_mean_ns,' \
+    "$LEDGER_TMP/report/trends.csv" || true)
+[[ "$LOADGEN_ROWS" == 2 && "$FLEET_ROWS" == 2 ]] || {
+    echo "perf ledger: expected 2 server-loadgen and 2 fleet rows," \
+        "found $LOADGEN_ROWS and $FLEET_ROWS" >&2
+    exit 1
+}
+echo "perf ledger: 2 server-loadgen and 2 fleet rows reported"
 if [[ "${PET_CI_GATE:-0}" == "1" ]]; then
     echo "==> perf ledger: regression gate (pinned kernel subset, live)"
     GATE_TMP=$(mktemp -d)
