@@ -8,7 +8,7 @@
 use pet_core::config::PetConfig;
 use pet_core::front::Estimator;
 use pet_stats::erf::normal_cdf;
-use pet_stats::gray::{GrayDistribution, SIGMA_H};
+use pet_stats::gray::{z_statistic, GrayDistribution};
 use pet_tags::population::TagPopulation;
 use rand::Rng;
 
@@ -64,8 +64,7 @@ impl CapacityGuard {
     /// Decision core on an observed mean prefix (exposed for tests).
     #[must_use]
     pub fn judge(&self, mean_prefix: f64, rounds: u32) -> CapacityVerdict {
-        let se = SIGMA_H / f64::from(rounds).sqrt();
-        let z = (mean_prefix - self.limit_mean_prefix) / se;
+        let z = z_statistic(mean_prefix, self.limit_mean_prefix, rounds);
         // Upper tail: significantly above the limit's statistic.
         if 1.0 - normal_cdf(z) < self.significance {
             CapacityVerdict::Over

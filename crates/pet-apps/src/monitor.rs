@@ -12,7 +12,7 @@
 use pet_core::config::PetConfig;
 use pet_core::front::Estimator;
 use pet_stats::erf::normal_cdf;
-use pet_stats::gray::{GrayDistribution, SIGMA_H};
+use pet_stats::gray::{z_statistic, GrayDistribution, SIGMA_H};
 use pet_tags::population::TagPopulation;
 use rand::Rng;
 use std::fmt;
@@ -100,11 +100,9 @@ impl MissingTagMonitor {
     /// without running any radio — the decision core, also used by tests.
     #[must_use]
     pub fn judge(&self, mean_prefix: f64, rounds: u32) -> MonitorVerdict {
-        let se = SIGMA_H / f64::from(rounds).sqrt();
         // Fewer tags ⇒ shorter responsive prefixes ⇒ small L̄ is evidence of
         // missing tags: one-sided lower-tail test.
-        let z = (mean_prefix - self.null_mean_prefix) / se;
-        let p_value = normal_cdf(z);
+        let p_value = normal_cdf(z_statistic(mean_prefix, self.null_mean_prefix, rounds));
         let estimate = pet_stats::gray::estimate_from_mean_prefix(mean_prefix);
         MonitorVerdict {
             estimate,

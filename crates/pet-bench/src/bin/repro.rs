@@ -112,12 +112,30 @@ fn bench_server(out_dir: &Path, quick: bool) {
             report.digest,
         );
         let mut row = ledger::loadgen_row(backend.name(), &plan, &report);
+        mark_quick(&mut row, quick);
         row.source = "repro:bench-server".to_string();
         row.best_of = repeats as u64;
         row.noise_floor = ledger::noise_floor_of(&rates);
         ledger::append(&out_dir.join("ledger.jsonl"), &[row]).expect("append ledger.jsonl");
     }
     println!("bench-server: rows appended to results/ledger.jsonl");
+}
+
+/// Ends a `--quick` run's config key in `/quick`, so the gate never
+/// compares a reduced run with a full one; a full run's keys stay as they
+/// are.
+fn mark_quick(row: &mut ledger::LedgerRow, quick: bool) {
+    if quick {
+        row.config.push_str("/quick");
+    }
+}
+
+/// A `repro <bench>` ledger row, stamped now.
+fn repro_row(bench: &str, config: &str, quick: bool, commit: &str) -> ledger::LedgerRow {
+    let mut row = ledger::LedgerRow::new(bench, config, commit).stamped_now();
+    mark_quick(&mut row, quick);
+    row.source = format!("repro:{bench}");
+    row
 }
 
 fn main() {
@@ -327,8 +345,7 @@ fn main() {
                     "scenario={}/n={}/eps={}/delta={}",
                     r.scenario, r.n, params.epsilon, params.delta
                 );
-                let mut row = ledger::LedgerRow::new("phy", &config, &commit);
-                row.source = "repro:phy".to_string();
+                let mut row = repro_row("phy", &config, quick, &commit);
                 row.metric("wall_ms_per_estimate", r.wall_ms)
                     .expect("finite wall clock");
                 row.metric("energy_uj_per_estimate", r.energy_uj)
@@ -365,12 +382,8 @@ fn main() {
         let ledger_rows: Vec<ledger::LedgerRow> = rows
             .iter()
             .map(|r| {
-                let mut row = ledger::LedgerRow::new(
-                    "monitor",
-                    &format!("burst=0.5/window=4/rate={}", r.churn_rate),
-                    &commit,
-                );
-                row.source = "repro:monitor".to_string();
+                let config = format!("burst=0.5/window=4/rate={}", r.churn_rate);
+                let mut row = repro_row("monitor", &config, quick, &commit);
                 row.metric("detection_latency_updates", r.mean_latency)
                     .expect("finite latency");
                 row.metric("detection_rate", r.detection_rate)
@@ -428,4 +441,22 @@ fn main() {
         secs = clock.elapsed().as_secs_f64(),
         dir = out_dir.display()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A row is stamped, and a quick run's config differs from a full
+    /// run's, which keeps the form the committed ledger rows have.
+    #[test]
+    fn rows_are_stamped_and_quick_configs_differ() {
+        let config = "burst=0.5/window=4/rate=20";
+        let full = repro_row("monitor", config, false, "abc1234");
+        let quick = repro_row("monitor", config, true, "abc1234");
+        assert_eq!(full.config, config);
+        assert_eq!(quick.config, "burst=0.5/window=4/rate=20/quick");
+        assert_eq!(full.source, "repro:monitor");
+        assert!(full.timestamp_s > 0 && quick.timestamp_s > 0);
+    }
 }

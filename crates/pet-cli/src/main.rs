@@ -259,9 +259,8 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
             let mut air = Air::new(channel);
             estimator.run_adaptive(&mut oracle, &mut air, &mut rng)
         } else {
-            // The unified front door: the configured backend (kernel by
-            // default) produces reports bit-for-bit equal to the oracle
-            // reader.
+            // The one front door: the kernel produces reports bit-for-bit
+            // equal to the oracle reader's.
             let rounds = match args.get("rounds")? {
                 Some(raw) => raw
                     .parse()
@@ -326,7 +325,7 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `pet robustness`: sweep accuracy vs channel-fault rates (unmitigated vs
-/// re-probed) on the kernel backend, print the table, and write
+/// re-probed), print the table, and write
 /// `robustness.csv` plus `svg/robustness.svg` under `--out`.
 fn cmd_robustness(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[

@@ -7,7 +7,7 @@
 //! pet-obs sink handle is process-global: installing a sink inside this test
 //! process would race with the CLI's own unit tests.
 
-use pet_core::config::{Backend, Mitigation, PetConfig};
+use pet_core::config::{Mitigation, PetConfig};
 use pet_core::front::Estimator;
 use pet_phy::channel::{ChannelModel, LossyChannel};
 use pet_stats::accuracy::Accuracy;
@@ -100,7 +100,6 @@ fn lossy_telemetry_replays_against_library_run() {
     // streamed totals exactly — the telemetry is a faithful transcript.
     let config = PetConfig::builder()
         .accuracy(Accuracy::new(0.05, 0.01).expect("valid accuracy"))
-        .backend(Backend::Kernel)
         .channel(ChannelModel::Lossy(
             LossyChannel::new(MISS, FALSE_BUSY).expect("valid probabilities"),
         ))

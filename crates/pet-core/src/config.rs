@@ -28,23 +28,6 @@ pub enum TagMode {
     PassivePreloaded,
 }
 
-/// Which execution backend [`crate::Estimator`] drives. Both produce
-/// **bit-for-bit identical** [`crate::EstimateReport`]s for the same
-/// configuration and RNG stream (pinned by the kernel equivalence suite);
-/// they differ only in speed and generality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// The slot-by-slot oracle reader: every query goes through the
-    /// [`crate::oracle::ResponderOracle`] trait and the radio
-    /// [`pet_phy::Air`], so transcripts and lossy channels work.
-    Oracle,
-    /// The batched gray-node kernel ([`crate::kernel`]): one binary
-    /// search per round over sorted codes — ~5× faster at paper scale, the
-    /// default for sweeps.
-    #[default]
-    Kernel,
-}
-
 /// Channel-fault mitigation (robustness extension; the paper assumes a
 /// perfect channel and its Eq. (12)–(14) is the plain mean).
 ///
@@ -171,7 +154,6 @@ pub struct PetConfig {
     encoding: CommandEncoding,
     manufacture_seed: u64,
     zero_probe: bool,
-    backend: Backend,
     channel: ChannelModel,
     mitigation: Mitigation,
     phy: Option<PhyProfile>,
@@ -236,13 +218,7 @@ impl PetConfig {
         self.zero_probe
     }
 
-    /// The execution backend the unified [`crate::Estimator`] selects.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The physical channel model both backends execute under (default:
+    /// The physical channel model every round executes under (default:
     /// the paper's lossless channel).
     #[must_use]
     pub fn channel(&self) -> ChannelModel {
@@ -309,7 +285,6 @@ pub struct PetConfigBuilder {
     encoding: CommandEncoding,
     manufacture_seed: u64,
     zero_probe: bool,
-    backend: Backend,
     channel: ChannelModel,
     mitigation: Mitigation,
     phy: Option<PhyProfile>,
@@ -325,7 +300,6 @@ impl Default for PetConfigBuilder {
             encoding: CommandEncoding::default(),
             manufacture_seed: 0x9e37_79b9_7f4a_7c15,
             zero_probe: false,
-            backend: Backend::default(),
             channel: ChannelModel::default(),
             mitigation: Mitigation::default(),
             phy: None,
@@ -384,14 +358,6 @@ impl PetConfigBuilder {
         self
     }
 
-    /// Selects the execution backend for [`crate::Estimator`] (default
-    /// [`Backend::Kernel`]).
-    #[must_use]
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Sets the physical channel model (default
     /// [`ChannelModel::Perfect`], the paper's lossless assumption).
     /// [`pet_phy::channel::LossyChannel`] parameters are validated at
@@ -445,7 +411,6 @@ impl PetConfigBuilder {
             encoding: self.encoding,
             manufacture_seed: self.manufacture_seed,
             zero_probe: self.zero_probe,
-            backend: self.backend,
             channel: self.channel,
             mitigation: self.mitigation,
             phy: self.phy,
@@ -466,7 +431,6 @@ mod tests {
         assert_eq!(c.slots_per_round_nominal(), 5);
         assert_eq!(c.round_start_bits(), 32);
         assert!(!c.zero_probe());
-        assert_eq!(c.backend(), Backend::Kernel);
         assert!((c.accuracy().epsilon() - 0.05).abs() < 1e-12);
     }
 
@@ -478,14 +442,12 @@ mod tests {
             .tag_mode(TagMode::ActivePerRound)
             .encoding(CommandEncoding::FullMask)
             .zero_probe(true)
-            .backend(Backend::Oracle)
             .build()
             .unwrap();
         assert_eq!(c.height(), 16);
         assert_eq!(c.slots_per_round_nominal(), 16);
         assert_eq!(c.round_start_bits(), 16 + 32);
         assert!(c.zero_probe());
-        assert_eq!(c.backend(), Backend::Oracle);
     }
 
     #[test]

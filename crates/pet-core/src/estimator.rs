@@ -93,8 +93,9 @@ impl PetEstimator {
 }
 
 /// Aggregates per-round records into `(n̂, L̄)` under the configured
-/// mitigation. Both execution backends call this on identical record
-/// vectors, so the aggregation stays bit-for-bit backend-invariant.
+/// mitigation. The slot loop and the kernel's lossless loop both call this
+/// on identical record vectors, so the aggregation stays bit-for-bit equal
+/// across them.
 ///
 /// [`Mitigation::None`] reproduces [`PetEstimator`]'s arithmetic exactly
 /// (integer prefix sum, one division). [`Mitigation::TrimmedMean`] sorts

@@ -21,8 +21,9 @@
 //! - [`reader`]: Algorithm 1 (linear) and Algorithm 3 (binary search).
 //! - [`estimator`]: Eq. (12)–(14) aggregation.
 //! - [`front`]: [`Estimator`], the one estimation driver — `m` rounds with
-//!   air-cost accounting, dispatching on the configured [`Backend`], plus
-//!   sequential early stopping (extension).
+//!   air-cost accounting on the batched kernel, the slot-by-slot oracle
+//!   reader for caller-supplied oracles, plus sequential early stopping
+//!   (extension).
 //! - [`session`]: [`EstimateReport`], the result of one estimation.
 //! - [`monitor`]: continuous-monitoring estimation over a churning
 //!   population — sliding windows, Δn differentials, missing-tag alarm
@@ -62,7 +63,7 @@ pub mod session;
 pub mod tree;
 
 pub use bits::BitString;
-pub use config::{Backend, CommandEncoding, PetConfig, SearchStrategy, TagMode};
+pub use config::{CommandEncoding, PetConfig, SearchStrategy, TagMode};
 pub use error::PetError;
 pub use estimator::PetEstimator;
 pub use front::Estimator;

@@ -8,15 +8,16 @@
 //! re-estimates), and anomalies (did a pallet go missing?). This module
 //! layers those on the [`Estimator`] front door without touching the
 //! protocol itself — each *update* is an ordinary PET run over the current
-//! key set, so every conformance guarantee of the one-shot path (backend
-//! bit-equality, channel models, mitigations) carries over verbatim.
+//! key set, so every conformance guarantee of the one-shot path (bit
+//! equality with the oracle reader, channel models, mitigations) carries
+//! over verbatim.
 //!
 //! Determinism is the load-bearing property. Update `i` draws its RNG from
 //! [`update_seed`]`(base_seed, i)` — a [`pet_hash::mix::mix2`] split of the
 //! monitor's base seed — so any single update can be reproduced exactly by
 //! a one-shot [`Estimator::try_estimate_keys_rounds`] call with the same
 //! keys, rounds, and derived seed. The zero-churn streaming-conformance
-//! suite pins this bit for bit for both backends.
+//! suite pins this bit for bit against the oracle reader.
 //!
 //! [`ChurnStream`] is the loop every churned monitor runs (the server's
 //! `monitor` verb, `pet monitor --tags`, the monitor sweep): it keeps one
@@ -32,9 +33,9 @@
 //! the first update) and a configurable fraction — when the windowed
 //! estimate drops below `alarm_fraction × reference`, the update raises
 //! `alarm`. Each update also carries the one-sided p-value of its observed
-//! statistic under "nothing is missing" (the same z-test as
-//! `pet-apps::monitor`), so callers can trade the crisp threshold for a
-//! significance test.
+//! statistic under "nothing is missing" ([`pet_stats::gray::z_statistic`],
+//! the z-test `pet-apps::monitor` runs too), so callers can trade the crisp
+//! threshold for a significance test.
 
 use crate::config::TagMode;
 use crate::front::Estimator;
@@ -42,7 +43,7 @@ use crate::kernel::{self, CodeBank};
 use crate::session::EstimateReport;
 use crate::PetError;
 use pet_stats::erf::normal_cdf;
-use pet_stats::gray::{GrayDistribution, SIGMA_H};
+use pet_stats::gray::{z_statistic, GrayDistribution};
 use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,8 +101,8 @@ impl std::error::Error for MonitorError {}
 /// Configuration of a streaming [`Monitor`].
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
-    /// The protocol configuration every update runs with (backend,
-    /// accuracy, channel model, mitigation — all one-shot knobs apply).
+    /// The protocol configuration every update runs with (accuracy,
+    /// channel model, mitigation — all one-shot knobs apply).
     pub config: crate::PetConfig,
     /// Rounds per update (each update is one `m`-round PET estimate).
     pub rounds: u32,
@@ -236,7 +237,7 @@ impl Monitor {
         })
     }
 
-    /// The underlying estimator (configuration, backend, hash family).
+    /// The underlying estimator (configuration, hash family).
     #[must_use]
     pub fn estimator(&self) -> &Estimator {
         &self.estimator
@@ -317,8 +318,8 @@ impl Monitor {
         let p_value = if report.rounds == 0 {
             0.0
         } else {
-            let se = SIGMA_H / f64::from(report.rounds).sqrt();
-            normal_cdf((report.mean_prefix_len - null_prefix) / se)
+            let z = z_statistic(report.mean_prefix_len, null_prefix, report.rounds);
+            normal_cdf(z)
         };
         Ok(MonitorUpdate {
             index,
@@ -343,7 +344,7 @@ impl Monitor {
 /// ([`Monitor::observe_bank`]).
 ///
 /// Every update equals [`Monitor::observe_keys`] over the timeline's keys,
-/// bit for bit, on every backend and tag mode, without the O(n) work a
+/// bit for bit, in both tag modes, without the O(n) work a
 /// rebuild does per update (collecting and copying every key, hashing and
 /// sorting them all). It holds the keys (8 B a tag), the bank's codes (8 B
 /// a tag) and the last update's leaving keys.
@@ -467,21 +468,19 @@ fn null_mean_prefix(reference: f64, height: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Backend;
     use crate::PetConfig;
     use pet_stats::accuracy::Accuracy;
 
-    fn test_config(backend: Backend) -> crate::PetConfig {
+    fn test_config() -> crate::PetConfig {
         PetConfig::builder()
             .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-            .backend(backend)
             .build()
             .unwrap()
     }
 
-    fn monitor(backend: Backend, window: usize, reference: Option<f64>) -> Monitor {
+    fn monitor(window: usize, reference: Option<f64>) -> Monitor {
         Monitor::new(MonitorConfig {
-            config: test_config(backend),
+            config: test_config(),
             rounds: 32,
             window,
             alarm_fraction: 0.5,
@@ -494,7 +493,7 @@ mod tests {
     #[test]
     fn construction_validates_knobs() {
         let cfg = |window, rounds, fraction, reference| MonitorConfig {
-            config: test_config(Backend::Kernel),
+            config: test_config(),
             rounds,
             window,
             alarm_fraction: fraction,
@@ -535,27 +534,25 @@ mod tests {
     #[test]
     fn updates_match_one_shot_estimates() {
         let keys: Vec<u64> = (0..500).map(|i| i * 2 + 1).collect();
-        for backend in [Backend::Oracle, Backend::Kernel] {
-            let mut m = monitor(backend, 1, None);
-            let estimator = Estimator::new(test_config(backend));
-            for i in 0..4u64 {
-                let update = m.observe_keys(&keys).unwrap();
-                let mut rng = StdRng::seed_from_u64(update_seed(0xF00D, i));
-                let solo = estimator
-                    .try_estimate_keys_rounds(&keys, 32, &mut rng)
-                    .unwrap();
-                assert_eq!(update.estimate.to_bits(), solo.estimate.to_bits());
-                // Window of 1: the windowed value IS the raw estimate.
-                assert_eq!(update.windowed.to_bits(), solo.estimate.to_bits());
-                assert_eq!(update.seed, update_seed(0xF00D, i));
-            }
+        let mut m = monitor(1, None);
+        let estimator = Estimator::new(test_config());
+        for i in 0..4u64 {
+            let update = m.observe_keys(&keys).unwrap();
+            let mut rng = StdRng::seed_from_u64(update_seed(0xF00D, i));
+            let solo = estimator
+                .try_estimate_keys_rounds(&keys, 32, &mut rng)
+                .unwrap();
+            assert_eq!(update.estimate.to_bits(), solo.estimate.to_bits());
+            // Window of 1: the windowed value IS the raw estimate.
+            assert_eq!(update.windowed.to_bits(), solo.estimate.to_bits());
+            assert_eq!(update.seed, update_seed(0xF00D, i));
         }
     }
 
     #[test]
     fn window_and_delta_fold_deterministically() {
         let keys: Vec<u64> = (0..800).collect();
-        let mut m = monitor(Backend::Kernel, 3, None);
+        let mut m = monitor(3, None);
         let mut raw = Vec::new();
         for i in 0..5u64 {
             let u = m.observe_keys(&keys).unwrap();
@@ -576,7 +573,7 @@ mod tests {
     fn alarm_fires_on_a_population_collapse() {
         let full: Vec<u64> = (0..2000).collect();
         let mut m = Monitor::new(MonitorConfig {
-            config: test_config(Backend::Kernel),
+            config: test_config(),
             rounds: 64,
             window: 2,
             alarm_fraction: 0.6,
@@ -603,7 +600,7 @@ mod tests {
     #[test]
     fn reference_latches_from_first_update() {
         let keys: Vec<u64> = (0..1000).collect();
-        let mut m = monitor(Backend::Kernel, 2, None);
+        let mut m = monitor(2, None);
         assert_eq!(m.reference(), None);
         let first = m.observe_keys(&keys).unwrap();
         assert_eq!(first.reference.to_bits(), first.estimate.to_bits());
@@ -618,36 +615,33 @@ mod tests {
     #[test]
     fn p_value_is_zero_when_the_zero_probe_finds_the_region_empty() {
         let full: Vec<u64> = (0..1_000).collect();
-        for backend in [Backend::Oracle, Backend::Kernel] {
-            let mut m = Monitor::new(MonitorConfig {
-                config: PetConfig::builder()
-                    .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-                    .backend(backend)
-                    .zero_probe(true)
-                    .build()
-                    .unwrap(),
-                rounds: 32,
-                window: 4,
-                alarm_fraction: 0.5,
-                reference: Some(1_000.0),
-                base_seed: 5,
-            })
-            .unwrap();
-            for _ in 0..3 {
-                assert!(m.observe_keys(&full).unwrap().p_value > 1e-6);
-            }
-            let empty = m.observe_keys(&[]).unwrap();
-            assert_eq!(empty.rounds, 0);
-            assert_eq!(empty.estimate, 0.0);
-            assert_eq!(empty.p_value, 0.0, "{backend:?}");
+        let mut m = Monitor::new(MonitorConfig {
+            config: PetConfig::builder()
+                .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+                .zero_probe(true)
+                .build()
+                .unwrap(),
+            rounds: 32,
+            window: 4,
+            alarm_fraction: 0.5,
+            reference: Some(1_000.0),
+            base_seed: 5,
+        })
+        .unwrap();
+        for _ in 0..3 {
+            assert!(m.observe_keys(&full).unwrap().p_value > 1e-6);
         }
+        let empty = m.observe_keys(&[]).unwrap();
+        assert_eq!(empty.rounds, 0);
+        assert_eq!(empty.estimate, 0.0);
+        assert_eq!(empty.p_value, 0.0);
     }
 
     #[test]
     fn p_value_drops_when_tags_go_missing() {
         let full: Vec<u64> = (0..4000).collect();
         let mut m = Monitor::new(MonitorConfig {
-            config: test_config(Backend::Kernel),
+            config: test_config(),
             rounds: 128,
             window: 1,
             alarm_fraction: 0.5,

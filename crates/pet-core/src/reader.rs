@@ -73,7 +73,7 @@ where
 
 /// Emits the per-round slot/bit counters shared by the oracle reader and
 /// the batched kernel (`Estimator`'s lossless path), so traces from either
-/// backend aggregate under the same names. Costs one branch when telemetry
+/// aggregate under the same names. Costs one branch when telemetry
 /// is disabled.
 pub(crate) fn record_round_telemetry(config: &PetConfig, record: &RoundRecord) {
     if !pet_obs::enabled() {
@@ -89,8 +89,8 @@ pub(crate) fn record_round_telemetry(config: &PetConfig, record: &RoundRecord) {
 /// Emits this round's slot-outcome tallies (`core.round.slots.idle` /
 /// `.singleton` / `.collision`, summing to `core.round.slots`) from a
 /// before/after [`AirMetrics`] snapshot — the observable that makes channel
-/// fault injection visible in telemetry. Shared by both backends so the
-/// counters aggregate under the same names. Zero increments are skipped to
+/// fault injection visible in telemetry. Shared by the slot loop and the
+/// kernel's lossless loop so the counters aggregate under the same names. Zero increments are skipped to
 /// keep JSONL streams lean.
 pub(crate) fn record_outcome_telemetry(before: &AirMetrics, after: &AirMetrics) {
     if !pet_obs::enabled() {
@@ -118,7 +118,7 @@ pub(crate) fn record_outcome_telemetry(before: &AirMetrics, after: &AirMetrics) 
 /// the same query, stopping at the first busy one (the last reading wins).
 /// Each reading is a real slot — it hits the channel, the metrics, the
 /// transcript, and `slots`. Shared by both protocol loops and the
-/// session-level zero probe so every backend re-probes identically.
+/// session-level zero probe so every path re-probes identically.
 pub(crate) fn probed_slot<C, R>(
     mitigation: Mitigation,
     air: &mut Air<C>,

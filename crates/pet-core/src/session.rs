@@ -122,7 +122,8 @@ impl EstimateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Backend, Mitigation, SearchStrategy, TagMode};
+    use crate::config::{Mitigation, SearchStrategy, TagMode};
+    use crate::front::tests::reference_run;
     use crate::front::Estimator;
     use crate::oracle::CodeRoster;
     use pet_phy::channel::{ChannelModel, LossyChannel};
@@ -188,10 +189,9 @@ mod tests {
         );
     }
 
-    fn zero_probe_config(backend: Backend) -> PetConfig {
+    fn zero_probe_config() -> PetConfig {
         PetConfig::builder()
             .zero_probe(true)
-            .backend(backend)
             .accuracy(Accuracy::new(0.2, 0.2).unwrap())
             .build()
             .unwrap()
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn zero_probe_detects_empty_region() {
         let mut rng = StdRng::seed_from_u64(4);
-        let estimator = Estimator::new(zero_probe_config(Backend::Oracle));
+        let estimator = Estimator::new(zero_probe_config());
         let report = estimator.estimate_population(&TagPopulation::new(), &mut rng);
         assert!(report.zero_detected);
         assert_eq!(report.estimate, 0.0);
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn zero_probe_passes_through_when_tags_exist() {
         let mut rng = StdRng::seed_from_u64(5);
-        let estimator = Estimator::new(zero_probe_config(Backend::Oracle));
+        let estimator = Estimator::new(zero_probe_config());
         let pop = TagPopulation::sequential(500);
         let report = estimator.estimate_population_rounds(&pop, 32, &mut rng);
         assert!(!report.zero_detected);
@@ -286,32 +286,26 @@ mod tests {
     #[test]
     fn confidence_interval_zero_region() {
         let mut rng = StdRng::seed_from_u64(11);
-        let report = Estimator::new(zero_probe_config(Backend::Kernel))
+        let report = Estimator::new(zero_probe_config())
             .estimate_population(&TagPopulation::new(), &mut rng);
         assert_eq!(report.confidence_interval(0.05), (0.0, 0.0));
     }
 
-    /// The kernel backend's key-slice report must equal the oracle
-    /// backend's population report field by field (estimate bits, records,
-    /// metrics) for the same RNG stream.
+    /// The kernel's key-slice report must equal the oracle reader's field
+    /// by field (estimate bits, records, metrics) for the same RNG stream.
     #[test]
     fn engine_matches_session_bit_for_bit() {
         for mode in [TagMode::PassivePreloaded, TagMode::ActivePerRound] {
             for zero_probe in [false, true] {
-                let build = |backend| {
-                    let config = PetConfig::builder()
-                        .tag_mode(mode)
-                        .zero_probe(zero_probe)
-                        .backend(backend)
-                        .accuracy(Accuracy::new(0.2, 0.2).unwrap());
-                    Estimator::new(config.build().unwrap())
-                };
-                let pop = TagPopulation::sequential(700);
-                let mut rng_a = StdRng::seed_from_u64(77);
-                let mut rng_b = StdRng::seed_from_u64(77);
-                let slow = build(Backend::Oracle).estimate_population_rounds(&pop, 48, &mut rng_a);
-                let keys: Vec<u64> = pop.keys().collect();
-                let fast = build(Backend::Kernel).estimate_keys_rounds(&keys, 48, &mut rng_b);
+                let config = PetConfig::builder()
+                    .tag_mode(mode)
+                    .zero_probe(zero_probe)
+                    .accuracy(Accuracy::new(0.2, 0.2).unwrap());
+                let estimator = Estimator::new(config.build().unwrap());
+                let keys: Vec<u64> = TagPopulation::sequential(700).keys().collect();
+                let slow = reference_run(&estimator, &keys, 48, 77);
+                let fast =
+                    estimator.estimate_keys_rounds(&keys, 48, &mut StdRng::seed_from_u64(77));
                 assert_eq!(slow.estimate.to_bits(), fast.estimate.to_bits());
                 assert_eq!(
                     slow.mean_prefix_len.to_bits(),
@@ -325,14 +319,14 @@ mod tests {
         }
     }
 
-    /// Zero probe over an empty bank short-circuits identically on both
-    /// backends.
+    /// Zero probe over an empty bank short-circuits exactly as the oracle
+    /// reader's does.
     #[test]
     fn engine_zero_probe_detects_empty_region() {
-        let slow = Estimator::new(zero_probe_config(Backend::Oracle))
-            .estimate_population(&TagPopulation::new(), &mut StdRng::seed_from_u64(4));
-        let fast = Estimator::new(zero_probe_config(Backend::Kernel))
-            .estimate_population(&TagPopulation::new(), &mut StdRng::seed_from_u64(4));
+        let estimator = Estimator::new(zero_probe_config());
+        let slow = reference_run(&estimator, &[], estimator.config().rounds(), 4);
+        let fast =
+            estimator.estimate_population(&TagPopulation::new(), &mut StdRng::seed_from_u64(4));
         assert!(fast.zero_detected);
         assert_eq!(slow.metrics, fast.metrics);
         assert_eq!(slow.estimate.to_bits(), fast.estimate.to_bits());
@@ -379,19 +373,18 @@ mod tests {
         let _ = estimator.estimate_population_rounds(&TagPopulation::sequential(10), 0, &mut rng);
     }
 
-    fn lossy_config(mode: TagMode, mitigation: Mitigation, backend: Backend) -> PetConfig {
+    fn lossy_config(mode: TagMode, mitigation: Mitigation) -> PetConfig {
         PetConfig::builder()
             .tag_mode(mode)
             .channel(ChannelModel::Lossy(LossyChannel::new(0.1, 0.02).unwrap()))
             .mitigation(mitigation)
-            .backend(backend)
             .accuracy(Accuracy::new(0.2, 0.2).unwrap())
             .build()
             .unwrap()
     }
 
-    /// Backend equivalence must survive fault injection — lossy channel,
-    /// both tag modes, with and without mitigation.
+    /// Kernel–reader equivalence must survive fault injection — lossy
+    /// channel, both tag modes, with and without mitigation.
     #[test]
     fn engine_matches_session_bit_for_bit_under_loss() {
         for mode in [TagMode::PassivePreloaded, TagMode::ActivePerRound] {
@@ -400,13 +393,11 @@ mod tests {
                 Mitigation::TrimmedMean { trim: 3 },
                 Mitigation::ReProbe { probes: 2 },
             ] {
-                let build = |backend| Estimator::new(lossy_config(mode, mitigation, backend));
-                let pop = TagPopulation::sequential(600);
-                let mut rng_a = StdRng::seed_from_u64(123);
-                let mut rng_b = StdRng::seed_from_u64(123);
-                let slow = build(Backend::Oracle).estimate_population_rounds(&pop, 48, &mut rng_a);
-                let keys: Vec<u64> = pop.keys().collect();
-                let fast = build(Backend::Kernel).estimate_keys_rounds(&keys, 48, &mut rng_b);
+                let estimator = Estimator::new(lossy_config(mode, mitigation));
+                let keys: Vec<u64> = TagPopulation::sequential(600).keys().collect();
+                let slow = reference_run(&estimator, &keys, 48, 123);
+                let fast =
+                    estimator.estimate_keys_rounds(&keys, 48, &mut StdRng::seed_from_u64(123));
                 assert_eq!(slow.estimate.to_bits(), fast.estimate.to_bits());
                 assert_eq!(slow.records, fast.records, "mode {mode:?} {mitigation:?}");
                 assert_eq!(slow.metrics, fast.metrics, "mode {mode:?} {mitigation:?}");
@@ -437,12 +428,12 @@ mod tests {
         assert!(noisy.mean_prefix_len < clean.mean_prefix_len);
     }
 
-    /// The kernel backend's transcribed run equals the roster oracle's
+    /// A bank's transcribed run equals the roster oracle's
     /// transcript slot for slot, and its report equals the oracle path's.
     #[test]
     fn transcribed_run_matches_oracle_transcript() {
         for mitigation in [Mitigation::None, Mitigation::TrimmedMean { trim: 2 }] {
-            let config = lossy_config(TagMode::PassivePreloaded, mitigation, Backend::Kernel);
+            let config = lossy_config(TagMode::PassivePreloaded, mitigation);
             let estimator = Estimator::new(config);
             let keys: Vec<u64> = (0..400u64).map(|k| k.wrapping_mul(0x9e37_79b9)).collect();
 
@@ -473,31 +464,24 @@ mod tests {
     #[test]
     fn reprobe_on_perfect_channel_only_adds_idle_slots() {
         for mode in [TagMode::PassivePreloaded, TagMode::ActivePerRound] {
-            let build = |mitigation, backend| {
+            let build = |mitigation| {
                 let config = PetConfig::builder()
                     .tag_mode(mode)
                     .mitigation(mitigation)
-                    .backend(backend)
                     .accuracy(Accuracy::new(0.2, 0.2).unwrap());
                 Estimator::new(config.build().unwrap())
             };
-            let probed = Mitigation::ReProbe { probes: 2 };
-            let pop = TagPopulation::sequential(300);
-            let mut rng_a = StdRng::seed_from_u64(21);
-            let mut rng_b = StdRng::seed_from_u64(21);
-            let slow =
-                build(probed, Backend::Oracle).estimate_population_rounds(&pop, 40, &mut rng_a);
-            let fast =
-                build(probed, Backend::Kernel).estimate_population_rounds(&pop, 40, &mut rng_b);
+            let probed = build(Mitigation::ReProbe { probes: 2 });
+            let keys: Vec<u64> = TagPopulation::sequential(300).keys().collect();
+            let slow = reference_run(&probed, &keys, 40, 21);
+            let fast = probed.estimate_keys_rounds(&keys, 40, &mut StdRng::seed_from_u64(21));
             assert_eq!(slow.estimate.to_bits(), fast.estimate.to_bits());
             assert_eq!(slow.records, fast.records, "mode {mode:?}");
             assert_eq!(slow.metrics, fast.metrics, "mode {mode:?}");
 
             // Same seed without re-probe: identical statistic, fewer slots
             // (each binary round re-reads its idle decisions twice).
-            let mut rng_c = StdRng::seed_from_u64(21);
-            let plain = build(Mitigation::None, Backend::Oracle)
-                .estimate_population_rounds(&pop, 40, &mut rng_c);
+            let plain = reference_run(&build(Mitigation::None), &keys, 40, 21);
             assert_eq!(plain.estimate.to_bits(), slow.estimate.to_bits());
             assert!(slow.metrics.slots > plain.metrics.slots);
             assert_eq!(slow.metrics.collision, plain.metrics.collision);
@@ -543,7 +527,7 @@ mod tests {
         let pop = TagPopulation::sequential(900);
         let mut reports = Vec::new();
         for mitigation in [Mitigation::None, Mitigation::TrimmedMean { trim: 4 }] {
-            let config = lossy_config(TagMode::PassivePreloaded, mitigation, Backend::Kernel);
+            let config = lossy_config(TagMode::PassivePreloaded, mitigation);
             let mut rng = StdRng::seed_from_u64(9);
             reports.push(Estimator::new(config).estimate_population_rounds(&pop, 40, &mut rng));
         }

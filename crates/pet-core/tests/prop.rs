@@ -1,7 +1,7 @@
 //! Property-based tests for the PET core protocol.
 
 use pet_core::bits::BitString;
-use pet_core::config::{Backend, CommandEncoding, Mitigation, PetConfig, SearchStrategy, TagMode};
+use pet_core::config::{CommandEncoding, Mitigation, PetConfig, SearchStrategy, TagMode};
 use pet_core::front::Estimator;
 use pet_core::kernel::{
     build_passive_codes, fused_round, round_record, CodeBank, PrefixIndex, RoundPlans,
@@ -482,10 +482,10 @@ proptest! {
         prop_assert_eq!(&indexed, air.metrics());
     }
 
-    /// Differential fuzz of the two backends across the full configuration
-    /// space — channel faults included: for any population, seed, channel,
-    /// tag mode, and mitigation, the oracle reader and the batched kernel
-    /// produce bit-identical reports AND slot-by-slot transcripts.
+    /// Differential fuzz of the bank against the oracle reader across the
+    /// full configuration space — channel faults included: for any
+    /// population, seed, channel, tag mode, and mitigation, a roster run and
+    /// a bank run produce bit-identical reports AND slot-by-slot transcripts.
     #[test]
     fn backends_are_transcript_identical_for_any_channel(
         keys in proptest::collection::vec(any::<u64>(), 0..250),
@@ -512,28 +512,24 @@ proptest! {
         } else {
             TagMode::PassivePreloaded
         };
-        let keys = std::sync::Arc::new(keys);
-        let mut outputs = Vec::new();
-        for backend in [Backend::Oracle, Backend::Kernel] {
-            let config = PetConfig::builder()
-                .backend(backend)
-                .tag_mode(tag_mode)
-                .manufacture_seed(seed)
-                .channel(channel)
-                .mitigation(mitigation)
-                .build()
-                .unwrap();
-            let estimator = Estimator::new(config);
-            let mut bank = estimator.bank_for_keys(std::sync::Arc::clone(&keys));
-            let mut rng = StdRng::seed_from_u64(seed);
-            outputs.push(
-                estimator
-                    .try_run_bank_transcribed(&mut bank, rounds, 16_384, &mut rng)
-                    .unwrap(),
-            );
-        }
-        let (oracle_report, oracle_transcript) = &outputs[0];
-        let (kernel_report, kernel_transcript) = &outputs[1];
+        let config = PetConfig::builder()
+            .tag_mode(tag_mode)
+            .manufacture_seed(seed)
+            .channel(channel)
+            .mitigation(mitigation)
+            .build()
+            .unwrap();
+        let estimator = Estimator::new(config);
+        let mut roster = CodeRoster::new(&keys, &config, estimator.family());
+        let mut air = Air::new(channel).with_transcript(16_384);
+        let oracle_report = estimator
+            .try_run_oracle(rounds, &mut roster, &mut air, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        let oracle_transcript = air.transcript().cloned().unwrap();
+        let mut bank = estimator.bank_for_keys(Arc::new(keys));
+        let (kernel_report, kernel_transcript) = estimator
+            .try_run_bank_transcribed(&mut bank, rounds, 16_384, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
         prop_assert_eq!(
             oracle_report.estimate.to_bits(),
             kernel_report.estimate.to_bits()

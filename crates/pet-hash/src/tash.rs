@@ -15,9 +15,8 @@
 //! direction, so survivor counts at each tree depth become path-dependent).
 //!
 //! The family is pure `(seed, id)` → bits like every other
-//! [`HashFamily`], so both estimator backends
-//! (roster oracle and batched kernel) consume it through the same trait and
-//! stay bit-for-bit equivalent.
+//! [`HashFamily`], so the roster oracle and the batched kernel consume it
+//! through the same trait and stay bit-for-bit equivalent.
 
 use crate::family::HashFamily;
 use crate::mix;
@@ -151,7 +150,7 @@ mod tests {
     }
 
     /// The default bulk path must equal scalar hashing bit for bit (the
-    /// kernel backend consumes the family through `hash_bits_bulk`).
+    /// batched kernel consumes the family through `hash_bits_bulk`).
     #[test]
     fn bulk_matches_scalar() {
         let fam = TashFamily::from_skew(0.07);

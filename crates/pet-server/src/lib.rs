@@ -47,8 +47,8 @@
 //!   property the concurrency test battery and `pet loadgen
 //!   --verify-deterministic` assert.
 //!
-//! Estimation routes through the unified [`pet_core::front::Estimator`]
-//! (both backends, all channel/mitigation knobs), with code banks shared
+//! Estimation routes through the one [`pet_core::front::Estimator`]
+//! (all channel/mitigation knobs), with code banks shared
 //! across concurrent requests via a server-owned
 //! [`pet_sim::cache::RosterCache`].
 //!

@@ -5,8 +5,8 @@
 //! ```text
 //! {"id":"r1","verb":"estimate","tags":5000}
 //! {"id":"r2","verb":"estimate","tags":5000,"rounds":32,"seed":7,
-//!  "epsilon":0.05,"delta":0.01,"backend":"oracle",
-//!  "miss":0.02,"false_busy":0.001,"probes":2,"deadline_ms":250}
+//!  "epsilon":0.05,"delta":0.01,"miss":0.02,"false_busy":0.001,
+//!  "probes":2,"deadline_ms":250}
 //! {"id":"r3","verb":"robustness","tags":500,"rounds":16,"runs":4,
 //!  "miss_rates":[0,0.05],"probes":2}
 //! {"id":"r4","verb":"telemetry-snapshot"}
@@ -45,7 +45,7 @@
 //! `"verb":"monitor"` summary line, every line echoing the request `id`.
 
 use crate::json::{escape, Json};
-use pet_core::config::{Backend, Mitigation, PetConfig};
+use pet_core::config::{Mitigation, PetConfig};
 use pet_phy::channel::{ChannelModel, LossyChannel};
 use pet_phy::PhyProfile;
 use pet_stats::accuracy::Accuracy;
@@ -55,7 +55,7 @@ use std::time::Duration;
 
 /// Upper bound on `tags` a single request may ask for (10⁷ keeps one
 /// request's memory in the tens of MB and a worker busy for well under a
-/// second on the kernel backend).
+/// second).
 pub const MAX_TAGS: usize = 10_000_000;
 
 /// Upper bound on `rounds` per request.
@@ -392,23 +392,13 @@ fn parse_channel(root: &Json, id: &str) -> Result<ChannelModel, RequestError> {
 }
 
 /// Assembles the protocol-configuration knobs shared by the `estimate` and
-/// `monitor` verbs: `epsilon`/`delta`, `backend`, the channel model
-/// (`miss`/`false_busy`), and the mitigation (`probes` xor `trim`).
+/// `monitor` verbs: `epsilon`/`delta`, the channel model
+/// (`miss`/`false_busy`), the mitigation (`probes` xor `trim`), and the
+/// `phy` profile.
 fn parse_config(root: &Json, id: &str) -> Result<PetConfig, RequestError> {
     let epsilon = f64_field(root, id, "epsilon", 0.05)?;
     let delta = f64_field(root, id, "delta", 0.01)?;
     let accuracy = Accuracy::new(epsilon, delta).map_err(|e| bad(Some(id), e.to_string()))?;
-    let backend = match root.get("backend").map(|v| v.as_str()) {
-        None => Backend::Kernel,
-        Some(Some("kernel")) => Backend::Kernel,
-        Some(Some("oracle")) => Backend::Oracle,
-        Some(other) => {
-            return Err(bad(
-                Some(id),
-                format!("\"backend\" must be \"kernel\" or \"oracle\", got {other:?}"),
-            ))
-        }
-    };
     let channel = parse_channel(root, id)?;
     let probes = u64_field(root, id, "probes")?;
     let trim = u64_field(root, id, "trim")?;
@@ -437,7 +427,6 @@ fn parse_config(root: &Json, id: &str) -> Result<PetConfig, RequestError> {
     };
     PetConfig::builder()
         .accuracy(accuracy)
-        .backend(backend)
         .channel(channel)
         .mitigation(mitigation)
         .phy(phy)
@@ -732,7 +721,6 @@ mod tests {
                 assert_eq!(p.tags, 100);
                 assert_eq!(p.rounds, None);
                 assert_eq!(p.seed, None);
-                assert_eq!(p.config.backend(), Backend::Kernel);
                 assert_eq!(p.config.channel(), ChannelModel::Perfect);
             }
             other => panic!("wrong verb {other:?}"),
@@ -743,7 +731,7 @@ mod tests {
     fn parses_full_estimate_knobs() {
         let r = parse_request(
             r#"{"id":"b","verb":"estimate","tags":500,"rounds":32,"seed":7,
-                "epsilon":0.2,"delta":0.2,"backend":"oracle","miss":0.05,
+                "epsilon":0.2,"delta":0.2,"miss":0.05,
                 "false_busy":0.01,"probes":2,"deadline_ms":250}"#,
         )
         .unwrap();
@@ -752,7 +740,6 @@ mod tests {
             Verb::Estimate(p) => {
                 assert_eq!(p.rounds, Some(32));
                 assert_eq!(p.seed, Some(7));
-                assert_eq!(p.config.backend(), Backend::Oracle);
                 assert!(matches!(p.config.channel(), ChannelModel::Lossy(_)));
                 assert_eq!(p.config.mitigation(), Mitigation::ReProbe { probes: 2 });
             }
@@ -888,14 +875,13 @@ mod tests {
                 assert_eq!(p.alarm_fraction, 0.5);
                 assert_eq!((p.churn_rate, p.burst_at, p.burst_size), (0, None, 0));
                 assert_eq!(p.seed, None);
-                assert_eq!(p.config.backend(), Backend::Kernel);
             }
             other => panic!("wrong verb {other:?}"),
         }
         let r = parse_request(
             r#"{"id":"m","verb":"monitor","tags":2000,"updates":8,"window":4,
                 "rounds":16,"churn_rate":20,"burst_at":5,"burst_size":600,
-                "alarm_fraction":0.7,"seed":"deadbeefcafef00d","backend":"oracle"}"#,
+                "alarm_fraction":0.7,"seed":"deadbeefcafef00d"}"#,
         )
         .unwrap();
         assert_eq!(r.verb.name(), "monitor");
@@ -906,7 +892,6 @@ mod tests {
                 assert_eq!((p.burst_at, p.burst_size), (Some(5), 600));
                 assert_eq!(p.alarm_fraction, 0.7);
                 assert_eq!(p.seed, Some(0xdead_beef_cafe_f00d));
-                assert_eq!(p.config.backend(), Backend::Oracle);
             }
             other => panic!("wrong verb {other:?}"),
         }
@@ -936,7 +921,6 @@ mod tests {
             r#"{"id":"m","verb":"monitor","tags":10,"burst_at":2,"burst_size":10}"#,
             // config knobs flow through the shared parser
             r#"{"id":"m","verb":"monitor","tags":10,"epsilon":2}"#,
-            r#"{"id":"m","verb":"monitor","tags":10,"backend":"gpu"}"#,
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.id.as_deref(), Some("m"), "{bad}");
@@ -991,7 +975,6 @@ mod tests {
             r#"{"id":"x","verb":"estimate","tags":100,"epsilon":2}"#,
             r#"{"id":"x","verb":"estimate","tags":100,"miss":1.5}"#,
             r#"{"id":"x","verb":"estimate","tags":100,"probes":1,"trim":1}"#,
-            r#"{"id":"x","verb":"estimate","tags":100,"backend":"gpu"}"#,
             r#"{"id":"x","verb":"estimate","tags":100,"deadline_ms":0}"#,
         ] {
             let e = parse_request(bad).unwrap_err();

@@ -759,12 +759,12 @@ mod tests {
     }
 
     /// `execute_monitor` applies each update's churn to one live bank as
-    /// a key delta; its reply is byte for byte the rebuild's, on both
-    /// backends and both tag modes. 40 rounds over 700 tags build the
-    /// passive bank's prefix index, which the churn after it must drop.
+    /// a key delta; its reply is byte for byte the rebuild's, in both tag
+    /// modes. 40 rounds over 700 tags build the passive bank's prefix
+    /// index, which the churn after it must drop.
     #[test]
     fn monitor_replies_equal_the_rebuild_byte_for_byte() {
-        use pet_core::config::{Backend as CoreBackend, PetConfig};
+        use pet_core::config::PetConfig;
         use pet_stats::accuracy::Accuracy;
 
         let core = ServiceCore::new(&ServerConfig {
@@ -775,13 +775,10 @@ mod tests {
         let Verb::Monitor(parsed) = crate::proto::parse_request(line).unwrap().verb else {
             panic!("a monitor request");
         };
-        for (backend, tag_mode, phy) in [
-            (CoreBackend::Kernel, TagMode::PassivePreloaded, None),
-            (CoreBackend::Oracle, TagMode::PassivePreloaded, None),
-            (CoreBackend::Kernel, TagMode::ActivePerRound, None),
-            (CoreBackend::Oracle, TagMode::ActivePerRound, None),
+        for (tag_mode, phy) in [
+            (TagMode::PassivePreloaded, None),
+            (TagMode::ActivePerRound, None),
             (
-                CoreBackend::Kernel,
                 TagMode::PassivePreloaded,
                 pet_phy::PhyProfile::named("gen2"),
             ),
@@ -789,7 +786,6 @@ mod tests {
             let params = MonitorParams {
                 config: PetConfig::builder()
                     .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-                    .backend(backend)
                     .tag_mode(tag_mode)
                     .phy(phy)
                     .build()
@@ -801,8 +797,36 @@ mod tests {
             assert_eq!(
                 reply,
                 rebuilt_monitor_reply("m", &params, 0x5eed),
-                "{backend:?}, {tag_mode:?}"
+                "{tag_mode:?}"
             );
+        }
+    }
+
+    /// The wire ignores a `"backend"` key: an estimate and a monitor
+    /// request are answered byte for byte alike whichever backend they
+    /// name, and without one.
+    #[test]
+    fn backend_key_leaves_replies_unchanged() {
+        let core = ServiceCore::new(&ServerConfig {
+            deterministic: true,
+            ..ServerConfig::default()
+        });
+        let run = |line: String| {
+            let Some(Dispatch::Work(req)) = core.handle_line(line.as_bytes()) else {
+                panic!("work verbs must be queued: {line}");
+            };
+            core.execute_work(&req, Instant::now())
+        };
+        for fields in [
+            r#""verb":"estimate","tags":300,"rounds":24"#,
+            r#""verb":"monitor","tags":300,"updates":3,"window":2,"rounds":8,"churn_rate":5"#,
+        ] {
+            let plain = run(format!(r#"{{"id":"b",{fields}}}"#));
+            assert!(plain.contains("\"ok\":true"), "{plain}");
+            for backend in ["oracle", "kernel", "gpu"] {
+                let named = run(format!(r#"{{"id":"b",{fields},"backend":"{backend}"}}"#));
+                assert_eq!(named, plain, "{backend}");
+            }
         }
     }
 

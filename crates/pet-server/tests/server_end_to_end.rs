@@ -63,16 +63,14 @@ macro_rules! battery {
     };
 }
 
-/// The mixed workload: estimation across backends, channels, and
+/// The mixed workload: estimation across populations, channels, and
 /// mitigations, plus small robustness sweeps — every id fully determines
 /// its request.
 fn mixed_request(thread: usize, i: usize) -> (String, String) {
     let id = format!("t{thread}-{i}");
     let line = match i % 5 {
         0 => format!(r#"{{"id":"{id}","verb":"estimate","tags":400,"rounds":8}}"#),
-        1 => {
-            format!(r#"{{"id":"{id}","verb":"estimate","tags":300,"rounds":8,"backend":"oracle"}}"#)
-        }
+        1 => format!(r#"{{"id":"{id}","verb":"estimate","tags":300,"rounds":8}}"#),
         2 => format!(
             r#"{{"id":"{id}","verb":"estimate","tags":500,"rounds":8,"miss":0.05,"probes":2}}"#
         ),

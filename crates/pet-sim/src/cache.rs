@@ -271,8 +271,9 @@ impl RosterCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pet_core::config::Backend;
     use pet_core::front::Estimator;
+    use pet_core::oracle::CodeRoster;
+    use pet_phy::Air;
     use pet_tags::population::TagPopulation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -283,22 +284,19 @@ mod tests {
             .manufacture_seed(0xCAFE)
             .build()
             .unwrap();
-        let oracle = Estimator::new(
-            PetConfig::builder()
-                .manufacture_seed(0xCAFE)
-                .backend(Backend::Oracle)
-                .build()
-                .unwrap(),
-        );
-        let kernel = Estimator::new(config);
+        let estimator = Estimator::new(config);
         let cache = RosterCache::default();
-        let pop = TagPopulation::sequential(1_500);
+        let keys: Vec<u64> = TagPopulation::sequential(1_500).keys().collect();
         for round in 0..3 {
-            let mut bank = cache.sequential_bank(1_500, &config, kernel.family());
+            let mut bank = cache.sequential_bank(1_500, &config, estimator.family());
+            let mut roster = CodeRoster::new(&keys, &config, estimator.family());
+            let mut air = Air::new(config.channel());
             let mut rng_a = StdRng::seed_from_u64(round);
             let mut rng_b = StdRng::seed_from_u64(round);
-            let slow = oracle.estimate_population_rounds(&pop, 16, &mut rng_a);
-            let fast = kernel.run_bank(&mut bank, 16, &mut rng_b);
+            let slow = estimator
+                .try_run_oracle(16, &mut roster, &mut air, &mut rng_a)
+                .unwrap();
+            let fast = estimator.run_bank(&mut bank, 16, &mut rng_b);
             assert_eq!(slow.estimate.to_bits(), fast.estimate.to_bits());
             assert_eq!(slow.metrics, fast.metrics);
         }

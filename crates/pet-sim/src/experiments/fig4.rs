@@ -69,11 +69,10 @@ pub fn pet_trial(n: usize, rounds: u32, trial_seed: u64) -> f64 {
         .manufacture_seed(trial_seed ^ 0x4D41_4E55) // "MANU"
         .build()
         .expect("valid config");
-    // Default backend is the batched kernel, bit-for-bit equal to the oracle
-    // session for the same seeds (pinned by the kernel equivalence suite).
-    // Per-trial manufacture seeds mean the code cache misses by design; the
-    // shared key vector and radix sort still drop most of the per-trial
-    // setup.
+    // The batched kernel is bit-for-bit equal to the oracle reader for the
+    // same seeds (pinned by the kernel equivalence suite). Per-trial
+    // manufacture seeds mean the code cache misses by design; the shared
+    // key vector and radix sort still drop most of the per-trial setup.
     let estimator = Estimator::new(config);
     let mut bank = RosterCache::global().sequential_bank(n, &config, AnyFamily::default());
     let mut rng = StdRng::seed_from_u64(trial_seed);

@@ -5,11 +5,11 @@
 //! (ε, δ) behaviour degrades when slots can miss tag responses (busy read
 //! as idle) or detect phantom energy (idle read as busy), and how much of
 //! the induced bias idle-slot re-probing recovers — and what it costs in
-//! extra slots. Runs on the kernel backend, so it exercises the engine's
-//! slot-accurate lossy path.
+//! extra slots. Runs `Estimator` over a lossy channel, so it exercises the
+//! bank's slot-accurate lossy path.
 
 use crate::runner::run_trials;
-use pet_core::config::{Backend, Mitigation, PetConfig};
+use pet_core::config::{Mitigation, PetConfig};
 use pet_core::Estimator;
 use pet_phy::channel::{ChannelModel, LossyChannel};
 use rand::rngs::StdRng;
@@ -95,7 +95,6 @@ pub fn sweep(params: &RobustnessParams) -> Vec<RobustnessRow> {
             let summary = run_trials(params.runs, cell_seed, |trial_seed| {
                 let config = PetConfig::builder()
                     .manufacture_seed(trial_seed)
-                    .backend(Backend::Kernel)
                     .channel(channel)
                     .mitigation(mitigation)
                     .build()

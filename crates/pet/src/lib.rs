@@ -14,9 +14,7 @@
 //! let mut rng = StdRng::seed_from_u64(2024);
 //! // 30,000 pallets with passive tags.
 //! let pallets = TagPopulation::sequential(30_000);
-//! // ±5% at 99% confidence — the paper's default requirement. The
-//! // `Estimator` picks the execution backend from the configuration
-//! // (batched kernel by default; `Backend::Oracle` replays slot by slot).
+//! // ±5% at 99% confidence — the paper's default requirement.
 //! let estimator = Estimator::new(PetConfig::paper_default());
 //! let report = estimator.estimate_population(&pallets, &mut rng);
 //! assert!((report.estimate - 30_000.0).abs() <= 0.05 * 30_000.0);
@@ -60,7 +58,7 @@ pub use pet_tags as tags;
 /// The working set most applications need.
 pub mod prelude {
     pub use pet_baselines::{CardinalityEstimator, Estimate, Fidelity};
-    pub use pet_core::config::{Backend, CommandEncoding, PetConfig, SearchStrategy, TagMode};
+    pub use pet_core::config::{CommandEncoding, PetConfig, SearchStrategy, TagMode};
     pub use pet_core::error::PetError;
     pub use pet_core::front::Estimator;
     pub use pet_core::session::EstimateReport;
@@ -89,20 +87,23 @@ mod tests {
         assert!(report.try_confidence_interval(0.05).is_ok());
     }
 
+    /// The estimate equals the oracle reader's over a roster of the same
+    /// keys, so which one runs is invisible in the results.
     #[test]
     fn prelude_backend_switch_is_invisible_to_results() {
         let keys: Vec<u64> = (0..400).collect();
-        let mut reports = Vec::new();
-        for backend in [Backend::Oracle, Backend::Kernel] {
-            let config = PetConfig::builder()
-                .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-                .backend(backend)
-                .build()
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            reports.push(Estimator::new(config).estimate_keys_rounds(&keys, 24, &mut rng));
-        }
-        assert_eq!(reports[0].estimate.to_bits(), reports[1].estimate.to_bits());
-        assert_eq!(reports[0].records, reports[1].records);
+        let config = PetConfig::builder()
+            .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+            .build()
+            .unwrap();
+        let estimator = Estimator::new(config);
+        let kernel = estimator.estimate_keys_rounds(&keys, 24, &mut StdRng::seed_from_u64(3));
+        let mut roster = crate::core::CodeRoster::new(&keys, &config, estimator.family());
+        let (mut air, mut rng) = (Air::new(config.channel()), StdRng::seed_from_u64(3));
+        let oracle = estimator
+            .try_run_oracle(24, &mut roster, &mut air, &mut rng)
+            .unwrap();
+        assert_eq!(oracle.estimate.to_bits(), kernel.estimate.to_bits());
+        assert_eq!(oracle.records, kernel.records);
     }
 }

@@ -32,7 +32,7 @@ fn main() {
         ),
         (
             "dock-b",
-            r#"{"id":"dock-b","verb":"estimate","tags":12000,"rounds":128,"backend":"oracle"}"#,
+            r#"{"id":"dock-b","verb":"estimate","tags":12000,"rounds":128}"#,
         ),
         (
             "dock-c",

@@ -46,8 +46,8 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(0xD0C5);
     let population = TagPopulation::sequential(n);
-    // The unified front door: runs on the configured backend (batched
-    // kernel by default, bit-for-bit equal to the slot-by-slot oracle).
+    // The one front door: runs on the batched kernel, bit-for-bit equal
+    // to the slot-by-slot oracle reader.
     let estimator = Estimator::new(config);
     let report = estimator.estimate_population(&population, &mut rng);
 

@@ -73,8 +73,9 @@ for workload in $WORKLOADS; do
 done
 
 # Statistical conformance gate: fixed-seed empirical checks of the paper's
-# (ε, δ) guarantee, the gray-node law (KS), lossy-channel backend
-# equivalence, and bias bounds under loss. Deterministic, runs in seconds.
+# (ε, δ) guarantee, the gray-node law (KS), the kernel's equivalence with
+# the oracle reader over a lossy channel, and bias bounds under loss.
+# Deterministic, runs in seconds.
 echo "==> statistical conformance (fixed seeds)"
 cargo test -q -p pet --test statistical_conformance
 
@@ -105,8 +106,8 @@ if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
 fi
 
 # Streaming-conformance gate: the monitor layer must be a pure composition
-# of one-shot estimates — zero-churn proptest differential on both
-# backends, the churn differential (key deltas vs rebuilds), the golden
+# of one-shot estimates — zero-churn proptest differential against the
+# oracle reader, the churn differential (key deltas vs rebuilds), the golden
 # churn trace (per-update estimates + alarm-fire round, PET_BLESS=1
 # re-blesses), and bit-for-bit replay. Every update's key delta is hashed
 # through the lane's bulk kernel, so the suite runs under both lanes.
@@ -116,9 +117,9 @@ echo "==> streaming conformance (runtime dispatch)"
 cargo test -q -p pet --test streaming_conformance
 
 # PHY-conformance gate: the Gen2 pricing layer must be a pure observer —
-# the pricing-purity proptest (phy-on vs phy-off, both backends), the
-# golden priced trace (PET_BLESS=1 re-blesses), bit-for-bit replay, and
-# the trimmed-mean/hash-skew caveat pin.
+# the pricing-purity proptest (phy-on vs phy-off, kernel and oracle
+# reader), the golden priced trace (PET_BLESS=1 re-blesses), bit-for-bit
+# replay, and the trimmed-mean/hash-skew caveat pin.
 echo "==> PHY conformance (pricing purity, golden priced trace)"
 cargo test -q -p pet --test phy_conformance
 
@@ -290,6 +291,30 @@ if [[ "${PET_CI_GATE:-0}" == "1" ]]; then
 else
     echo "==> perf ledger: regression gate SKIPPED (set PET_CI_GATE=1 to run)"
 fi
+
+# Repro ledger gate: `repro --quick phy monitor` runs in a scratch
+# directory (repro writes results/ under its working directory, so the
+# committed results stay untouched). Every row it appends must carry a
+# wall-clock timestamp, and no row may share a (bench, config) key with the
+# committed ledger, or the gate would compare a reduced run with a full one.
+echo "==> repro --quick phy monitor (rows stamped, keys unlike full runs)"
+REPRO_TMP=$(mktemp -d)
+trap 'rm -rf "$LEDGER_TMP" "$FLEET_TMP" "$REPRO_TMP"' EXIT
+REPRO_BIN="$PWD/target/release/repro"
+(cd "$REPRO_TMP" && "$REPRO_BIN" --quick phy monitor >/dev/null)
+REPRO_LEDGER="$REPRO_TMP/results/ledger.jsonl"
+ledger_keys() {
+    sed -E 's/.*"bench":"([^"]*)","config":"([^"]*)".*/\1 \2/' "$1" | sort -u
+}
+REPRO_ROWS=$(wc -l <"$REPRO_LEDGER")
+UNSTAMPED=$(grep -c '"timestamp_s":0,' "$REPRO_LEDGER" || true)
+SHARED=$(comm -12 <(ledger_keys "$REPRO_LEDGER") <(ledger_keys results/ledger.jsonl))
+[[ "$REPRO_ROWS" -gt 0 && "$UNSTAMPED" == 0 && -z "$SHARED" ]] || {
+    echo "repro ledger: $REPRO_ROWS rows, $UNSTAMPED with timestamp_s 0;" \
+        "keys shared with results/ledger.jsonl: ${SHARED:-none}" >&2
+    exit 1
+}
+echo "repro ledger: $REPRO_ROWS rows stamped, none keyed like a committed row"
 
 echo "==> cargo fmt --check (first-party crates)"
 for crate in "${CRATES[@]}"; do

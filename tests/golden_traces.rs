@@ -157,12 +157,11 @@ fn golden_lossy_trace() {
         golden
     );
 
-    // The kernel backend replays the same trace bit for bit from the same
-    // codes and seed.
+    // A bank replays the same trace bit for bit from the same codes and
+    // seed.
     let codes: Arc<Vec<u64>> = Arc::new(fig3_roster().codes().to_vec());
     let kernel_config = pet_core::config::PetConfig::builder()
         .height(6)
-        .backend(Backend::Kernel)
         .channel(ChannelModel::Lossy(channel))
         .build()
         .unwrap();

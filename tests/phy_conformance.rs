@@ -6,9 +6,9 @@
 //!
 //! 1. **Pricing-purity differential** (property): for any population,
 //!    round budget, and seed, running with and without the profile yields
-//!    bit-identical estimates, round records, and air metrics — on both
-//!    the Oracle and Kernel backends — and the attached ledger is exactly
-//!    the profile folded over those metrics.
+//!    bit-identical estimates, round records, and air metrics, the
+//!    attached ledger is exactly the profile folded over those metrics,
+//!    and the oracle reader prices the same run identically.
 //! 2. **Golden PHY trace**: a fixed-seed run pins the slot breakdown and
 //!    every ledger component byte for byte in
 //!    `tests/golden/phy_trace.csv`. Re-bless after an intentional timing
@@ -23,18 +23,38 @@
 
 use pet::prelude::*;
 use pet_core::config::Mitigation;
+use pet_core::oracle::CodeRoster;
 use pet_hash::family::AnyFamily;
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::path::Path;
 
-fn config(backend: Backend, phy: Option<PhyProfile>) -> PetConfig {
+fn config(phy: Option<PhyProfile>) -> PetConfig {
     PetConfig::builder()
         .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-        .backend(backend)
         .phy(phy)
         .build()
         .unwrap()
+}
+
+/// The estimator's run and the reference run over the same keys and seed:
+/// the oracle reader over a [`CodeRoster`].
+fn kernel_and_oracle(
+    config: PetConfig,
+    keys: &[u64],
+    rounds: u32,
+    seed: u64,
+) -> [EstimateReport; 2] {
+    let estimator = Estimator::new(config);
+    let kernel = estimator
+        .try_estimate_keys_rounds(keys, rounds, &mut StdRng::seed_from_u64(seed))
+        .unwrap();
+    let mut roster = CodeRoster::new(keys, &config, estimator.family());
+    let (mut air, mut rng) = (Air::new(config.channel()), StdRng::seed_from_u64(seed));
+    let oracle = estimator
+        .try_run_oracle(rounds, &mut roster, &mut air, &mut rng)
+        .unwrap();
+    [kernel, oracle]
 }
 
 proptest! {
@@ -50,21 +70,13 @@ proptest! {
     ) {
         let keys: Vec<u64> = TagPopulation::sequential(n).keys().collect();
         let profile = PhyProfile::gen2();
-        let mut reports = Vec::new();
-        for backend in [Backend::Oracle, Backend::Kernel] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let off = Estimator::new(config(backend, None))
-                .try_estimate_keys_rounds(&keys, rounds, &mut rng)
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let on = Estimator::new(config(backend, Some(profile)))
-                .try_estimate_keys_rounds(&keys, rounds, &mut rng)
-                .unwrap();
+        let unpriced = kernel_and_oracle(config(None), &keys, rounds, seed);
+        let priced = kernel_and_oracle(config(Some(profile)), &keys, rounds, seed);
+        for (off, on) in unpriced.iter().zip(&priced) {
             prop_assert_eq!(
                 on.estimate.to_bits(),
                 off.estimate.to_bits(),
-                "estimate drifted under pricing ({:?} backend)",
-                backend
+                "estimate drifted under pricing"
             );
             prop_assert_eq!(on.rounds, off.rounds);
             prop_assert_eq!(on.mean_prefix_len.to_bits(), off.mean_prefix_len.to_bits());
@@ -76,16 +88,16 @@ proptest! {
                 Some(profile.report(&on.metrics)),
                 "ledger must be the pure fold over the final metrics"
             );
-            reports.push(on);
         }
-        // Backend equivalence extends to the priced ledger.
-        prop_assert_eq!(reports[0].phy, reports[1].phy);
+        // The equivalence with the oracle reader extends to the priced
+        // ledger.
+        prop_assert_eq!(priced[0].phy, priced[1].phy);
     }
 }
 
-/// The fixed scenario behind the golden trace: 800 tags, 48 rounds, both
-/// backends (which must agree bit for bit, so the trace pins one line per
-/// backend with identical numbers past the label).
+/// The fixed scenario behind the golden trace: 800 tags, 48 rounds, run by
+/// the oracle reader and by the kernel (which must agree bit for bit, so
+/// the trace pins one line per run with identical numbers past the label).
 fn phy_trace() -> String {
     let keys: Vec<u64> = TagPopulation::sequential(800).keys().collect();
     let profile = PhyProfile::gen2();
@@ -93,18 +105,15 @@ fn phy_trace() -> String {
         "backend,estimate,slots,idle,singleton,collision,command_bits,tag_responses,\
          wall_ms,reader_tx_uj,reader_rx_uj,tag_uj,energy_uj\n",
     );
-    for backend in [Backend::Oracle, Backend::Kernel] {
-        let mut rng = StdRng::seed_from_u64(0x6E2_2026);
-        let report = Estimator::new(config(backend, Some(profile)))
-            .try_estimate_keys_rounds(&keys, 48, &mut rng)
-            .unwrap();
+    let [kernel, oracle] = kernel_and_oracle(config(Some(profile)), &keys, 48, 0x6E2_2026);
+    for (label, report) in [("Oracle", oracle), ("Kernel", kernel)] {
         let m = report.metrics;
         let p = report.phy.expect("profile configured");
         // `{:?}` prints the shortest f64 representation that round-trips,
         // so equal bytes ⇔ equal bits.
         writeln!(
             out,
-            "{backend:?},{:?},{},{},{},{},{},{},{:?},{:?},{:?},{:?},{:?}",
+            "{label},{:?},{},{},{},{},{},{},{:?},{:?},{:?},{:?},{:?}",
             report.estimate,
             m.slots,
             m.idle,
@@ -129,8 +138,8 @@ fn phy_trace() -> String {
 fn golden_phy_trace_matches() {
     let produced = phy_trace();
 
-    // Structural check first, independent of the golden bytes: both
-    // backends must print identical numbers after the backend label.
+    // Structural check first, independent of the golden bytes: both runs
+    // must print identical numbers after the label.
     let lines: Vec<&str> = produced.lines().skip(1).collect();
     assert_eq!(lines.len(), 2);
     let strip = |l: &str| l.split_once(',').unwrap().1.to_string();

@@ -11,17 +11,19 @@
 //! 2. **Law** — per-round longest-responsive-prefix lengths pass a KS test
 //!    against `P(L ≥ l) = 1 − (1 − 2^{−l})ⁿ` (Eq. 5), and the same sample
 //!    rejects a 4× wrong population.
-//! 3. **Equivalence** — oracle and kernel backends stay bit-for-bit
-//!    identical (reports *and* slot transcripts) under fault injection.
+//! 3. **Equivalence** — the kernel stays bit-for-bit identical to the
+//!    oracle reader (reports *and* slot transcripts) under fault injection.
 //! 4. **Bias** — relative bias stays within calibrated bounds at 0%, 1%,
 //!    and 5% slot-miss rates, and re-probe mitigation measurably shrinks it
 //!    at 5%.
 //!
 //! Everything is seeded; the suite is deterministic run-to-run.
 
-use pet_core::config::{Backend, Mitigation, PetConfig, TagMode};
+use pet_core::config::{Mitigation, PetConfig, TagMode};
 use pet_core::front::Estimator;
+use pet_core::oracle::CodeRoster;
 use pet_phy::channel::{ChannelModel, LossyChannel};
+use pet_phy::Air;
 use pet_stats::accuracy::Accuracy;
 use pet_stats::conformance::{epsilon_delta_coverage, ks_prefix_law, relative_bias};
 use rand::rngs::StdRng;
@@ -36,7 +38,7 @@ fn lossy(miss: f64, false_busy: f64) -> ChannelModel {
     }
 }
 
-/// Mean estimates over `trials` seeded runs of a kernel-backend estimator.
+/// Mean estimates over `trials` seeded runs of an estimator.
 fn trial_estimates(
     trials: usize,
     base_seed: u64,
@@ -48,7 +50,6 @@ fn trial_estimates(
     (0..trials as u64)
         .map(|t| {
             let config = PetConfig::builder()
-                .backend(Backend::Kernel)
                 .manufacture_seed(base_seed ^ (t.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
                 .channel(channel)
                 .mitigation(mitigation)
@@ -103,7 +104,6 @@ fn prefix_lengths_follow_the_gray_law() {
     let mut height = 0;
     for trial in 0..3u64 {
         let config = PetConfig::builder()
-            .backend(Backend::Kernel)
             .tag_mode(TagMode::ActivePerRound)
             .manufacture_seed(0x6A11 + trial)
             .build()
@@ -131,35 +131,37 @@ fn prefix_lengths_follow_the_gray_law() {
     );
 }
 
-/// Gate 3: fault injection preserves backend equivalence — reports and slot
-/// transcripts are bit-for-bit identical across oracle and kernel, for both
-/// tag modes and both mitigations.
+/// Gate 3: fault injection preserves the kernel's equivalence with the
+/// oracle reader — reports and slot transcripts are bit-for-bit identical,
+/// for both tag modes and both mitigations.
 #[test]
 fn backends_agree_bit_for_bit_under_fault_injection() {
     let keys: Arc<Vec<u64>> = Arc::new((0..700).map(|k: u64| k.wrapping_mul(0x9E37)).collect());
     for tag_mode in [TagMode::PassivePreloaded, TagMode::ActivePerRound] {
         for mitigation in [Mitigation::None, Mitigation::ReProbe { probes: 2 }] {
-            let mut reports = Vec::new();
-            for backend in [Backend::Oracle, Backend::Kernel] {
-                let config = PetConfig::builder()
-                    .backend(backend)
-                    .tag_mode(tag_mode)
-                    .manufacture_seed(0xD1FF)
-                    .channel(lossy(0.1, 0.02))
-                    .mitigation(mitigation)
-                    .build()
-                    .expect("valid config");
-                let estimator = Estimator::new(config);
-                let mut bank = estimator.bank_for_keys(Arc::clone(&keys));
-                let mut rng = StdRng::seed_from_u64(0xBEEF);
-                reports.push(
-                    estimator
-                        .try_run_bank_transcribed(&mut bank, 40, 8192, &mut rng)
-                        .expect("run succeeds"),
-                );
-            }
-            let (oracle_report, oracle_transcript) = &reports[0];
-            let (kernel_report, kernel_transcript) = &reports[1];
+            let config = PetConfig::builder()
+                .tag_mode(tag_mode)
+                .manufacture_seed(0xD1FF)
+                .channel(lossy(0.1, 0.02))
+                .mitigation(mitigation)
+                .build()
+                .expect("valid config");
+            let estimator = Estimator::new(config);
+            let mut roster = CodeRoster::new(&keys, &config, estimator.family());
+            let mut air = Air::new(config.channel()).with_transcript(8192);
+            let oracle_report = estimator
+                .try_run_oracle(
+                    40,
+                    &mut roster,
+                    &mut air,
+                    &mut StdRng::seed_from_u64(0xBEEF),
+                )
+                .expect("run succeeds");
+            let oracle_transcript = air.transcript().expect("transcript requested");
+            let mut bank = estimator.bank_for_keys(Arc::clone(&keys));
+            let (kernel_report, kernel_transcript) = estimator
+                .try_run_bank_transcribed(&mut bank, 40, 8192, &mut StdRng::seed_from_u64(0xBEEF))
+                .expect("run succeeds");
             let label = format!("{tag_mode:?}/{mitigation:?}");
             assert_eq!(
                 oracle_report.estimate.to_bits(),

@@ -1,20 +1,19 @@
 //! Streaming-conformance suite: the `pet-core::monitor` layer must be a
 //! *pure composition* of one-shot estimates — no hidden state, no extra
-//! randomness, no backend divergence.
+//! randomness, no divergence from the oracle reader.
 //!
 //! Four pins:
 //!
 //! 1. **Zero-churn differential** (property): with a fixed key set, every
-//!    monitor update is bit-for-bit the one-shot
-//!    [`Estimator::try_estimate_keys_rounds`] run under the derived
-//!    [`update_seed`], and the windowed value is bit-for-bit the
-//!    [`windowed_mean`] fold of those raw estimates — on both the Oracle
-//!    and Kernel backends.
+//!    monitor update is bit-for-bit the one-shot oracle reader run
+//!    ([`Estimator::try_run_oracle`] over a [`CodeRoster`]) under the
+//!    derived [`update_seed`], and the windowed value is bit-for-bit the
+//!    [`windowed_mean`] fold of those raw estimates.
 //! 2. **Churn differential** (property): every update of [`ChurnStream`],
 //!    which applies each update's churn to a live code bank as a key
 //!    delta, is bit-for-bit the rebuild — [`Timeline`] plus
-//!    [`Monitor::observe_keys`] over every key — for both backends and
-//!    both tag modes, including runs long enough to build the bank's
+//!    [`Monitor::observe_keys`] over every key — for both tag modes,
+//!    including runs long enough to build the bank's
 //!    prefix index, which churn must then drop.
 //! 3. **Golden churn trace**: a fixed-seed [`ChurnStream`] run with steady
 //!    join/leave churn plus one missing-tag burst pins every per-update
@@ -29,15 +28,15 @@
 use pet::prelude::*;
 use pet_core::config::TagMode;
 use pet_core::monitor::{update_seed, windowed_mean, ChurnStream, Monitor, MonitorConfig};
+use pet_core::oracle::CodeRoster;
 use pet_tags::dynamics::{ChurnSchedule, KeyTimeline, Timeline};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::path::Path;
 
-fn config(backend: Backend) -> PetConfig {
+fn config() -> PetConfig {
     PetConfig::builder()
         .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-        .backend(backend)
         .build()
         .unwrap()
 }
@@ -46,8 +45,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Satellite 1: zero churn ⇒ the monitor is exactly the one-shot
-    /// estimator run once per update under `update_seed(base, i)`, with
-    /// the window a pure fold over the raw estimates. Both backends.
+    /// oracle reader run once per update under `update_seed(base, i)`,
+    /// with the window a pure fold over the raw estimates.
     #[test]
     fn zero_churn_monitor_equals_one_shot(
         n in 1usize..1_500,
@@ -56,46 +55,45 @@ proptest! {
         base_seed in any::<u64>(),
     ) {
         let keys: Vec<u64> = TagPopulation::sequential(n).keys().collect();
-        for backend in [Backend::Oracle, Backend::Kernel] {
-            let mut monitor = Monitor::new(MonitorConfig {
-                config: config(backend),
-                rounds,
-                window,
-                alarm_fraction: 0.5,
-                reference: None,
-                base_seed,
-            })
-            .unwrap();
-            let estimator = Estimator::new(config(backend));
-            let mut raw = Vec::new();
-            for i in 0..4u64 {
-                let update = monitor.observe_keys(&keys).unwrap();
-                let mut rng = StdRng::seed_from_u64(update_seed(base_seed, i));
-                let solo = estimator
-                    .try_estimate_keys_rounds(&keys, rounds, &mut rng)
-                    .unwrap();
-                prop_assert_eq!(
-                    update.estimate.to_bits(),
-                    solo.estimate.to_bits(),
-                    "update {} must equal the one-shot run ({:?} backend)",
-                    i,
-                    backend
-                );
-                prop_assert_eq!(update.seed, update_seed(base_seed, i));
-                raw.push(solo.estimate);
-                let start = raw.len().saturating_sub(window);
-                prop_assert_eq!(
-                    update.windowed.to_bits(),
-                    windowed_mean(raw[start..].iter().copied()).to_bits(),
-                    "windowed value must be the pure fold of raw estimates"
-                );
-                let expect_delta = if raw.len() > 1 {
-                    raw[raw.len() - 1] - raw[raw.len() - 2]
-                } else {
-                    0.0
-                };
-                prop_assert_eq!(update.delta.to_bits(), expect_delta.to_bits());
-            }
+        let mut monitor = Monitor::new(MonitorConfig {
+            config: config(),
+            rounds,
+            window,
+            alarm_fraction: 0.5,
+            reference: None,
+            base_seed,
+        })
+        .unwrap();
+        let estimator = Estimator::new(config());
+        let mut raw = Vec::new();
+        for i in 0..4u64 {
+            let update = monitor.observe_keys(&keys).unwrap();
+            let mut roster = CodeRoster::new(&keys, estimator.config(), estimator.family());
+            let mut air = Air::new(estimator.config().channel());
+            let mut rng = StdRng::seed_from_u64(update_seed(base_seed, i));
+            let solo = estimator
+                .try_run_oracle(rounds, &mut roster, &mut air, &mut rng)
+                .unwrap();
+            prop_assert_eq!(
+                update.estimate.to_bits(),
+                solo.estimate.to_bits(),
+                "update {} must equal the one-shot run",
+                i
+            );
+            prop_assert_eq!(update.seed, update_seed(base_seed, i));
+            raw.push(solo.estimate);
+            let start = raw.len().saturating_sub(window);
+            prop_assert_eq!(
+                update.windowed.to_bits(),
+                windowed_mean(raw[start..].iter().copied()).to_bits(),
+                "windowed value must be the pure fold of raw estimates"
+            );
+            let expect_delta = if raw.len() > 1 {
+                raw[raw.len() - 1] - raw[raw.len() - 2]
+            } else {
+                0.0
+            };
+            prop_assert_eq!(update.delta.to_bits(), expect_delta.to_bits());
         }
     }
 }
@@ -131,44 +129,41 @@ proptest! {
             _ => ChurnSchedule::steady(rate(n)),
         };
         prop_assert_eq!(schedule.validate(n, UPDATES), Ok(()));
-        for backend in [Backend::Oracle, Backend::Kernel] {
-            for tag_mode in [TagMode::PassivePreloaded, TagMode::ActivePerRound] {
-                let monitor = || {
-                    Monitor::new(MonitorConfig {
-                        config: PetConfig::builder()
-                            .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-                            .backend(backend)
-                            .tag_mode(tag_mode)
-                            .zero_probe(zero_probe)
-                            .build()
-                            .unwrap(),
-                        rounds,
-                        window,
-                        alarm_fraction: 0.5,
-                        reference: None,
-                        base_seed,
-                    })
-                    .unwrap()
-                };
-                let mut rebuild = monitor();
-                let mut timeline = Timeline::new(TagPopulation::sequential(n));
-                let mut stream = ChurnStream::new(monitor(), schedule, KeyTimeline::sequential(n));
-                for update in 0..UPDATES {
-                    for event in schedule.events_at(update) {
-                        timeline.apply(event);
-                    }
-                    let keys: Vec<u64> = timeline.population().keys().collect();
-                    let want = rebuild.observe_keys(&keys).unwrap();
-                    let got = stream.next_update().unwrap();
-                    let bits = |u: &pet_core::monitor::MonitorUpdate| {
-                        [u.estimate, u.windowed, u.delta, u.p_value].map(f64::to_bits)
-                    };
-                    prop_assert!(
-                        bits(&got) == bits(&want) && got == want,
-                        "update {update}, {backend:?}, {tag_mode:?}:\n{got:?}\n{want:?}"
-                    );
-                    prop_assert_eq!(stream.population(), keys.len());
+        for tag_mode in [TagMode::PassivePreloaded, TagMode::ActivePerRound] {
+            let monitor = || {
+                Monitor::new(MonitorConfig {
+                    config: PetConfig::builder()
+                        .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+                        .tag_mode(tag_mode)
+                        .zero_probe(zero_probe)
+                        .build()
+                        .unwrap(),
+                    rounds,
+                    window,
+                    alarm_fraction: 0.5,
+                    reference: None,
+                    base_seed,
+                })
+                .unwrap()
+            };
+            let mut rebuild = monitor();
+            let mut timeline = Timeline::new(TagPopulation::sequential(n));
+            let mut stream = ChurnStream::new(monitor(), schedule, KeyTimeline::sequential(n));
+            for update in 0..UPDATES {
+                for event in schedule.events_at(update) {
+                    timeline.apply(event);
                 }
+                let keys: Vec<u64> = timeline.population().keys().collect();
+                let want = rebuild.observe_keys(&keys).unwrap();
+                let got = stream.next_update().unwrap();
+                let bits = |u: &pet_core::monitor::MonitorUpdate| {
+                    [u.estimate, u.windowed, u.delta, u.p_value].map(f64::to_bits)
+                };
+                prop_assert!(
+                    bits(&got) == bits(&want) && got == want,
+                    "update {update}, {tag_mode:?}:\n{got:?}\n{want:?}"
+                );
+                prop_assert_eq!(stream.population(), keys.len());
             }
         }
     }
@@ -178,7 +173,7 @@ proptest! {
 /// tags/update on 600 tags, then a burst of 400 leaving at update 6.
 fn churn_trace() -> String {
     let monitor = Monitor::new(MonitorConfig {
-        config: config(Backend::Kernel),
+        config: config(),
         rounds: 32,
         window: 3,
         alarm_fraction: 0.6,
