@@ -1,9 +1,9 @@
-//! SIMD-lane benchmarks: bulk hashing and truncation, per lane per input
-//! size, with `Throughput::Elements` so the report pins
-//! elements/s for the speedup claims (scalar vs SSE2 vs AVX2).
+//! SIMD-lane benchmarks: bulk mixer and MD5 hashing, per lane per input
+//! size, with `Throughput::Elements` so the report pins elements/s for the
+//! speedup claims (scalar vs AVX2).
 //!
-//! Lanes the host cannot execute are skipped, mirroring tarcrush's
-//! `is_x86_feature_detected!`-gated bench arms.
+//! The AVX2 arm is skipped on a host that cannot execute it, mirroring
+//! tarcrush's `is_x86_feature_detected!`-gated bench arms.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pet_hash::simd::{self, Lane};
@@ -12,7 +12,7 @@ use std::hint::black_box;
 const SIZES: &[usize] = &[1_000, 100_000, 1_000_000];
 
 fn lanes() -> Vec<Lane> {
-    [Lane::Scalar, Lane::Sse2, Lane::Avx2]
+    [Lane::Scalar, Lane::Avx2]
         .into_iter()
         .filter(|l| l.is_supported())
         .collect()
@@ -39,7 +39,7 @@ fn bench_mix_bulk(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bulk MD5 hashing: 4/8 independent single-block digests per iteration.
+/// Bulk MD5 hashing: 8 independent single-block digests per AVX2 iteration.
 fn bench_md5_bulk(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_md5_bulk");
     group.sample_size(20);
@@ -61,25 +61,5 @@ fn bench_md5_bulk(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole-array truncation to 32 bits (the §4.5 right-alignment).
-fn bench_truncate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simd_truncate");
-    for &n in SIZES {
-        let values: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e37)).collect();
-        group.throughput(Throughput::Elements(n as u64));
-        for lane in lanes() {
-            group.bench_with_input(BenchmarkId::new(lane.as_str(), n), &values, |b, values| {
-                let mut buf = values.clone();
-                b.iter(|| {
-                    buf.copy_from_slice(values);
-                    simd::truncate_slice(lane, &mut buf, 32);
-                    black_box(buf[0])
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_mix_bulk, bench_md5_bulk, bench_truncate);
+criterion_group!(benches, bench_mix_bulk, bench_md5_bulk);
 criterion_main!(benches);

@@ -13,8 +13,8 @@ use std::path::Path;
 
 /// One Criterion `estimates.json` (upstream shape: point estimates nested
 /// under `mean` / `median`) → a `criterion` row whose config is the
-/// benchmark label. Prefers the median — it is what the vendored harness
-/// reports and the more jitter-robust of the two.
+/// benchmark label, stamped now. Prefers the median — it is what the
+/// vendored harness reports and the more jitter-robust of the two.
 fn criterion_row(v: &Json, label: &str) -> Result<LedgerRow, String> {
     let point = |stat: &str| {
         v.get(stat)
@@ -26,7 +26,7 @@ fn criterion_row(v: &Json, label: &str) -> Result<LedgerRow, String> {
         .ok_or("estimates.json has no median/mean point_estimate")?;
     let mut row = LedgerRow::new("criterion", label, "unknown");
     row.metric("ns_per_iter", ns)?;
-    Ok(row)
+    Ok(row.stamped_now())
 }
 
 /// Walks a Criterion output tree (`<root>/<...label...>/new/estimates.json`)
@@ -87,9 +87,10 @@ fn walk_estimates(
 
 /// Filters `new` down to rows not already present in `existing`, where
 /// "present" means same (bench, config, source, commit) and identical
-/// metrics. Makes `pet bench record` idempotent: re-ingesting the same
-/// criterion tree appends nothing, while a changed one (new numbers, new
-/// commit) still lands.
+/// metrics; the timestamp is not compared. Makes `pet bench record`
+/// idempotent: re-ingesting the same criterion tree, stamped anew,
+/// appends nothing, while a changed one (new numbers, new commit) still
+/// lands.
 #[must_use]
 pub fn without_duplicates(existing: &[LedgerRow], new: Vec<LedgerRow>) -> Vec<LedgerRow> {
     new.into_iter()

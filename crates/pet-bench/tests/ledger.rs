@@ -198,6 +198,7 @@ fn criterion_estimates_tree_migrates() {
     assert_eq!(rows[0].config, "group/alpha");
     assert_eq!(rows[0].metrics["ns_per_iter"], 125.5);
     assert_eq!(rows[1].config, "group/beta/4096");
+    assert!(rows.iter().all(|r| r.timestamp_s > 0), "rows are stamped");
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -519,7 +520,7 @@ fn gate_missing_baseline_skips_but_reports() {
     // Candidate measured a config the baseline never saw.
     let cand = vec![row(
         "kernel",
-        "n=100000/lane=sse2",
+        "n=100000/lane=scalar",
         "c",
         &[("rounds_per_sec_kernel_simd", 5.0)],
     )];

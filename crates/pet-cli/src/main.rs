@@ -60,7 +60,7 @@ const USAGE: &str = "usage: pet <estimate|identify|compare|monitor|tree|info> [-
   pet tree     --tags 4 [--height 4] [--path 0011] [--seed S]
   pet trace    --tags 16 [--height 6] [--rounds 2] [--linear] [--seed S]
   pet info     [--epsilon 0.05] [--delta 0.01]
-  pet lane     (report detected/active SIMD lane; PET_FORCE_LANE=scalar|sse2|avx2 overrides)
+  pet lane     (report detected/active SIMD lane; PET_FORCE_LANE=scalar|avx2 overrides)
   pet telemetry --file events.jsonl
   pet serve    [--addr 127.0.0.1:7878] [--backend threaded|evented] [--workers 4]
                [--queue 64] [--deterministic] [--deadline-ms D] [--addr-file path]
@@ -727,10 +727,10 @@ fn cmd_info(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `pet lane`: report which SIMD lane the bulk hashing / counting kernels
-/// run on. `detected` is the raw CPU capability; `active` additionally
-/// honors a `PET_FORCE_LANE` override. CI greps this output to catch a
-/// build that silently falls back to scalar on an AVX2-capable host.
+/// `pet lane`: report which SIMD lane the bulk hashing kernels run on.
+/// `detected` is the raw CPU capability; `active` additionally honors a
+/// `PET_FORCE_LANE` override. CI greps this output to catch a build that
+/// silently falls back to scalar on an AVX2-capable host.
 fn cmd_lane(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&["telemetry"])?;
     println!("detected: {}", pet_hash::simd::detected_lane().as_str());

@@ -21,10 +21,10 @@
 //!   — selective-reading bits with a measured non-uniformity knob.
 //! - [`geometric`]: geometric-distribution hashing (`P(value = i) = 2^-(i+1)`)
 //!   used by the LoF lottery-frame baseline.
-//! - [`simd`]: runtime-feature-detected SIMD lanes (SSE2/AVX2 with a
-//!   portable scalar fallback) for bulk hashing, truncation, and sorted
-//!   counting — bit-for-bit equal to the scalar paths, selectable with
-//!   `PET_FORCE_LANE=scalar|sse2|avx2`.
+//! - [`simd`]: bulk code hashing (mixer and MD5 families) on a
+//!   runtime-detected AVX2 lane with a portable scalar fallback —
+//!   bit-for-bit equal to the scalar path, selectable with
+//!   `PET_FORCE_LANE=scalar|avx2`.
 //!
 //! # Example
 //!

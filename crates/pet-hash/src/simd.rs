@@ -1,38 +1,41 @@
-//! Runtime-dispatched SIMD lanes for the bulk hashing hot loops.
+//! Runtime-dispatched SIMD lane for the bulk hashing hot loops.
 //!
 //! Active-mode PET re-derives every tag's code each round (`prc ← H(s,
 //! tagID)`), so paper-scale sweeps run the `(seed, id) → truncated code`
-//! mapping millions of times per second. This module vectorizes the two
-//! hot loops of code derivation behind a one-time runtime feature
-//! detection (`is_x86_feature_detected!`), following the portable/SSE split
-//! of tarcrush's `shingleprint_portable` / `shingleprint_sse`:
+//! mapping millions of times per second. This module vectorizes that
+//! mapping on AVX2 behind a one-time runtime feature detection
+//! (`is_x86_feature_detected!`), with the portable scalar loop as both the
+//! specification and the fallback:
 //!
 //! - **Multi-lane bulk hashing** ([`mix2_bulk_into`], [`md5_bulk_into`]):
 //!   4 independent keys per iteration for the SplitMix/Murmur mixer
-//!   (64-bit lanes), 4 (SSE2) or 8 (AVX2) independent single-block MD5
-//!   compressions in 32-bit lanes — MD5 is vectorized *across* messages,
-//!   not within a block, so each lane is the RFC 1321 digest verbatim.
-//! - **Vector truncation** ([`truncate_slice`]): the `bits`-truncation /
-//!   right-alignment of whole code arrays (`hash >> (64 - bits)`).
+//!   (64-bit lanes), 8 independent single-block MD5 compressions in 32-bit
+//!   lanes — MD5 is vectorized *across* messages, not within a block, so
+//!   each lane is the RFC 1321 digest verbatim. Each code is truncated to
+//!   its `bits` most significant bits (`hash >> (64 - bits)`, §4.5) in the
+//!   same pass.
 //!
 //! Searching sorted codes is not here: std's `slice::partition_point`
 //! beat a binary-narrowing plus SIMD-sweep hybrid at every size measured,
 //! and the estimation kernel now locates most of a round through a prefix
-//! table (`pet_core::kernel::PrefixIndex`).
+//! table (`pet_core::kernel::PrefixIndex`). Nor is there a 128-bit lane:
+//! every host this project is measured on runs AVX2, so a narrower lane
+//! had no measured benefit, and an x86-64 CPU without AVX2 hashes on the
+//! scalar lane.
 //!
 //! # Equivalence contract
 //!
-//! Every lane is **bit-for-bit equal** to the scalar path — pinned the
+//! The AVX2 lane is **bit-for-bit equal** to the scalar path — pinned the
 //! same way kernel-vs-oracle equivalence is: proptest differential fuzz in
-//! `crates/pet-hash/tests/prop.rs` and `tests/simd_equivalence.rs`, plus a
-//! fixed-seed golden trace run under both `PET_FORCE_LANE` settings by
+//! `tests/simd_equivalence.rs` and this module's unit tests, plus a
+//! fixed-seed golden estimate run under both `PET_FORCE_LANE` settings by
 //! `scripts/ci.sh`. A lane may only change *cost*, never a code, count, or
 //! estimate.
 //!
 //! # Lane selection
 //!
 //! [`active_lane`] picks the widest lane the CPU supports, detected once
-//! and cached. `PET_FORCE_LANE=scalar|sse2|avx2` overrides the choice for
+//! and cached. `PET_FORCE_LANE=scalar|avx2` overrides the choice for
 //! reproducibility and CI (forcing a lane the host cannot run panics
 //! rather than silently degrading); [`detected_lane`] reports the raw
 //! hardware capability regardless of the override, so CI can fail when an
@@ -70,20 +73,17 @@ use std::sync::OnceLock;
 pub enum Lane {
     /// Portable scalar code, available everywhere.
     Scalar,
-    /// 128-bit SSE2 vectors (baseline on `x86_64`).
-    Sse2,
     /// 256-bit AVX2 vectors.
     Avx2,
 }
 
 impl Lane {
-    /// The lane's canonical lowercase name (`scalar`, `sse2`, `avx2`),
+    /// The lane's canonical lowercase name (`scalar`, `avx2`),
     /// as accepted by `PET_FORCE_LANE` and reported by `pet lane`.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             Lane::Scalar => "scalar",
-            Lane::Sse2 => "sse2",
             Lane::Avx2 => "avx2",
         }
     }
@@ -96,7 +96,6 @@ impl Lane {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(Lane::Scalar),
-            "sse2" => Ok(Lane::Sse2),
             "avx2" => Ok(Lane::Avx2),
             other => Err(other.to_owned()),
         }
@@ -107,8 +106,6 @@ impl Lane {
     pub fn is_supported(self) -> bool {
         match self {
             Lane::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Lane::Sse2 => is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             Lane::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -133,8 +130,6 @@ pub fn detected_lane() -> Lane {
     *DETECTED.get_or_init(|| {
         if Lane::Avx2.is_supported() {
             Lane::Avx2
-        } else if Lane::Sse2.is_supported() {
-            Lane::Sse2
         } else {
             Lane::Scalar
         }
@@ -154,9 +149,8 @@ pub fn active_lane() -> Lane {
     static ACTIVE: OnceLock<Lane> = OnceLock::new();
     *ACTIVE.get_or_init(|| match std::env::var("PET_FORCE_LANE") {
         Ok(name) => {
-            let lane = Lane::parse(&name).unwrap_or_else(|bad| {
-                panic!("PET_FORCE_LANE={bad:?}: expected scalar, sse2, or avx2")
-            });
+            let lane = Lane::parse(&name)
+                .unwrap_or_else(|bad| panic!("PET_FORCE_LANE={bad:?}: expected scalar or avx2"));
             assert!(
                 lane.is_supported(),
                 "PET_FORCE_LANE={lane} is not supported by this CPU (detected: {})",
@@ -191,12 +185,6 @@ pub fn mix2_bulk_into(lane: Lane, seed: u64, keys: &[u64], bits: u32, out: &mut 
     match lane {
         Lane::Scalar => mix2_bulk_scalar(seed, keys, bits, out),
         #[cfg(target_arch = "x86_64")]
-        Lane::Sse2 => {
-            assert!(lane.is_supported(), "sse2 lane unsupported on this CPU");
-            // SAFETY: sse2 support was just verified at runtime.
-            unsafe { x86::mix2_bulk_sse2(seed, keys, bits, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
         Lane::Avx2 => {
             assert!(lane.is_supported(), "avx2 lane unsupported on this CPU");
             // SAFETY: avx2 support was just verified at runtime.
@@ -220,10 +208,9 @@ fn mix2_bulk_scalar(seed: u64, keys: &[u64], bits: u32, out: &mut [u64]) {
 /// Hashes `keys` with the MD5 family (`MD5(seed_le ‖ id_le)`, first 8
 /// digest bytes as a little-endian `u64`) truncated to `bits`, into `out`.
 ///
-/// The SIMD lanes run 4 (SSE2) or 8 (AVX2) independent single-block MD5
-/// compressions side by side in 32-bit lanes; each lane's digest is the
-/// RFC 1321 output verbatim, pinned against the streaming scalar
-/// implementation.
+/// The AVX2 lane runs 8 independent single-block MD5 compressions side by
+/// side in 32-bit lanes; each lane's digest is the RFC 1321 output
+/// verbatim, pinned against the streaming scalar implementation.
 ///
 /// # Panics
 ///
@@ -237,12 +224,6 @@ pub fn md5_bulk_into(lane: Lane, seed: u64, keys: &[u64], bits: u32, out: &mut [
     );
     match lane {
         Lane::Scalar => md5_bulk_scalar(seed, keys, bits, out),
-        #[cfg(target_arch = "x86_64")]
-        Lane::Sse2 => {
-            assert!(lane.is_supported(), "sse2 lane unsupported on this CPU");
-            // SAFETY: sse2 support was just verified at runtime.
-            unsafe { x86::md5_bulk_sse2(seed, keys, bits, out) }
-        }
         #[cfg(target_arch = "x86_64")]
         Lane::Avx2 => {
             assert!(lane.is_supported(), "avx2 lane unsupported on this CPU");
@@ -262,47 +243,6 @@ fn md5_bulk_scalar(seed: u64, keys: &[u64], bits: u32, out: &mut [u64]) {
         let digest = h.finalize();
         let word = u64::from_le_bytes(digest[..8].try_into().expect("digest is 16 bytes"));
         *o = mix::truncate(word, bits);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Vector truncation: v >> (64 - bits) over a whole slice
-// ---------------------------------------------------------------------------
-
-/// Truncates every value to its `bits` most significant bits in place —
-/// the right-alignment step of §4.5 applied to a whole code array.
-///
-/// # Panics
-///
-/// Panics if `bits` is outside `1..=64` or `lane` is unsupported.
-pub fn truncate_slice(lane: Lane, values: &mut [u64], bits: u32) {
-    assert!(
-        (1..=64).contains(&bits),
-        "bits must be in 1..=64, got {bits}"
-    );
-    if bits == 64 {
-        return;
-    }
-    match lane {
-        Lane::Scalar => {
-            for v in values.iter_mut() {
-                *v >>= 64 - bits;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Lane::Sse2 => {
-            assert!(lane.is_supported(), "sse2 lane unsupported on this CPU");
-            // SAFETY: sse2 support was just verified at runtime.
-            unsafe { x86::truncate_slice_sse2(values, bits) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx2 => {
-            assert!(lane.is_supported(), "avx2 lane unsupported on this CPU");
-            // SAFETY: avx2 support was just verified at runtime.
-            unsafe { x86::truncate_slice_avx2(values, bits) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => panic!("lane {lane} unsupported on this architecture"),
     }
 }
 
@@ -432,86 +372,6 @@ mod x86 {
         }
     }
 
-    // --- SSE2: mix2 over 2 × u64 lanes ------------------------------------
-
-    /// `x * y` per 64-bit lane via `_mm_mul_epu32` (SSE2's only widening
-    /// multiplier), same decomposition as [`mul64_avx2`].
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn mul64_sse2(x: __m128i, y: __m128i) -> __m128i {
-        // SAFETY: caller guarantees sse2.
-        unsafe {
-            let lo_lo = _mm_mul_epu32(x, y);
-            let x_hi = _mm_srli_epi64(x, 32);
-            let y_hi = _mm_srli_epi64(y, 32);
-            let cross = _mm_add_epi64(_mm_mul_epu32(x_hi, y), _mm_mul_epu32(x, y_hi));
-            _mm_add_epi64(lo_lo, _mm_slli_epi64(cross, 32))
-        }
-    }
-
-    /// SplitMix64 finalizer per 64-bit lane.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn splitmix64_sse2(x: __m128i) -> __m128i {
-        // SAFETY: caller guarantees sse2.
-        unsafe {
-            let mut x = _mm_add_epi64(x, _mm_set1_epi64x(0x9e3779b97f4a7c15u64 as i64));
-            x = mul64_sse2(
-                _mm_xor_si128(x, _mm_srli_epi64(x, 30)),
-                _mm_set1_epi64x(0xbf58476d1ce4e5b9u64 as i64),
-            );
-            x = mul64_sse2(
-                _mm_xor_si128(x, _mm_srli_epi64(x, 27)),
-                _mm_set1_epi64x(0x94d049bb133111ebu64 as i64),
-            );
-            _mm_xor_si128(x, _mm_srli_epi64(x, 31))
-        }
-    }
-
-    /// Murmur3 fmix64 per 64-bit lane.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn murmur3_sse2(x: __m128i) -> __m128i {
-        // SAFETY: caller guarantees sse2.
-        unsafe {
-            let mut x = _mm_xor_si128(x, _mm_srli_epi64(x, 33));
-            x = mul64_sse2(x, _mm_set1_epi64x(0xff51afd7ed558ccdu64 as i64));
-            x = _mm_xor_si128(x, _mm_srli_epi64(x, 33));
-            x = mul64_sse2(x, _mm_set1_epi64x(0xc4ceb9fe1a85ec53u64 as i64));
-            _mm_xor_si128(x, _mm_srli_epi64(x, 33))
-        }
-    }
-
-    /// SSE2 `mix2` + truncate over 2 keys per iteration.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified `is_x86_feature_detected!("sse2")`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn mix2_bulk_sse2(seed: u64, keys: &[u64], bits: u32, out: &mut [u64]) {
-        let hs = mix::splitmix64(seed);
-        // SAFETY: sse2 guaranteed by caller; unaligned loads/stores on
-        // in-bounds chunk pointers.
-        unsafe {
-            let hs_v = _mm_set1_epi64x(hs as i64);
-            let shift = _mm_cvtsi32_si128((64 - bits) as i32);
-            let chunks = keys.chunks_exact(2);
-            let tail = chunks.remainder();
-            for (key_chunk, out_chunk) in chunks.zip(out.chunks_exact_mut(2)) {
-                let k = _mm_loadu_si128(key_chunk.as_ptr().cast());
-                let mixed = splitmix64_sse2(_mm_xor_si128(hs_v, murmur3_sse2(k)));
-                let code = if bits == 64 {
-                    mixed
-                } else {
-                    _mm_srl_epi64(mixed, shift)
-                };
-                _mm_storeu_si128(out_chunk.as_mut_ptr().cast(), code);
-            }
-            let done = keys.len() - tail.len();
-            super::mix2_bulk_scalar(seed, tail, bits, &mut out[done..]);
-        }
-    }
-
     // --- AVX2: 8-message MD5 ----------------------------------------------
 
     /// One step's `F` function per 32-bit lane for the given round.
@@ -623,142 +483,6 @@ mod x86 {
             super::md5_bulk_scalar(seed, tail, bits, &mut out[done..]);
         }
     }
-
-    // --- SSE2: 4-message MD5 ----------------------------------------------
-
-    /// One step's `F` function per 32-bit lane for the given round.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn md5_f_sse2(round: usize, b: __m128i, c: __m128i, d: __m128i) -> __m128i {
-        // SAFETY: caller guarantees sse2.
-        unsafe {
-            let ones = _mm_set1_epi32(-1);
-            match round {
-                0 => _mm_or_si128(_mm_and_si128(b, c), _mm_andnot_si128(b, d)),
-                1 => _mm_or_si128(_mm_and_si128(d, b), _mm_andnot_si128(d, c)),
-                2 => _mm_xor_si128(b, _mm_xor_si128(c, d)),
-                _ => _mm_xor_si128(c, _mm_or_si128(b, _mm_xor_si128(d, ones))),
-            }
-        }
-    }
-
-    /// Rotate each 32-bit lane left by `s`.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn rotl32_sse2(x: __m128i, s: u32) -> __m128i {
-        // SAFETY: caller guarantees sse2.
-        unsafe {
-            _mm_or_si128(
-                _mm_sll_epi32(x, _mm_cvtsi32_si128(s as i32)),
-                _mm_srl_epi32(x, _mm_cvtsi32_si128((32 - s) as i32)),
-            )
-        }
-    }
-
-    /// 4 independent single-block MD5 compressions, one per 32-bit lane.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified `is_x86_feature_detected!("sse2")`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn md5_bulk_sse2(seed: u64, keys: &[u64], bits: u32, out: &mut [u64]) {
-        // SAFETY: sse2 guaranteed by caller.
-        unsafe {
-            let chunks = keys.chunks_exact(4);
-            let tail = chunks.remainder();
-            let mut m = [_mm_setzero_si128(); 16];
-            m[0] = _mm_set1_epi32(seed as u32 as i32);
-            m[1] = _mm_set1_epi32((seed >> 32) as u32 as i32);
-            m[4] = _mm_set1_epi32(0x80);
-            m[14] = _mm_set1_epi32(128);
-            for (key_chunk, out_chunk) in chunks.zip(out.chunks_exact_mut(4)) {
-                let lane32 = |f: &dyn Fn(u64) -> u32| {
-                    _mm_set_epi32(
-                        f(key_chunk[3]) as i32,
-                        f(key_chunk[2]) as i32,
-                        f(key_chunk[1]) as i32,
-                        f(key_chunk[0]) as i32,
-                    )
-                };
-                m[2] = lane32(&|k| k as u32);
-                m[3] = lane32(&|k| (k >> 32) as u32);
-
-                let mut a = _mm_set1_epi32(IV[0] as i32);
-                let mut b = _mm_set1_epi32(IV[1] as i32);
-                let mut c = _mm_set1_epi32(IV[2] as i32);
-                let mut d = _mm_set1_epi32(IV[3] as i32);
-                for i in 0..64 {
-                    let f = md5_f_sse2(i / 16, b, c, d);
-                    let sum = _mm_add_epi32(
-                        _mm_add_epi32(a, f),
-                        _mm_add_epi32(_mm_set1_epi32(K[i] as i32), m[md5_g(i)]),
-                    );
-                    let nb = _mm_add_epi32(b, rotl32_sse2(sum, S[i]));
-                    a = d;
-                    d = c;
-                    c = b;
-                    b = nb;
-                }
-                let a = _mm_add_epi32(a, _mm_set1_epi32(IV[0] as i32));
-                let b = _mm_add_epi32(b, _mm_set1_epi32(IV[1] as i32));
-                let mut a_words = [0u32; 4];
-                let mut b_words = [0u32; 4];
-                _mm_storeu_si128(a_words.as_mut_ptr().cast(), a);
-                _mm_storeu_si128(b_words.as_mut_ptr().cast(), b);
-                for ((o, &aw), &bw) in out_chunk.iter_mut().zip(&a_words).zip(&b_words) {
-                    *o = mix::truncate(u64::from(aw) | (u64::from(bw) << 32), bits);
-                }
-            }
-            let done = keys.len() - tail.len();
-            super::md5_bulk_scalar(seed, tail, bits, &mut out[done..]);
-        }
-    }
-
-    // --- Truncation --------------------------------------------------------
-
-    /// In-place `v >> (64 - bits)` over the slice, 4 lanes at a time.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified `is_x86_feature_detected!("avx2")` and
-    /// `bits < 64`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn truncate_slice_avx2(values: &mut [u64], bits: u32) {
-        // SAFETY: avx2 guaranteed by caller.
-        unsafe {
-            let shift = _mm_cvtsi32_si128((64 - bits) as i32);
-            let mut chunks = values.chunks_exact_mut(4);
-            for chunk in &mut chunks {
-                let v = _mm256_loadu_si256(chunk.as_ptr().cast());
-                _mm256_storeu_si256(chunk.as_mut_ptr().cast(), _mm256_srl_epi64(v, shift));
-            }
-            for v in chunks.into_remainder() {
-                *v >>= 64 - bits;
-            }
-        }
-    }
-
-    /// In-place `v >> (64 - bits)` over the slice, 2 lanes at a time.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified `is_x86_feature_detected!("sse2")` and
-    /// `bits < 64`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn truncate_slice_sse2(values: &mut [u64], bits: u32) {
-        // SAFETY: sse2 guaranteed by caller.
-        unsafe {
-            let shift = _mm_cvtsi32_si128((64 - bits) as i32);
-            let mut chunks = values.chunks_exact_mut(2);
-            for chunk in &mut chunks {
-                let v = _mm_loadu_si128(chunk.as_ptr().cast());
-                _mm_storeu_si128(chunk.as_mut_ptr().cast(), _mm_srl_epi64(v, shift));
-            }
-            for v in chunks.into_remainder() {
-                *v >>= 64 - bits;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -769,7 +493,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn available_lanes() -> Vec<Lane> {
-        [Lane::Scalar, Lane::Sse2, Lane::Avx2]
+        [Lane::Scalar, Lane::Avx2]
             .into_iter()
             .filter(|l| l.is_supported())
             .collect()
@@ -777,11 +501,13 @@ mod tests {
 
     #[test]
     fn lane_parse_round_trips() {
-        for lane in [Lane::Scalar, Lane::Sse2, Lane::Avx2] {
+        for lane in [Lane::Scalar, Lane::Avx2] {
             assert_eq!(Lane::parse(lane.as_str()), Ok(lane));
             assert_eq!(Lane::parse(&lane.as_str().to_uppercase()), Ok(lane));
         }
-        assert!(Lane::parse("avx512").is_err());
+        for unknown in ["avx512", "sse2"] {
+            assert_eq!(Lane::parse(unknown), Err(unknown.to_owned()));
+        }
     }
 
     #[test]
@@ -825,22 +551,6 @@ mod tests {
                     for (&k, &o) in keys.iter().zip(&out) {
                         assert_eq!(o, fam.hash_bits(seed, k, bits), "lane {lane} n {n}");
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn truncate_lanes_match_scalar() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for lane in available_lanes() {
-            for n in [0usize, 1, 3, 4, 7, 8, 100, 1001] {
-                for bits in [1u32, 31, 32, 33, 63, 64] {
-                    let values: Vec<u64> = (0..n).map(|_| rng.random()).collect();
-                    let expect: Vec<u64> = values.iter().map(|&v| mix::truncate(v, bits)).collect();
-                    let mut got = values.clone();
-                    truncate_slice(lane, &mut got, bits);
-                    assert_eq!(got, expect, "lane {lane} n {n} bits {bits}");
                 }
             }
         }

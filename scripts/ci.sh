@@ -134,10 +134,22 @@ cargo test -q -p pet-server
 
 # Cross-backend determinism: the same plan against both backends, each run
 # twice in deterministic mode (--verify-deterministic checks within-backend
-# reproducibility), then the two reply digests compared. The digest folds
-# every reply byte, so the evented rewrite answering even one request
-# differently from the threaded reference fails here.
-echo "==> loadgen smoke (both backends, digests must match)"
+# reproducibility), then the two reply digests compared with each other and
+# with the committed digest. The digest folds every reply byte, so the
+# evented rewrite answering even one request differently from the threaded
+# reference fails here, and so does a change that alters every reply the
+# same way on both backends. The fleet smoke below holds its digest to a
+# committed value too. A deliberate reply change updates LOADGEN_DIGEST or
+# FLEET_DIGEST, and the CHANGELOG says so.
+LOADGEN_DIGEST=0xab7acddd3efdcc36
+FLEET_DIGEST=0x4ba2592119d40dd9
+require_digest() {
+    [[ "$2" == "$3" ]] || {
+        echo "$1: digest $2, committed $3" >&2
+        exit 1
+    }
+}
+echo "==> loadgen smoke (both backends, digests must match the committed one)"
 # Both smokes below append their row to one scratch ledger, which the
 # perf-ledger stage reports on.
 LEDGER_TMP=$(mktemp -d)
@@ -164,7 +176,9 @@ DIGEST_EVENTED=$(loadgen_digest evented)
         "threaded $DIGEST_THREADED on the same plan" >&2
     exit 1
 }
-echo "loadgen smoke: backends agree ($DIGEST_THREADED)"
+require_digest "loadgen smoke (threaded)" "$DIGEST_THREADED" "$LOADGEN_DIGEST"
+require_digest "loadgen smoke (evented)" "$DIGEST_EVENTED" "$LOADGEN_DIGEST"
+echo "loadgen smoke: backends agree on the committed digest ($DIGEST_THREADED)"
 
 # Connection-scale gate: one evented server, 10k concurrent connections
 # from a separate loadgen process (each process needs its own fd budget —
@@ -213,11 +227,12 @@ fi
 # Fleet-layer gate: the coordinator battery (bit-for-bit equivalence with
 # the simulator, fault injection, quorum loss) plus a live 3-agent smoke —
 # three `pet serve` processes on ephemeral ports, one fleet session run
-# twice, digests compared line-for-line, agents shut down over the wire.
+# twice, digests compared line-for-line and with FLEET_DIGEST, agents shut
+# down over the wire.
 echo "==> fleet integration battery"
 cargo test -q -p pet-fleet
 
-echo "==> fleet smoke (3 live agents, deterministic digest)"
+echo "==> fleet smoke (3 live agents, deterministic committed digest)"
 PET_BIN=target/release/pet
 FLEET_TMP=$(mktemp -d)
 trap 'rm -rf "$LEDGER_TMP" "$FLEET_TMP"' EXIT
@@ -252,6 +267,7 @@ D2=$(grep '^fleet digest' "$FLEET_TMP/run2.out")
     echo "fleet smoke: digests differ or missing: '$D1' vs '$D2'" >&2
     exit 1
 }
+require_digest "fleet smoke" "$(awk '{ print $4 }' <<<"$D1")" "$FLEET_DIGEST"
 wait "${AGENT_PIDS[@]}"
 echo "fleet smoke: reproducible ($D1)"
 

@@ -1,9 +1,9 @@
 //! Differential equivalence of the SIMD lanes against the scalar
 //! reference, plus a fixed-seed golden trace of the full estimator.
 //!
-//! The scalar lane is the specification; SSE2 and AVX2 are obligated to
-//! reproduce it bit for bit on every input, not statistically. The fuzz
-//! tests here drive each *supported* wide lane against scalar directly
+//! The scalar lane is the specification; AVX2 is obligated to reproduce
+//! it bit for bit on every input, not statistically. The fuzz tests here
+//! drive the wide lane, where the host supports it, against scalar directly
 //! (lane-explicit entry points, no environment juggling), while the golden
 //! trace pins the estimator's output bits so that `scripts/ci.sh` — which
 //! runs this suite twice, once under `PET_FORCE_LANE=scalar` and once with
@@ -20,7 +20,7 @@ use rand::SeedableRng;
 /// The wide lanes this host can actually execute (possibly none under an
 /// emulator; every test degrades to a scalar self-check then).
 fn wide_lanes() -> Vec<Lane> {
-    [Lane::Sse2, Lane::Avx2]
+    [Lane::Avx2]
         .into_iter()
         .filter(|l| l.is_supported())
         .collect()
@@ -44,7 +44,7 @@ proptest! {
         }
     }
 
-    /// Multi-message MD5: 4- and 8-wide single-block compressions must
+    /// Multi-message MD5: 8-wide single-block compressions must
     /// reproduce the scalar digest-derived codes exactly.
     #[test]
     fn md5_bulk_lanes_match_scalar(
@@ -58,21 +58,6 @@ proptest! {
             let mut got = vec![0u64; keys.len()];
             simd::md5_bulk_into(lane, seed, &keys, bits, &mut got);
             prop_assert_eq!(&got, &want, "md5 diverged on {}", lane.as_str());
-        }
-    }
-
-    /// Whole-array truncation (the §4.5 right-alignment) per lane.
-    #[test]
-    fn truncate_lanes_match_scalar(
-        values in proptest::collection::vec(any::<u64>(), 0..300),
-        bits in 1u32..=64,
-    ) {
-        let mut want = values.clone();
-        simd::truncate_slice(Lane::Scalar, &mut want, bits);
-        for lane in wide_lanes() {
-            let mut got = values.clone();
-            simd::truncate_slice(lane, &mut got, bits);
-            prop_assert_eq!(&got, &want, "truncate diverged on {}", lane.as_str());
         }
     }
 
@@ -98,8 +83,9 @@ proptest! {
 /// `PET_FORCE_LANE` contract: when set, the active lane *is* that lane;
 /// when unset, the active lane is whatever the CPU supports. Either way
 /// the active lane must be executable — the dispatcher never silently
-/// degrades (unsupported forces panic instead, covered in pet-hash's unit
-/// tests).
+/// degrades (a forced name that is unknown or unsupported panics instead;
+/// the lane is cached once per process, so `crates/pet-cli/tests/lane.rs`
+/// covers that through `pet lane` child processes).
 #[test]
 fn active_lane_honors_environment() {
     let active = simd::active_lane();
