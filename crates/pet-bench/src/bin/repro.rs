@@ -41,84 +41,69 @@ const EXPERIMENTS: &[&str] = &[
     "bench-server",
 ];
 
-/// Closed-loop serving throughput for both pet-server backends, each run
-/// with the configuration that favours it: the threaded backend at one
-/// request in flight per connection (the classic request/response shape it
-/// was built for), the evented backend with deep pipelining across a wider
-/// connection fan-in. Each arm is best-of-3 against one server instance —
-/// the digest is identical across repeats (deterministic server, same id
-/// stream), so only the clock varies and the minimum is the least
-/// noise-contaminated sample. Each arm appends one `server-loadgen` row
-/// to `results/ledger.jsonl`.
+/// Closed-loop serving throughput with deep pipelining across a wide
+/// connection fan-in (16 connections, 64 requests in flight each, one
+/// shard). The run is best-of-3 against one server instance — the digest
+/// is identical across repeats (deterministic server, same id stream), so
+/// only the clock varies and the minimum is the least
+/// noise-contaminated sample. It appends one `server-loadgen` row to
+/// `results/ledger.jsonl`, keyed `evented/c16/p64`.
 fn bench_server(out_dir: &Path, quick: bool) {
     use pet_server::loadgen::{run_batch, BatchReport, Plan};
     use pet_server::{serve, Backend, ServerConfig};
 
     let requests: usize = if quick { 20_000 } else { 200_000 };
     let repeats = 3;
-    // (backend, connections, pipeline, workers, queue).
-    let arms: [(Backend, usize, usize, usize, usize); 2] = [
-        (Backend::Threaded, 8, 1, 8, 512),
-        (Backend::Evented, 16, 64, 1, 16_384),
-    ];
-    for (backend, connections, pipeline, workers, queue_capacity) in arms {
-        let handle = serve(&ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            backend,
-            workers,
-            queue_capacity,
-            deterministic: true,
-            default_deadline: None,
-        })
-        .expect("bind bench server");
-        let plan = Plan {
-            requests,
-            connections,
-            threads: 8,
-            pipeline,
-            tags: 200,
-            rounds: 4,
-        };
-        let mut report: Option<BatchReport> = None;
-        let mut rates: Vec<f64> = Vec::with_capacity(repeats);
-        for _ in 0..repeats {
-            let r = run_batch(handle.addr(), &plan);
-            assert_eq!(
-                r.ok,
-                requests,
-                "bench-server ({}) lost replies: {} ok, {} overloaded, {} errors, {} lost",
-                backend.name(),
-                r.ok,
-                r.overloaded,
-                r.errors,
-                r.lost
-            );
-            rates.push(requests as f64 / r.elapsed.as_secs_f64().max(1e-9));
-            match &report {
-                Some(best) if r.elapsed >= best.elapsed => {}
-                _ => report = Some(r),
-            }
-        }
-        let report = report.expect("at least one repeat");
-        handle.shutdown();
-        handle.join();
-        println!(
-            "bench-server: backend {} ({connections} conns, pipeline {pipeline}): \
-             {requests} requests in {:.2} s ({:.0} req/s), p99 {:.3} ms, digest {:#018x}",
-            backend.name(),
-            report.elapsed.as_secs_f64(),
-            requests as f64 / report.elapsed.as_secs_f64().max(1e-9),
-            report.percentile(0.99) as f64 / 1e6,
-            report.digest,
+    let handle = serve(&ServerConfig {
+        workers: 1,
+        queue_capacity: 16_384,
+        deterministic: true,
+        ..ServerConfig::default()
+    })
+    .expect("bind bench server");
+    let plan = Plan {
+        requests,
+        connections: 16,
+        threads: 8,
+        pipeline: 64,
+        tags: 200,
+        rounds: 4,
+    };
+    let mut report: Option<BatchReport> = None;
+    let mut rates: Vec<f64> = Vec::with_capacity(repeats);
+    for _ in 0..repeats {
+        let r = run_batch(handle.addr(), &plan);
+        assert_eq!(
+            r.ok, requests,
+            "bench-server lost replies: {} ok, {} overloaded, {} errors, {} lost",
+            r.ok, r.overloaded, r.errors, r.lost
         );
-        let mut row = ledger::loadgen_row(backend.name(), &plan, &report);
-        mark_quick(&mut row, quick);
-        row.source = "repro:bench-server".to_string();
-        row.best_of = repeats as u64;
-        row.noise_floor = ledger::noise_floor_of(&rates);
-        ledger::append(&out_dir.join("ledger.jsonl"), &[row]).expect("append ledger.jsonl");
+        rates.push(requests as f64 / r.elapsed.as_secs_f64().max(1e-9));
+        match &report {
+            Some(best) if r.elapsed >= best.elapsed => {}
+            _ => report = Some(r),
+        }
     }
-    println!("bench-server: rows appended to results/ledger.jsonl");
+    let report = report.expect("at least one repeat");
+    handle.shutdown();
+    handle.join();
+    println!(
+        "bench-server: {} conns, pipeline {}: {requests} requests in {:.2} s ({:.0} req/s), \
+         p99 {:.3} ms, digest {:#018x}",
+        plan.connections,
+        plan.pipeline,
+        report.elapsed.as_secs_f64(),
+        requests as f64 / report.elapsed.as_secs_f64().max(1e-9),
+        report.percentile(0.99) as f64 / 1e6,
+        report.digest,
+    );
+    let mut row = ledger::loadgen_row(Backend::Evented.name(), &plan, &report);
+    mark_quick(&mut row, quick);
+    row.source = "repro:bench-server".to_string();
+    row.best_of = repeats as u64;
+    row.noise_floor = ledger::noise_floor_of(&rates);
+    ledger::append(&out_dir.join("ledger.jsonl"), &[row]).expect("append ledger.jsonl");
+    println!("bench-server: row appended to results/ledger.jsonl");
 }
 
 /// Ends a `--quick` run's config key in `/quick`, so the gate never

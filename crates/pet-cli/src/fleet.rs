@@ -32,7 +32,6 @@ use std::time::Duration;
 pub fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "spawn",
-        "backend",
         "agents",
         "tags",
         "zones",
@@ -66,15 +65,11 @@ pub fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
             if n == 0 {
                 return Err(ArgError("--spawn must be positive".into()));
             }
-            let backend = crate::serve::parse_backend(args)?;
             Some(
                 (0..n)
                     .map(|_| {
-                        serve(&ServerConfig {
-                            backend,
-                            ..ServerConfig::default()
-                        })
-                        .map_err(|e| ArgError(format!("spawn agent: {e}")))
+                        serve(&ServerConfig::default())
+                            .map_err(|e| ArgError(format!("spawn agent: {e}")))
                     })
                     .collect::<Result<_, _>>()?,
             )

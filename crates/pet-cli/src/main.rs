@@ -12,7 +12,7 @@
 //! pet tree     --tags 4 [--height 4] [--path 0011] [--seed S]
 //! pet info     [--epsilon 0.05] [--delta 0.01]
 //! pet telemetry --file events.jsonl
-//! pet serve    [--addr 127.0.0.1:7878] [--backend threaded|evented] [--workers 4]
+//! pet serve    [--addr 127.0.0.1:7878] [--workers 4] [--queue 64]
 //! pet loadgen  (--addr HOST:PORT | --local) [--requests 10000] [--connections 8]
 //! pet fleet    (--spawn N | --agents host:port,...) [--rounds 64] [--quorum q]
 //! ```
@@ -62,12 +62,13 @@ const USAGE: &str = "usage: pet <estimate|identify|compare|monitor|tree|info> [-
   pet info     [--epsilon 0.05] [--delta 0.01]
   pet lane     (report detected/active SIMD lane; PET_FORCE_LANE=scalar|avx2 overrides)
   pet telemetry --file events.jsonl
-  pet serve    [--addr 127.0.0.1:7878] [--backend threaded|evented] [--workers 4]
-               [--queue 64] [--deterministic] [--deadline-ms D] [--addr-file path]
-  pet loadgen  (--addr HOST:PORT | --local) [--backend threaded|evented]
+  pet serve    [--addr 127.0.0.1:7878] [--workers 4] [--queue 64]
+               [--deterministic] [--deadline-ms D] [--addr-file path]
+               (--workers sharded event loops; an idle shard uses no CPU)
+  pet loadgen  (--addr HOST:PORT | --local)
                [--requests 10000] [--connections 8] [--threads 8] [--pipeline 1]
                [--tags 200] [--rounds 4] [--verify-deterministic] [--ledger path]
-  pet fleet    (--spawn N [--backend threaded|evented] | --agents H:P,...)
+  pet fleet    (--spawn N | --agents H:P,...)
                [--tags 10000] [--zones Z] [--phy gen2]
                [--coverage 0,1;1,2;...] [--deploy-seed 7] [--rounds 64] [--seed 42]
                [--quorum 1] [--deadline-ms 2000] [--dead-after 2] [--miss P]
@@ -1041,51 +1042,48 @@ mod cli_tests {
 
     /// Closed-loop load against an in-process server: every reply
     /// validated, digests compared across two runs, non-zero exit when
-    /// anything is lost or malformed. Runs once per serving backend.
+    /// anything is lost or malformed.
     #[test]
     fn loadgen_local_verifies_determinism() {
-        for backend in ["threaded", "evented"] {
-            exec(&[
-                "loadgen",
-                "--local",
-                "--backend",
-                backend,
-                "--requests",
-                "300",
-                "--connections",
-                "4",
-                "--threads",
-                "4",
-                "--pipeline",
-                "4",
-                "--tags",
-                "150",
-                "--rounds",
-                "4",
-                "--verify-deterministic",
-            ])
-            .unwrap();
-        }
+        exec(&[
+            "loadgen",
+            "--local",
+            "--requests",
+            "300",
+            "--connections",
+            "4",
+            "--threads",
+            "4",
+            "--pipeline",
+            "4",
+            "--tags",
+            "150",
+            "--rounds",
+            "4",
+            "--verify-deterministic",
+        ])
+        .unwrap();
         assert!(exec(&["loadgen"]).is_err(), "needs --addr or --local");
         assert!(exec(&["loadgen", "--local", "--requests", "0"]).is_err());
         assert!(exec(&["loadgen", "--local", "--pipeline", "0"]).is_err());
-        assert!(exec(&["loadgen", "--local", "--backend", "fibers"]).is_err());
+        assert!(
+            exec(&["loadgen", "--local", "--backend", "evented"]).is_err(),
+            "there is one transport and no --backend flag"
+        );
         assert!(exec(&["loadgen", "--local", "--addr", "127.0.0.1:1"]).is_err());
         assert!(exec(&["loadgen", "--addr", "not-an-addr"]).is_err());
     }
 
     /// `pet serve` blocks until the shutdown verb, publishing its
     /// ephemeral port through --addr-file.
-    fn serve_runs_until_shutdown_verb(backend: &str) {
-        let path =
-            std::env::temp_dir().join(format!("pet-cli-addr-{}-{backend}.txt", std::process::id()));
+    #[test]
+    fn serve_evented_runs_until_shutdown_verb() {
+        let path = std::env::temp_dir().join(format!("pet-cli-addr-{}.txt", std::process::id()));
         let path_str = path.to_str().expect("utf-8 temp path").to_string();
         let argv: Vec<String> = [
             "serve",
             "--addr",
             "127.0.0.1:0",
-            "--backend",
-            backend,
             "--deterministic",
             "--workers",
             "2",
@@ -1128,16 +1126,6 @@ mod cli_tests {
             .expect("serve thread")
             .expect("serve exits ok");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn serve_threaded_runs_until_shutdown_verb() {
-        serve_runs_until_shutdown_verb("threaded");
-    }
-
-    #[test]
-    fn serve_evented_runs_until_shutdown_verb() {
-        serve_runs_until_shutdown_verb("evented");
     }
 
     #[test]

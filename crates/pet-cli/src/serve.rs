@@ -1,14 +1,13 @@
 //! `pet serve` and `pet loadgen` — the service surface of the CLI.
 //!
-//! `serve` runs the pet-server daemon in the foreground — threaded or
-//! evented backend, chosen with `--backend` — until a client sends the
-//! `shutdown` verb, then prints the final RED metrics. `loadgen` drives
-//! the closed-loop generator in [`pet_server::loadgen`]: N concurrent
-//! connections split across driver threads, up to `--pipeline` requests
-//! in flight per connection, every reply validated and folded into an
-//! order-independent digest so two runs against a deterministic server —
-//! or the same run against the two backends — can be compared bit-for-bit
-//! (`--verify-deterministic`).
+//! `serve` runs the pet-server daemon in the foreground — `--workers`
+//! sharded event loops — until a client sends the `shutdown` verb, then
+//! prints the final RED metrics. `loadgen` drives the closed-loop
+//! generator in [`pet_server::loadgen`]: N concurrent connections split
+//! across driver threads, up to `--pipeline` requests in flight per
+//! connection, every reply validated and folded into an
+//! order-independent digest so two runs against a deterministic server
+//! can be compared bit-for-bit (`--verify-deterministic`).
 
 use crate::args::{ArgError, Args};
 use pet_bench::ledger;
@@ -17,13 +16,11 @@ use pet_server::{serve, Backend, ServerConfig, ServerHandle};
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// `pet serve [--addr 127.0.0.1:7878] [--backend threaded|evented]
-/// [--workers 4] [--queue 64] [--deterministic] [--deadline-ms D]
-/// [--addr-file path]`
+/// `pet serve [--addr 127.0.0.1:7878] [--workers 4] [--queue 64]
+/// [--deterministic] [--deadline-ms D] [--addr-file path]`
 pub fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "addr",
-        "backend",
         "workers",
         "queue",
         "deterministic",
@@ -41,11 +38,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     }
     println!("pet-server listening on {addr}");
     println!(
-        "  backend {}, workers {}, queue capacity {}, deterministic {}",
-        config.backend.name(),
-        config.workers,
-        config.queue_capacity,
-        config.deterministic
+        "  shards {}, queue capacity {}, deterministic {}",
+        config.workers, config.queue_capacity, config.deterministic
     );
     println!("  send {{\"id\":\"bye\",\"verb\":\"shutdown\"}} to stop");
     let summary = handle.join();
@@ -55,14 +49,12 @@ pub fn cmd_serve(args: &Args) -> Result<(), ArgError> {
 
 /// `pet loadgen (--addr HOST:PORT | --local) [--requests 10000]
 /// [--connections 8] [--threads 8] [--pipeline 1] [--tags 200]
-/// [--rounds 4] [--backend threaded|evented] [--workers 4] [--queue 64]
-/// [--verify-deterministic] [--ledger path]`
+/// [--rounds 4] [--workers 4] [--queue 64] [--verify-deterministic]
+/// [--ledger path]`
 ///
-/// `--backend` picks the in-process server for `--local` and labels the
-/// ledger row; with `--addr` it must match the remote server for the
-/// label to be honest. `--ledger` appends the first run's
-/// `server-loadgen` row to the ledger at that path once every check has
-/// passed.
+/// `--workers` and `--queue` size the in-process server of `--local`.
+/// `--ledger` appends the first run's `server-loadgen` row to the ledger
+/// at that path once every check has passed.
 pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "addr",
@@ -73,7 +65,6 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
         "pipeline",
         "tags",
         "rounds",
-        "backend",
         "workers",
         "queue",
         "verify-deterministic",
@@ -93,7 +84,6 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
             "--requests, --connections, --threads and --pipeline must be positive".into(),
         ));
     }
-    let backend = parse_backend(args)?;
     let plan = Plan {
         requests,
         connections,
@@ -123,10 +113,10 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
     };
 
     let first = run_batch(addr, &plan);
-    print_report("run 1", &plan, backend, &first);
+    print_report("run 1", &plan, &first);
     if verify {
         let second = run_batch(addr, &plan);
-        print_report("run 2", &plan, backend, &second);
+        print_report("run 2", &plan, &second);
         if second.digest == first.digest {
             println!("deterministic : digests identical across runs");
         } else {
@@ -149,21 +139,13 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), ArgError> {
     // Only a run that passed is recorded: a run whose connections failed
     // finishes at once and would read as a huge throughput.
     if let Some(path) = ledger_path {
-        let mut row = ledger::loadgen_row(backend.name(), &plan, &first);
+        let mut row = ledger::loadgen_row(Backend::Evented.name(), &plan, &first);
         row.source = "pet:loadgen".to_string();
         ledger::append(std::path::Path::new(path), &[row])
             .map_err(|e| ArgError(format!("--ledger {path}: {e}")))?;
         println!("ledger        : {path}");
     }
     Ok(())
-}
-
-pub(crate) fn parse_backend(args: &Args) -> Result<Backend, ArgError> {
-    match args.get("backend")? {
-        None => Ok(Backend::default()),
-        Some(raw) => Backend::parse(raw)
-            .ok_or_else(|| ArgError(format!("--backend: {raw:?} is not threaded|evented"))),
-    }
 }
 
 fn server_config(args: &Args, default_addr: &str) -> Result<ServerConfig, ArgError> {
@@ -175,11 +157,11 @@ fn server_config(args: &Args, default_addr: &str) -> Result<ServerConfig, ArgErr
     let deadline_ms: u64 = args.get_or("deadline-ms", 0)?;
     Ok(ServerConfig {
         addr: args.get("addr")?.unwrap_or(default_addr).to_string(),
-        backend: parse_backend(args)?,
         workers,
         queue_capacity,
         deterministic: args.switch("deterministic"),
         default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
+        ..ServerConfig::default()
     })
 }
 
@@ -190,13 +172,12 @@ fn shutdown_local(local: Option<ServerHandle>) {
     }
 }
 
-fn print_report(label: &str, plan: &Plan, backend: Backend, r: &BatchReport) {
+fn print_report(label: &str, plan: &Plan, r: &BatchReport) {
     let sent = r.ok + r.overloaded + r.errors + r.lost + r.malformed;
     println!(
-        "{label}: {sent} requests in {:.2} s ({:.0} req/s) — backend {}, {} connections, pipeline {}",
+        "{label}: {sent} requests in {:.2} s ({:.0} req/s) — {} connections, pipeline {}",
         r.elapsed.as_secs_f64(),
         sent as f64 / r.elapsed.as_secs_f64().max(1e-9),
-        backend.name(),
         plan.connections,
         plan.pipeline,
     );

@@ -488,7 +488,7 @@ pub(crate) mod tests {
             .unwrap()
     }
 
-    /// `pet-server` shares one `Estimator` value across its worker pool
+    /// `pet-server` shares one `Estimator` value across its shard threads
     /// and moves configs between threads; these bounds are load-bearing
     /// API, so losing them (e.g. by adding an `Rc`/`RefCell` field) must
     /// fail to compile here rather than break the server.

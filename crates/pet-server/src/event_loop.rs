@@ -1,4 +1,4 @@
-//! The sharded non-blocking event-loop backend.
+//! The sharded non-blocking event loop: the server's one transport.
 //!
 //! ```text
 //!              accept()             round-robin intake
@@ -7,24 +7,32 @@
 //!                                     │  sweep: flush wbufs → nonblocking
 //!                                     │         reads → parse lines
 //!                                     │  exec:  run queued work inline
-//!                                     └  idle:  exponential micro-backoff
+//!                                     │  idle:  exponential micro-backoff
+//!                                     └  empty: park until handed a conn
 //! ```
 //!
 //! One thread per *shard*, not per connection: each shard owns a slice of
 //! the connections outright (no locks on the hot path) and drives them
-//! with non-blocking I/O. std has no readiness syscall surface (and this
-//! crate forbids `unsafe`, so `epoll` via FFI is out), so readiness is
-//! *polled*: every loop iteration sweeps the shard's connections with
-//! non-blocking reads and writes, treating `WouldBlock` as "not ready",
-//! and sleeps a few tens of microseconds only when a full sweep made no
-//! progress. An O(connections) sweep sounds expensive, but one
-//! `read(2)` per idle connection is ~1 µs — 10k connections cost ~10 ms
-//! per sweep, which is exactly the regime where per-connection threads
-//! have long since collapsed under scheduler pressure. Shards are placed
-//! by the OS scheduler (std offers no affinity API); with one shard per
-//! core the steady state is the same as pinning.
+//! with non-blocking I/O, so a server's threads are fixed by its shard
+//! count (plus the acceptor) however many clients connect. std has no
+//! readiness syscall surface (and this crate forbids `unsafe`, so `epoll`
+//! via FFI is out), so readiness is *polled*: every loop iteration sweeps
+//! the shard's connections with non-blocking reads and writes, treating
+//! `WouldBlock` as "not ready", and sleeps a few tens of microseconds only
+//! when a full sweep made no progress. An O(connections) sweep sounds
+//! expensive, but one `read(2)` per idle connection is ~1 µs — 10k
+//! connections cost ~10 ms per sweep. Shards are placed by the OS
+//! scheduler (std offers no affinity API); with one shard per core the
+//! steady state is the same as pinning.
 //!
-//! What makes this backend fast is not the polling, it is what the
+//! **Parking.** A shard that owns no connection, no queued job and no
+//! owed shutdown ack has nothing to poll, so it blocks on a condvar beside
+//! its intake instead of backing off. The acceptor's hand-off and the
+//! start of shutdown wake it; both notify under the intake's lock, which
+//! the parked shard checks its wake conditions under, so no wake-up is
+//! lost. An idle server therefore costs no CPU.
+//!
+//! What makes this transport fast is not the polling, it is what the
 //! polling *removes* from the per-request path: no thread handoffs (work
 //! executes inline on the shard that parsed it), no per-request reply
 //! channels, and **pipelining** — a client may write many request lines
@@ -32,23 +40,23 @@
 //! them, and batches the replies into one write. Per-connection buffers
 //! are reused sweep to sweep.
 //!
-//! **Reply ordering.** The threaded backend answers strictly in request
-//! order per connection (it is serial). To stay byte-for-byte
-//! stream-identical, each parsed request gets a per-connection sequence
-//! number; control replies and refusals that finish out of order are held
-//! until every earlier reply has been appended ([`Conn::complete`]).
+//! **Reply ordering.** Each connection is answered strictly in request
+//! order. Every parsed request gets a per-connection sequence number;
+//! control replies and refusals that finish before an earlier work reply
+//! are held until every earlier reply has been appended
+//! ([`Conn::complete`]).
 //!
 //! **Backpressure.** [`crate::service::ServerConfig::queue_capacity`]
 //! bounds the parsed-but-unexecuted work items across all shards (one
 //! atomic counter); beyond it requests bounce with `overloaded`
-//! immediately, exactly like the threaded queue.
+//! immediately instead of being buffered.
 //!
 //! **Deadlines.** A shard cannot observe bytes that arrive while it is
 //! executing, so a request's enqueue time is taken as the moment the
 //! connection was last known drained (accept time for the first sweep).
-//! That *over*-charges queueing delay by at most one sweep period — a
-//! deadline that would have expired in the threaded queue also expires
-//! here.
+//! That *over*-charges queueing delay by at most one sweep period: a
+//! request that waited past its deadline is always refused, and one may be
+//! refused up to one sweep period early.
 //!
 //! **Shutdown drains.** On the `shutdown` verb every shard finishes its
 //! queued work, answers whatever bytes already arrived (work verbs now
@@ -70,9 +78,9 @@ use std::time::{Duration, Instant};
 /// Read-chunk size per syscall; also the reusable per-shard scratch size.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Idle backoff: first sleep 20 µs, doubling to ≤ 160 µs. The cap bounds
-/// both idle CPU (≲1% per shard) and the deadline over-charge described in
-/// the module docs.
+/// Idle backoff of a shard that owns a connection: first sleep 20 µs,
+/// doubling to ≤ 160 µs. The cap bounds the deadline over-charge described
+/// in the module docs.
 const IDLE_BACKOFF_BASE_US: u64 = 20;
 const IDLE_BACKOFF_MAX_DOUBLINGS: u32 = 3;
 
@@ -90,12 +98,27 @@ struct EvShared {
     /// Count of shards that completed their shutdown drain.
     drained: (Mutex<usize>, Condvar),
     nshards: usize,
-    /// Per-shard handoff of freshly accepted connections, stamped with
-    /// their accept time (the first conservative "last drained" bound).
-    intakes: Vec<Mutex<VecDeque<(TcpStream, Instant)>>>,
+    intakes: Vec<Intake>,
+}
+
+/// One shard's handoff of freshly accepted connections, stamped with their
+/// accept time (the first conservative "last drained" bound), and the
+/// condvar the shard parks on while it owns nothing.
+#[derive(Default)]
+struct Intake {
+    fresh: Mutex<VecDeque<(TcpStream, Instant)>>,
+    wake: Condvar,
 }
 
 impl EvShared {
+    /// Wakes every parked shard; called once shutdown has begun.
+    fn wake_shards(&self) {
+        for intake in &self.intakes {
+            let _fresh = intake.fresh.lock().expect("intake poisoned");
+            intake.wake.notify_one();
+        }
+    }
+
     /// Unblocks the accept loop; the connect itself is the signal.
     fn wake_listener(&self) {
         let _ = TcpStream::connect(self.addr);
@@ -107,8 +130,7 @@ impl EvShared {
         *n += 1;
         if *n == self.nshards {
             // Last shard out wakes the listener — after every shard has
-            // drained, before any ack is written (same order as the
-            // threaded backend).
+            // drained, before any ack is written.
             self.wake_listener();
         }
         cvar.notify_all();
@@ -141,6 +163,7 @@ impl EventedHandle {
 
     pub(crate) fn shutdown(&self) {
         self.shared.core.begin_shutdown();
+        self.shared.wake_shards();
         self.shared.wait_all_drained();
         // Benign double-wake when a shard already did it.
         self.shared.wake_listener();
@@ -172,7 +195,7 @@ pub(crate) fn serve_evented(
         pending: AtomicUsize::new(0),
         drained: (Mutex::new(0), Condvar::new()),
         nshards,
-        intakes: (0..nshards).map(|_| Mutex::new(VecDeque::new())).collect(),
+        intakes: (0..nshards).map(|_| Intake::default()).collect(),
     });
 
     let shard_threads: Vec<JoinHandle<()>> = (0..nshards)
@@ -207,10 +230,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<EvShared>) {
             break; // the wake-up connection (or a raced client) ends us
         }
         let Ok(stream) = stream else { continue };
-        shared.intakes[next]
-            .lock()
-            .expect("intake poisoned")
-            .push_back((stream, Instant::now()));
+        let intake = &shared.intakes[next];
+        let mut fresh = intake.fresh.lock().expect("intake poisoned");
+        fresh.push_back((stream, Instant::now()));
+        intake.wake.notify_one();
+        drop(fresh);
         next = (next + 1) % shared.nshards;
     }
     // Dropping the listener closes the socket — every shard has drained by
@@ -365,6 +389,11 @@ impl Shard {
             }
             if progress {
                 idle = 0;
+            } else if self.free.len() == self.conns.len()
+                && self.jobs.is_empty()
+                && self.acks.is_empty()
+            {
+                self.park();
             } else {
                 let sleep_us = IDLE_BACKOFF_BASE_US << idle.min(IDLE_BACKOFF_MAX_DOUBLINGS);
                 idle = idle.saturating_add(1);
@@ -373,10 +402,22 @@ impl Shard {
         }
     }
 
+    /// Blocks until the acceptor hands this shard a connection or shutdown
+    /// begins. Both wakers notify under the intake's lock, and the wait
+    /// re-checks both conditions under it, so no wake-up is lost.
+    fn park(&self) {
+        let intake = &self.shared.intakes[self.idx];
+        let mut fresh = intake.fresh.lock().expect("intake poisoned");
+        while fresh.is_empty() && !self.shared.core.is_shutting_down() {
+            fresh = intake.wake.wait(fresh).expect("intake poisoned");
+        }
+    }
+
     /// Takes ownership of freshly accepted connections.
     fn adopt(&mut self) -> bool {
         let mut fresh = {
             let mut intake = self.shared.intakes[self.idx]
+                .fresh
                 .lock()
                 .expect("intake poisoned");
             if intake.is_empty() {
@@ -460,9 +501,8 @@ impl Shard {
             }
             match conn.stream.read(scratch) {
                 Ok(0) => {
-                    // EOF. The unterminated tail still gets a reply —
-                    // mirrors the threaded reader, whose read_until
-                    // returns the final line without its newline.
+                    // EOF. The unterminated tail still gets a reply, as
+                    // the final line of the stream.
                     read_any = true;
                     if !conn.rbuf.is_empty() {
                         let tail = std::mem::take(&mut conn.rbuf);
@@ -501,9 +541,8 @@ impl Shard {
                 break;
             };
             let nl = conn.scan + rel;
-            // Same bound as the threaded reader: a line whose bytes
-            // (newline included) exceed MAX_LINE_BYTES is refused and the
-            // connection is dropped.
+            // A line whose bytes (newline included) exceed
+            // MAX_LINE_BYTES is refused and the connection is dropped.
             if nl + 1 - start > MAX_LINE_BYTES {
                 self.oversize(conn);
                 return;
@@ -555,8 +594,10 @@ impl Shard {
                 }
             }
             Dispatch::Shutdown { ack } => {
-                // The shared flag is already set; the ack is owed once the
-                // whole server has drained (see drain_and_exit).
+                // The shared flag is already set; parked shards must wake
+                // to drain. The ack is owed once the whole server has
+                // drained (see drain_and_exit).
+                self.shared.wake_shards();
                 self.acks.push(PendingAck {
                     slot,
                     gen: conn.gen,
@@ -601,8 +642,7 @@ impl Shard {
     }
 
     /// Routes a finished reply back to its connection, if it still exists
-    /// (the job is "served" either way, like the threaded backend's
-    /// ignored reply-channel send).
+    /// (the job counts as served either way).
     fn deliver(&mut self, slot: usize, gen: u64, seq: u64, reply: String) {
         if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
             if conn.gen == gen {

@@ -24,13 +24,13 @@
 //!   which the `pet-fleet` coordinator OR-merges across readers.
 //! - **Service core** ([`service`]): the transport-agnostic
 //!   parse→dispatch→respond brain — verbs, deadlines, deterministic
-//!   seeding, metrics — shared verbatim by both serving backends, which is
-//!   what makes their reply streams byte-identical.
-//! - **Two backends** ([`Backend`]): `threaded` (thread per connection, a
-//!   fixed-capacity [`queue`] in front of a bounded worker pool) and
-//!   `evented` (sharded non-blocking event loops with pipelined requests
-//!   per connection — the high-throughput default for load testing).
-//!   Either way, overflow is answered `overloaded` immediately —
+//!   seeding, metrics. Every reply byte comes from here, so a reply is a
+//!   function of its request line alone, whatever the transport.
+//! - **Transport** ([`server`]): one acceptor thread deals connections
+//!   onto N sharded non-blocking event loops, which execute pipelined
+//!   requests inline. A shard that owns no connection parks, so the
+//!   server's threads are fixed by its shard count and an idle server
+//!   costs no CPU. Overflow is answered `overloaded` immediately —
 //!   backpressure instead of buffering — and every request may carry a
 //!   `deadline_ms` the server enforces before starting work.
 //! - **Lifecycle**: the `shutdown` verb (or [`ServerHandle::shutdown`])
@@ -78,7 +78,6 @@ pub mod json;
 pub mod loadgen;
 pub mod metrics;
 pub mod proto;
-pub mod queue;
 pub mod server;
 pub mod service;
 mod shard;
@@ -86,6 +85,5 @@ mod shard;
 pub use client::Client;
 pub use metrics::ServerMetrics;
 pub use proto::{parse_request, ErrorCode, ReaderRoundParams, Request, Verb};
-pub use queue::{BoundedQueue, PushRefused};
 pub use server::{serve, ServerHandle};
 pub use service::{seed_for_id, Backend, ServerConfig, ServiceCore, MAX_LINE_BYTES};

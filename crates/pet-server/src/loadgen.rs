@@ -16,9 +16,8 @@
 //! (`requests`, `connections`, `tags`, `rounds`), independent of thread
 //! count and pipeline depth. The digest is an XOR of per-reply FNV-1a
 //! hashes: order-independent, so concurrent threads need no coordination,
-//! equal reply sets compare equal, and the same digest must fall out of
-//! the threaded and evented backends on the same plan — that equality is
-//! the cross-backend equivalence gate in ci.sh.
+//! and equal reply sets compare equal — ci.sh holds one plan's digest to a
+//! committed value.
 //!
 //! Sizing note: keep `connections × pipeline ≤ queue_capacity` when you
 //! care about the digest. Overload refusals are honest replies and fold

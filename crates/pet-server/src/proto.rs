@@ -54,7 +54,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// Upper bound on `tags` a single request may ask for (10⁷ keeps one
-/// request's memory in the tens of MB and a worker busy for well under a
+/// request's memory in the tens of MB and a shard busy for well under a
 /// second).
 pub const MAX_TAGS: usize = 10_000_000;
 
@@ -237,9 +237,9 @@ pub struct ReaderRoundParams {
 pub enum ErrorCode {
     /// The request line was malformed or out of range.
     BadRequest,
-    /// The bounded queue was full; retry later.
+    /// The server's bound on queued work was reached; retry later.
     Overloaded,
-    /// The request's deadline passed before a worker reached it.
+    /// The request's deadline passed before a shard started it.
     DeadlineExceeded,
     /// The server is draining and accepts no new work.
     ShuttingDown,

@@ -1,192 +1,84 @@
-//! Server front door: `serve` plus the threaded reference backend.
+//! Server front door: [`serve`] and its [`ServerHandle`].
 //!
 //! ```text
-//!                  serve(&ServerConfig)
-//!                 /                    \
-//!        Backend::Threaded       Backend::Evented
-//!    (this module: thread per   (event_loop: sharded
-//!     connection + worker pool)  readiness loop)
-//!                 \                    /
-//!                  one shared ServiceCore
-//!            (verbs, deadlines, seeding, metrics)
+//!   serve(&ServerConfig) ──▶ event_loop: acceptor + N shards
+//!                                   │
+//!                          one shared ServiceCore
+//!                  (verbs, deadlines, seeding, metrics)
 //! ```
 //!
-//! Both backends drive the same [`ServiceCore`], so they answer identical
-//! request streams with byte-identical replies; [`serve`] picks one from
-//! [`ServerConfig::backend`] and wraps it in a backend-agnostic
-//! [`ServerHandle`].
-//!
-//! The threaded backend in this module is the reference implementation:
-//!
-//! ```text
-//!            accept()            bounded queue           worker pool
-//! clients ──▶ listener ──▶ conn threads ──try_push──▶ [cap N] ──pop──▶ W workers
-//!                              │   ▲                                    │
-//!                              │   └───────── reply channel ◀───────────┘
-//!                              └─ overload / bad_request / control replies inline
-//! ```
-//!
-//! Design rules, in order of priority (shared by both backends):
+//! Design rules, in order of priority:
 //!
 //! 1. **Every request line gets exactly one reply.** Malformed input,
 //!    overload, deadlines, shutdown — all answer structurally; nothing is
 //!    silently dropped and no connection is left hanging. Every verb's
 //!    reply is a single line except `monitor`, whose one reply is a
 //!    bounded multi-line stream (delta lines + summary) written atomically
-//!    as a unit — replies still never interleave.
-//! 2. **Backpressure, never buffering.** Estimation work passes through a
-//!    fixed-capacity [`BoundedQueue`]; when it is full the connection
-//!    thread replies `overloaded` immediately. Memory use is bounded by
-//!    `queue + workers + connections`, not by offered load.
+//!    as a unit — replies never interleave, and each connection is
+//!    answered in request order.
+//! 2. **Backpressure, never buffering.** At most
+//!    [`ServerConfig::queue_capacity`] parsed work items wait to run across
+//!    all shards; a request beyond that bound is answered `overloaded`
+//!    immediately. Memory use is bounded by `queue + connections`, not by
+//!    offered load.
 //! 3. **Deadlines are enforced server-side.** A request carrying
-//!    `deadline_ms` that is still queued when the deadline passes is
-//!    answered `deadline_exceeded` by the worker that dequeues it, without
-//!    doing the work.
-//! 4. **Shutdown drains.** The `shutdown` verb closes the queue (new work
-//!    is refused) but every already-queued job is completed and replied to
+//!    `deadline_ms` whose deadline has passed by the time a shard starts
+//!    it is answered `deadline_exceeded` without doing the work.
+//! 4. **Shutdown drains.** The `shutdown` verb stops intake (new work is
+//!    refused) but every already-queued job is completed and replied to
 //!    before the ack goes out and the listener closes.
 //!
-//! Control-plane verbs (`telemetry-snapshot`, `shutdown`) are answered on
-//! the connection thread, bypassing the queue — observability and the off
-//! switch keep working under full overload.
+//! Control-plane verbs (`telemetry-snapshot`, `shutdown`) never enter the
+//! work queue — observability and the off switch keep working under full
+//! overload.
 
 use crate::event_loop::EventedHandle;
-use crate::queue::{BoundedQueue, PushRefused};
-use crate::service::{Backend, Dispatch, ServiceCore};
+use crate::service::ServiceCore;
 use pet_obs::Summary;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 
 pub use crate::service::{seed_for_id, ServerConfig, MAX_LINE_BYTES};
 
-/// One queued estimation job.
-struct Job {
-    request: Box<crate::proto::Request>,
-    enqueued: Instant,
-    reply: mpsc::SyncSender<String>,
-}
-
-/// Worker/connection-shared state of the threaded backend.
-struct Shared {
-    core: Arc<ServiceCore>,
-    queue: BoundedQueue<Job>,
-    addr: SocketAddr,
-    /// Live worker count; the shutdown handler waits for it to hit zero
-    /// (== queue fully drained) before acking.
-    workers_live: (Mutex<usize>, Condvar),
-    /// Live connection count; `join` waits (bounded) for it to hit zero.
-    conns_live: (Mutex<usize>, Condvar),
-}
-
-impl Shared {
-    /// Stops intake: refuses new work and closes the queue. The listener
-    /// is woken *separately*, after the drain, so the socket outlives every
-    /// in-flight job.
-    fn begin_shutdown(&self) {
-        self.core.begin_shutdown();
-        self.queue.close();
-    }
-
-    /// Unblocks the accept loop; the connect itself is the signal.
-    fn wake_listener(&self) {
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    fn wait_workers_drained(&self) {
-        let (lock, cvar) = &self.workers_live;
-        let mut live = lock.lock().expect("worker count poisoned");
-        while *live > 0 {
-            live = cvar.wait(live).expect("worker count poisoned");
-        }
-    }
-}
-
-/// A running server (either backend). Dropping the handle does **not**
-/// stop the server; call [`ServerHandle::shutdown`] (or send the
-/// `shutdown` verb) and then [`ServerHandle::join`].
+/// A running server. Dropping the handle does **not** stop the server;
+/// call [`ServerHandle::shutdown`] (or send the `shutdown` verb) and then
+/// [`ServerHandle::join`].
 pub struct ServerHandle {
-    inner: HandleInner,
-}
-
-enum HandleInner {
-    Threaded(ThreadedHandle),
-    Evented(EventedHandle),
-}
-
-struct ThreadedHandle {
-    shared: Arc<Shared>,
-    listener_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
+    inner: EventedHandle,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        match &self.inner {
-            HandleInner::Threaded(h) => h.shared.addr,
-            HandleInner::Evented(h) => h.addr(),
-        }
+        self.inner.addr()
     }
 
     /// A snapshot of the server's RED metrics.
     #[must_use]
     pub fn metrics(&self) -> Summary {
-        match &self.inner {
-            HandleInner::Threaded(h) => h.shared.core.snapshot(),
-            HandleInner::Evented(h) => h.metrics(),
-        }
+        self.inner.metrics()
     }
 
     /// Initiates the same graceful shutdown as the `shutdown` verb:
     /// refuses new work, blocks until in-flight work has drained, then
     /// closes the listener.
     pub fn shutdown(&self) {
-        match &self.inner {
-            HandleInner::Threaded(h) => {
-                h.shared.begin_shutdown();
-                h.shared.wait_workers_drained();
-                h.shared.wake_listener();
-            }
-            HandleInner::Evented(h) => h.shutdown(),
-        }
+        self.inner.shutdown();
     }
 
-    /// Waits for the listener and workers/shards to finish (call after
+    /// Waits for the acceptor and the shards to finish (call after
     /// [`Self::shutdown`] or once a client has sent the `shutdown` verb),
-    /// then returns the final metrics. Lingering idle connections are
-    /// given a short grace period; their clients have already received a
-    /// reply for every request they sent.
+    /// then returns the final metrics. Connections still open are closed;
+    /// their clients have already received a reply for every request they
+    /// sent.
     pub fn join(self) -> Summary {
-        match self.inner {
-            HandleInner::Threaded(mut h) => {
-                if let Some(t) = h.listener_thread.take() {
-                    let _ = t.join();
-                }
-                for t in h.worker_threads.drain(..) {
-                    let _ = t.join();
-                }
-                let (lock, cvar) = &h.shared.conns_live;
-                let deadline = Instant::now() + Duration::from_secs(1);
-                let mut live = lock.lock().expect("conn count poisoned");
-                while *live > 0 && Instant::now() < deadline {
-                    let (guard, _) = cvar
-                        .wait_timeout(live, Duration::from_millis(50))
-                        .expect("conn count poisoned");
-                    live = guard;
-                }
-                drop(live);
-                h.shared.core.snapshot()
-            }
-            HandleInner::Evented(h) => h.join(),
-        }
+        self.inner.join()
     }
 }
 
-/// Binds and starts the service on the configured [`Backend`].
+/// Binds and starts the service: an acceptor thread plus
+/// [`ServerConfig::workers`] shard threads.
 ///
 /// # Errors
 ///
@@ -196,179 +88,11 @@ impl ServerHandle {
 ///
 /// Panics if `workers` or `queue_capacity` is zero.
 pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
-    assert!(config.workers > 0, "at least one worker is required");
+    assert!(config.workers > 0, "at least one shard is required");
     assert!(config.queue_capacity > 0, "queue capacity must be positive");
     let listener = TcpListener::bind(&config.addr)?;
     let core = Arc::new(ServiceCore::new(config));
-    match config.backend {
-        Backend::Threaded => serve_threaded(config, listener, core),
-        Backend::Evented => Ok(ServerHandle {
-            inner: HandleInner::Evented(crate::event_loop::serve_evented(config, listener, core)?),
-        }),
-    }
-}
-
-fn serve_threaded(
-    config: &ServerConfig,
-    listener: TcpListener,
-    core: Arc<ServiceCore>,
-) -> std::io::Result<ServerHandle> {
-    let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared {
-        core,
-        queue: BoundedQueue::new(config.queue_capacity),
-        addr,
-        workers_live: (Mutex::new(config.workers), Condvar::new()),
-        conns_live: (Mutex::new(0), Condvar::new()),
-    });
-
-    let worker_threads: Vec<JoinHandle<()>> = (0..config.workers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("pet-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn worker")
-        })
-        .collect();
-
-    let listener_thread = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("pet-listener".to_string())
-            .spawn(move || accept_loop(&listener, &shared))
-            .expect("spawn listener")
-    };
-
     Ok(ServerHandle {
-        inner: HandleInner::Threaded(ThreadedHandle {
-            shared,
-            listener_thread: Some(listener_thread),
-            worker_threads,
-        }),
+        inner: crate::event_loop::serve_evented(config, listener, core)?,
     })
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.core.is_shutting_down() {
-            break; // the wake-up connection (or a raced client) ends us
-        }
-        let Ok(stream) = stream else { continue };
-        {
-            let (lock, _) = &shared.conns_live;
-            *lock.lock().expect("conn count poisoned") += 1;
-        }
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
-            .name("pet-conn".to_string())
-            .spawn(move || {
-                connection_loop(stream, &shared);
-                let (lock, cvar) = &shared.conns_live;
-                *lock.lock().expect("conn count poisoned") -= 1;
-                cvar.notify_all();
-            });
-    }
-    // Dropping the listener here closes the socket — after the queue has
-    // been closed and (for verb-initiated shutdowns) drained.
-}
-
-/// Reads one `\n`-terminated line with a hard length bound. Returns
-/// `Ok(None)` on clean EOF and `Err(())` when the bound is exceeded.
-fn read_line_bounded(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Result<Option<()>, ()> {
-    buf.clear();
-    let mut limited = reader.take(MAX_LINE_BYTES as u64 + 1);
-    match limited.read_until(b'\n', buf) {
-        Ok(0) => Ok(None),
-        Ok(_) if buf.len() > MAX_LINE_BYTES => Err(()),
-        Ok(_) => Ok(Some(())),
-        Err(_) => Ok(None), // treat I/O errors as disconnect
-    }
-}
-
-fn write_reply(stream: &mut TcpStream, reply: &str) -> bool {
-    stream
-        .write_all(reply.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .is_ok()
-}
-
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut buf = Vec::new();
-    loop {
-        match read_line_bounded(&mut reader, &mut buf) {
-            Ok(None) => return,
-            Err(()) => {
-                // Oversized line: answer structurally, then drop the
-                // connection.
-                let reply = shared.core.refuse_oversized();
-                let _ = write_reply(&mut stream, &reply);
-                return;
-            }
-            Ok(Some(())) => {}
-        }
-        let reply = match shared.core.handle_line(&buf) {
-            None => continue, // tolerate blank lines / keepalives
-            Some(Dispatch::Reply(reply)) => reply,
-            Some(Dispatch::Shutdown { ack }) => {
-                let started = Instant::now();
-                // Drain before waking the listener: in-flight jobs finish
-                // and reply while the socket is still open; only then does
-                // the accept loop exit and close it.
-                shared.begin_shutdown();
-                shared.wait_workers_drained();
-                shared.wake_listener();
-                shared.core.record_ok(started.elapsed());
-                ack
-            }
-            Some(Dispatch::Work(request)) => {
-                let id = request.id.clone();
-                let (tx, rx) = mpsc::sync_channel(1);
-                let job = Job {
-                    request,
-                    enqueued: Instant::now(),
-                    reply: tx,
-                };
-                match shared.queue.try_push(job) {
-                    Ok(()) => match rx.recv() {
-                        Ok(reply) => reply,
-                        Err(_) => {
-                            // Worker pool died mid-job — only plausible
-                            // during a crash; still answer structurally.
-                            shared
-                                .core
-                                .metrics()
-                                .error(crate::proto::ErrorCode::Internal);
-                            crate::proto::error_reply(
-                                Some(&id),
-                                crate::proto::ErrorCode::Internal,
-                                Some("worker pool gone"),
-                            )
-                        }
-                    },
-                    Err((_, PushRefused::Full)) => shared.core.refuse_overloaded(&id),
-                    Err((_, PushRefused::Closed)) => shared.core.refuse_shutting_down(&id),
-                }
-            }
-        };
-        if !write_reply(&mut stream, &reply) {
-            return;
-        }
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        let reply = shared.core.execute_work(&job.request, job.enqueued);
-        // The connection may have gone away; the job is still "served".
-        let _ = job.reply.send(reply);
-    }
-    let (lock, cvar) = &shared.workers_live;
-    *lock.lock().expect("worker count poisoned") -= 1;
-    cvar.notify_all();
 }

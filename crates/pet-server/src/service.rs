@@ -2,29 +2,27 @@
 //!
 //! Everything the protocol *means* lives here — verb dispatch, deadline
 //! enforcement, deterministic seeding, RED metrics, the roster caches —
-//! and nothing about how bytes arrive. The two serving backends
-//! ([`crate::server`]'s thread-per-connection driver and
-//! `event_loop`'s sharded readiness loop) are thin transports
-//! over one [`ServiceCore`]: each feeds raw request lines in and writes
-//! the returned reply lines out. Because every reply string is produced
-//! by this module from the request alone (plus the core's deterministic
-//! seed derivation), the two backends answer the same request stream with
-//! byte-identical replies — the property `pet loadgen
-//! --verify-deterministic` and the cross-backend battery pin.
+//! and nothing about how bytes arrive. The transport (the sharded event
+//! loop behind [`crate::server::serve`]) feeds raw request lines in and
+//! writes the returned reply lines out. Because every reply string is
+//! produced by this module from the request alone (plus the core's
+//! deterministic seed derivation), a deterministic server answers a line
+//! with the same bytes as an in-process core does — the property `pet
+//! loadgen --verify-deterministic` and the wire-protocol fuzzer pin.
 //!
 //! The split of responsibilities:
 //!
 //! - [`ServiceCore::handle_line`] turns one raw line into a [`Dispatch`]:
 //!   an immediate reply (control verbs, parse errors, refusals), a
-//!   shutdown handoff, or a work item the backend must queue.
-//! - The *backend* owns queueing/backpressure (how many parsed-but-
+//!   shutdown handoff, or a work item the transport must queue.
+//! - The *transport* owns queueing/backpressure (how many parsed-but-
 //!   unexecuted work items may exist) and calls
 //!   [`ServiceCore::refuse_overloaded`] when its bound is hit, and
 //!   [`ServiceCore::execute_work`] — which re-checks the deadline against
 //!   the enqueue time — for each item it accepted.
 //! - Shutdown is cooperative: `dispatch` flips the shared flag (so every
-//!   other connection/shard starts refusing work immediately), and hands
-//!   the backend the ack line to emit once *it* has drained.
+//!   other connection and shard starts refusing work immediately), and
+//!   hands the transport the ack line to emit once it has drained.
 
 use crate::metrics::ServerMetrics;
 use crate::proto::{
@@ -52,42 +50,28 @@ use std::time::{Duration, Instant};
 /// input bound).
 pub const MAX_LINE_BYTES: usize = crate::json::MAX_INPUT_BYTES;
 
-/// Which serving transport drives the [`ServiceCore`].
+/// The serving transport that drives the [`ServiceCore`].
 ///
-/// Both speak the identical wire protocol and produce byte-identical
-/// replies for the same request stream; they differ only in how
-/// connections are scheduled.
+/// The sharded event loop is the only one. The type and
+/// [`ServerConfig::backend`] are kept because the benchmark in
+/// `perfbench/` names them, and [`Backend::name`] keys the
+/// `server-loadgen` ledger rows (`evented/…`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Thread per connection in front of a bounded worker pool — simple,
-    /// debuggable, and the reference implementation the evented backend is
-    /// verified against. Kept as the default for embedders.
-    #[default]
-    Threaded,
     /// Sharded non-blocking event loop: N shards each own a slice of the
     /// connections, sweep them with non-blocking reads/writes, and execute
     /// work inline — no per-request thread handoffs, requests pipelined
     /// per connection. Scales to tens of thousands of connections.
+    #[default]
     Evented,
 }
 
 impl Backend {
-    /// The stable lower-case name (used by `--backend` and bench JSON).
+    /// The stable lower-case name, which keys ledger rows.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Backend::Threaded => "threaded",
             Backend::Evented => "evented",
-        }
-    }
-
-    /// Parses a `--backend` flag value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threaded" => Some(Backend::Threaded),
-            "evented" => Some(Backend::Evented),
-            _ => None,
         }
     }
 }
@@ -98,16 +82,13 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`crate::server::ServerHandle::addr`]).
     pub addr: String,
-    /// Serving transport. [`Backend::Threaded`] is the default; pass
-    /// [`Backend::Evented`] for the sharded event loop.
+    /// Serving transport; [`Backend::Evented`] is the only one.
     pub backend: Backend,
-    /// Concurrency width: worker threads on the threaded backend, shard
-    /// event loops on the evented one.
+    /// Shard count: one event-loop thread per shard, each owning a slice
+    /// of the connections and executing their work inline.
     pub workers: usize,
-    /// Bound on parsed-but-unexecuted work items; pushes beyond it get
-    /// `overloaded`. (On the threaded backend this is the job queue's
-    /// capacity; on the evented backend a global pending-job budget shared
-    /// by all shards.)
+    /// Bound on parsed-but-unexecuted work items across all shards;
+    /// requests beyond it get `overloaded`.
     pub queue_capacity: usize,
     /// Deterministic mode: requests without an explicit `seed` derive one
     /// from the request id alone, so equal requests produce byte-identical
@@ -136,20 +117,20 @@ pub enum Dispatch {
     /// Write this reply now; nothing to schedule.
     Reply(String),
     /// The `shutdown` verb: the shared shutting-down flag is already set.
-    /// The backend must drain its in-flight work, then write `ack` (and
+    /// The transport must drain its in-flight work, then write `ack` (and
     /// record the latency via [`ServiceCore::record_ok`]), then close the
     /// listener.
     Shutdown {
         /// The `"drained":true` ack line to emit after the drain.
         ack: String,
     },
-    /// A work item the backend should queue (subject to its capacity
+    /// A work item the transport should queue (subject to its capacity
     /// bound) and later run through [`ServiceCore::execute_work`].
     Work(Box<Request>),
 }
 
 /// The shared, transport-agnostic service state: one per server, shared by
-/// every connection/shard/worker of whichever backend drives it.
+/// every shard of the transport that drives it.
 pub struct ServiceCore {
     metrics: ServerMetrics,
     cache: RosterCache,
@@ -263,7 +244,7 @@ impl ServiceCore {
                 Dispatch::Reply(reply)
             }
             Verb::Shutdown => {
-                // Flag first: by the time the backend starts draining, no
+                // Flag first: by the time the transport starts draining, no
                 // connection anywhere can enqueue more work.
                 self.begin_shutdown();
                 Dispatch::Shutdown {
@@ -279,7 +260,7 @@ impl ServiceCore {
         }
     }
 
-    /// The structured refusal for a work item that hit the backend's
+    /// The structured refusal for a work item that hit the transport's
     /// capacity bound (records the overload metrics).
     #[must_use]
     pub fn refuse_overloaded(&self, id: &str) -> String {
@@ -597,16 +578,8 @@ mod tests {
         assert!(c.workers > 0);
         assert!(c.queue_capacity > 0);
         assert!(!c.deterministic);
-        assert_eq!(c.backend, Backend::Threaded);
+        assert_eq!(c.backend, Backend::Evented);
         assert!(c.addr.ends_with(":0"), "ephemeral port by default");
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for b in [Backend::Threaded, Backend::Evented] {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-        }
-        assert_eq!(Backend::parse("asynchronous"), None);
     }
 
     /// The `telemetry-snapshot` reply after a `monitor` request is pinned

@@ -4,44 +4,51 @@
 //! malformed JSON, truncated valid requests, out-of-range parameters —
 //! yields a structured JSON error reply, never a panic and never a hung
 //! connection. Exercised twice: in-process against [`parse_request`] (fast,
-//! thousands of cases) and against live server sockets (real framing,
-//! read timeouts as the hang detector). Every socket case runs against
-//! **both backends** — one long-lived server per backend — and the
-//! generated-line fuzz additionally asserts the two backends answer each
-//! line with byte-identical replies (both run the same deterministic
-//! `ServiceCore`, so any divergence is a transport bug).
+//! thousands of cases) and against a live server's sockets (real framing,
+//! read timeouts as the hang detector). The generated-line fuzz
+//! additionally asserts the live server answers each line with the bytes
+//! an in-process deterministic [`ServiceCore`] gives the same line, so a
+//! transport that changes any reply byte fails.
 
 use pet_server::json::Json;
-use pet_server::{parse_request, serve, Backend, Client, ServerConfig};
+use pet_server::service::Dispatch;
+use pet_server::{parse_request, serve, Client, ServerConfig, ServiceCore};
 use proptest::prelude::*;
 use std::net::SocketAddr;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Evented];
+/// The configuration of the live server and of the in-process reference.
+fn fuzz_config() -> ServerConfig {
+    ServerConfig {
+        workers: 2,
+        queue_capacity: 16,
+        deterministic: true,
+        ..ServerConfig::default()
+    }
+}
 
-/// One shared live server per backend for the socket cases; leaked on
-/// purpose — the process exit is their shutdown.
-fn fuzz_server(backend: Backend) -> SocketAddr {
-    static ADDRS: OnceLock<[SocketAddr; 2]> = OnceLock::new();
-    let addrs = ADDRS.get_or_init(|| {
-        BACKENDS.map(|backend| {
-            let handle = serve(&ServerConfig {
-                backend,
-                workers: 2,
-                queue_capacity: 16,
-                deterministic: true,
-                ..ServerConfig::default()
-            })
-            .expect("bind fuzz server");
-            let addr = handle.addr();
-            std::mem::forget(handle);
-            addr
-        })
-    });
-    match backend {
-        Backend::Threaded => addrs[0],
-        Backend::Evented => addrs[1],
+/// One shared live server for the socket cases; leaked on purpose — the
+/// process exit is its shutdown.
+fn fuzz_server() -> SocketAddr {
+    static ADDR: OnceLock<SocketAddr> = OnceLock::new();
+    *ADDR.get_or_init(|| {
+        let handle = serve(&fuzz_config()).expect("bind fuzz server");
+        let addr = handle.addr();
+        std::mem::forget(handle);
+        addr
+    })
+}
+
+/// The reply an in-process deterministic core gives `line`, or `None` for
+/// a blank line: the bytes every transport must reproduce.
+fn reference_reply(line: &str) -> Option<String> {
+    static CORE: OnceLock<ServiceCore> = OnceLock::new();
+    let core = CORE.get_or_init(|| ServiceCore::new(&fuzz_config()));
+    match core.handle_line(line.as_bytes())? {
+        Dispatch::Reply(reply) => Some(reply),
+        Dispatch::Work(request) => Some(core.execute_work(&request, Instant::now())),
+        Dispatch::Shutdown { .. } => panic!("fuzz lines never ask for shutdown: {line:?}"),
     }
 }
 
@@ -193,34 +200,26 @@ proptest! {
         }
     }
 
-    /// Live servers: any single line gets exactly one structured reply on
-    /// each backend, the connection stays usable for a valid request
-    /// afterwards, and — the servers being deterministic — the two
-    /// backends answer every line with byte-identical replies.
+    /// A live server: any single line gets exactly one structured reply,
+    /// the connection stays usable for a valid request afterwards, and —
+    /// the server being deterministic — every reply is byte-identical to
+    /// the in-process core's reply to the same line.
     #[test]
     fn live_servers_reply_structurally_and_identically_to_garbage(line in line_strategy()) {
         let payload: String = line.chars().filter(|c| *c != '\n' && *c != '\r').collect();
-        let mut garbage_replies: Vec<String> = Vec::new();
-        let mut valid_replies: Vec<String> = Vec::new();
-        for backend in BACKENDS {
-            let mut client = connect(fuzz_server(backend));
-            if !payload.trim().is_empty() {
-                // Blank (all-whitespace) lines are tolerated silently;
-                // everything else replies.
-                let reply = client.roundtrip(&payload).expect("one reply per line");
-                assert_structured(&reply);
-                garbage_replies.push(reply);
-            }
-            // The connection is not wedged: a valid request still works.
-            let reply = client.roundtrip(VALID).expect("connection still usable");
+        let mut client = connect(fuzz_server());
+        // Blank (all-whitespace) lines are tolerated silently; everything
+        // else replies.
+        if let Some(expected) = reference_reply(&payload) {
+            let reply = client.roundtrip(&payload).expect("one reply per line");
             assert_structured(&reply);
-            prop_assert!(reply.contains("\"ok\":true"), "valid request failed: {reply}");
-            valid_replies.push(reply);
+            prop_assert_eq!(&reply, &expected, "transport changed the reply to {:?}", payload);
         }
-        if let [threaded, evented] = garbage_replies.as_slice() {
-            prop_assert_eq!(threaded, evented, "backends disagree on {:?}", payload);
-        }
-        prop_assert_eq!(&valid_replies[0], &valid_replies[1]);
+        // The connection is not wedged: a valid request still works.
+        let reply = client.roundtrip(VALID).expect("connection still usable");
+        assert_structured(&reply);
+        prop_assert!(reply.contains("\"ok\":true"), "valid request failed: {reply}");
+        prop_assert_eq!(Some(reply), reference_reply(VALID));
     }
 }
 
@@ -228,57 +227,51 @@ proptest! {
 fn truncated_requests_all_reply_with_bad_request() {
     // Every strict prefix of a valid request is malformed; the server must
     // answer each one on the same connection without dropping it.
-    for backend in BACKENDS {
-        let mut client = connect(fuzz_server(backend));
-        for cut in 1..VALID.len() {
-            if !VALID.is_char_boundary(cut) {
-                continue;
-            }
-            let reply = client
-                .roundtrip(&VALID[..cut])
-                .expect("reply to truncated request");
-            assert_structured(&reply);
-            assert!(
-                reply.contains("\"error\":\"bad_request\""),
-                "prefix {cut}: {reply}"
-            );
+    let mut client = connect(fuzz_server());
+    for cut in 1..VALID.len() {
+        if !VALID.is_char_boundary(cut) {
+            continue;
         }
-        let reply = client.roundtrip(VALID).expect("full request");
-        assert!(reply.contains("\"ok\":true"), "{reply}");
+        let reply = client
+            .roundtrip(&VALID[..cut])
+            .expect("reply to truncated request");
+        assert_structured(&reply);
+        assert!(
+            reply.contains("\"error\":\"bad_request\""),
+            "prefix {cut}: {reply}"
+        );
     }
+    let reply = client.roundtrip(VALID).expect("full request");
+    assert!(reply.contains("\"ok\":true"), "{reply}");
 }
 
 #[test]
 fn oversized_line_is_refused_then_connection_closed() {
-    for backend in BACKENDS {
-        let mut client = connect(fuzz_server(backend));
-        let huge = format!(
-            r#"{{"id":"big","verb":"estimate","tags":10,"pad":"{}"}}"#,
-            "x".repeat(pet_server::MAX_LINE_BYTES)
-        );
-        let reply = client.roundtrip(&huge).expect("structured refusal first");
-        assert_structured(&reply);
-        assert!(reply.contains("\"error\":\"bad_request\""), "{reply}");
-        // After an oversized line the server drops the connection (framing
-        // is unrecoverable): the next roundtrip fails instead of hanging.
-        assert!(client.roundtrip(VALID).is_err());
-    }
+    let mut client = connect(fuzz_server());
+    let huge = format!(
+        r#"{{"id":"big","verb":"estimate","tags":10,"pad":"{}"}}"#,
+        "x".repeat(pet_server::MAX_LINE_BYTES)
+    );
+    let reply = client.roundtrip(&huge).expect("structured refusal first");
+    assert_structured(&reply);
+    assert!(reply.contains("\"error\":\"bad_request\""), "{reply}");
+    // After an oversized line the server drops the connection (framing
+    // is unrecoverable): the next roundtrip fails instead of hanging.
+    assert!(client.roundtrip(VALID).is_err());
 }
 
 #[test]
 fn non_utf8_bytes_get_a_structured_reply() {
-    for backend in BACKENDS {
-        let mut client = connect(fuzz_server(backend));
-        client
-            .send_raw(&[0xff, 0xfe, 0x80, b'{', b'}', b'\n'])
-            .expect("send raw bytes");
-        let reply = client.read_reply().expect("reply to non-UTF-8 line");
-        assert_structured(&reply);
-        assert!(reply.contains("\"error\":\"bad_request\""), "{reply}");
-        // Framing intact: valid traffic continues on the same connection.
-        let reply = client.roundtrip(VALID).expect("still usable");
-        assert!(reply.contains("\"ok\":true"), "{reply}");
-    }
+    let mut client = connect(fuzz_server());
+    client
+        .send_raw(&[0xff, 0xfe, 0x80, b'{', b'}', b'\n'])
+        .expect("send raw bytes");
+    let reply = client.read_reply().expect("reply to non-UTF-8 line");
+    assert_structured(&reply);
+    assert!(reply.contains("\"error\":\"bad_request\""), "{reply}");
+    // Framing intact: valid traffic continues on the same connection.
+    let reply = client.roundtrip(VALID).expect("still usable");
+    assert!(reply.contains("\"ok\":true"), "{reply}");
 }
 
 #[test]
@@ -308,17 +301,15 @@ fn adversarial_parameter_corners_are_rejected_not_executed() {
         r#"{"id":"x","verb":"estimate","tags":1e309}"#,
         r#"{"id":"x","verb":"estimate","deadline_ms":0,"tags":10}"#,
     ];
-    for backend in BACKENDS {
-        let mut client = connect(fuzz_server(backend));
-        for line in cases {
-            let reply = client.roundtrip(line).expect("reply");
-            assert_structured(&reply);
-            assert!(
-                reply.contains("\"error\":\"bad_request\""),
-                "{line} => {reply}"
-            );
-        }
-        let reply = client.roundtrip(VALID).expect("still usable");
-        assert!(reply.contains("\"ok\":true"), "{reply}");
+    let mut client = connect(fuzz_server());
+    for line in cases {
+        let reply = client.roundtrip(line).expect("reply");
+        assert_structured(&reply);
+        assert!(
+            reply.contains("\"error\":\"bad_request\""),
+            "{line} => {reply}"
+        );
     }
+    let reply = client.roundtrip(VALID).expect("still usable");
+    assert!(reply.contains("\"ok\":true"), "{reply}");
 }

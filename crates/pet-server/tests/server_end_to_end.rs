@@ -1,16 +1,13 @@
 //! End-to-end concurrency battery for the estimation service.
 //!
 //! Everything here runs against a real listener on an ephemeral port, with
-//! real client sockets on real threads — and every case runs twice, once
-//! per serving backend (`battery!` expands a threaded and an evented
-//! variant), because both backends drive the same `ServiceCore` and must
-//! be observationally identical. The properties pinned:
+//! real client sockets on real threads. `battery!` puts each case in a
+//! module of its own as `<case>::evented`. The properties pinned:
 //!
 //! - **Zero lost replies**: every request line sent receives exactly one
 //!   reply line with the matching id, under concurrent mixed load.
 //! - **Determinism**: in deterministic mode the same request stream yields
-//!   byte-identical replies from two independently started servers — and
-//!   from the *other backend* (`cross_backend_replies_are_byte_identical`).
+//!   byte-identical replies from two independently started servers.
 //! - **Backpressure**: `overloaded` appears only once the queue bound is
 //!   actually hit, and a closed-loop client within the bound never sees it.
 //! - **Deadlines**: a request whose deadline expires in the queue is
@@ -23,41 +20,30 @@
 //!   full stream with zero lost deltas.
 
 use pet_server::json::Json;
-use pet_server::{serve, Backend, Client, ServerConfig};
+use pet_server::{serve, Client, ServerConfig};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-fn deterministic_server(
-    backend: Backend,
-    workers: usize,
-    queue: usize,
-) -> pet_server::ServerHandle {
+fn deterministic_server(workers: usize, queue: usize) -> pet_server::ServerHandle {
     serve(&ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        backend,
         workers,
         queue_capacity: queue,
         deterministic: true,
-        default_deadline: None,
+        ..ServerConfig::default()
     })
     .expect("bind ephemeral port")
 }
 
-/// Expands one battery case into a `#[test]` per backend.
+/// Wraps one battery case in a `#[test]` at `<case>::evented`.
 macro_rules! battery {
     ($name:ident) => {
         mod $name {
-            use super::*;
-            #[test]
-            fn threaded() {
-                super::$name(Backend::Threaded);
-            }
             #[test]
             fn evented() {
-                super::$name(Backend::Evented);
+                super::$name();
             }
         }
     };
@@ -110,12 +96,12 @@ fn hammer(addr: SocketAddr, threads: usize, per_thread: usize) -> BTreeMap<Strin
     Arc::try_unwrap(results).unwrap().into_inner().unwrap()
 }
 
-fn concurrent_mixed_load_loses_nothing_and_is_deterministic(backend: Backend) {
+fn concurrent_mixed_load_loses_nothing_and_is_deterministic() {
     let threads = 8;
     let per_thread = 20;
 
     let run = || {
-        let handle = deterministic_server(backend, 4, 64);
+        let handle = deterministic_server(4, 64);
         let addr = handle.addr();
         let replies = hammer(addr, threads, per_thread);
         handle.shutdown();
@@ -155,32 +141,11 @@ fn concurrent_mixed_load_loses_nothing_and_is_deterministic(backend: Backend) {
 }
 battery!(concurrent_mixed_load_loses_nothing_and_is_deterministic);
 
-/// Both backends drive the same `ServiceCore`, so the same deterministic
-/// request stream must produce byte-identical reply sets — the in-process
-/// twin of `pet loadgen --verify-deterministic`'s cross-backend digest.
-#[test]
-fn cross_backend_replies_are_byte_identical() {
-    let run = |backend| {
-        let handle = deterministic_server(backend, 2, 64);
-        let replies = hammer(handle.addr(), 4, 15);
-        handle.shutdown();
-        handle.join();
-        replies
-    };
-    let threaded = run(Backend::Threaded);
-    let evented = run(Backend::Evented);
-    assert_eq!(threaded.len(), 60);
-    assert_eq!(
-        threaded, evented,
-        "backends must be byte-identical on the same seeds"
-    );
-}
-
-fn closed_loop_within_queue_bound_never_overloads(backend: Backend) {
+fn closed_loop_within_queue_bound_never_overloads() {
     // 4 threads in closed loop against capacity 4: at most 4 requests are
     // ever outstanding, so the bound is never exceeded and `overloaded`
     // must not appear.
-    let handle = deterministic_server(backend, 1, 4);
+    let handle = deterministic_server(1, 4);
     let addr = handle.addr();
     std::thread::scope(|scope| {
         for t in 0..4 {
@@ -205,20 +170,21 @@ fn closed_loop_within_queue_bound_never_overloads(backend: Backend) {
 }
 battery!(closed_loop_within_queue_bound_never_overloads);
 
-/// A request slow enough (~0.7 s measured on this host) to keep the single
-/// worker busy while the tests below race follow-up requests against it.
-/// Re-sized after the SIMD kernels made the previous sweep finish in under
-/// the tests' setup sleeps, which silently defeated the worker pinning.
+/// A request slow enough (~0.7 s measured on a 2-vCPU x86-64 host) to keep
+/// the single shard busy while the tests below race follow-up requests
+/// against it. Re-sized after the SIMD kernels made the previous sweep
+/// finish in under the tests' setup sleeps, which silently defeated the
+/// shard pinning.
 const SLOW_LINE: &str = r#"{"id":"slow","verb":"robustness","tags":100000,"rounds":512,"runs":48,"miss_rates":[0,0.02,0.05]}"#;
 
-fn overload_replies_appear_exactly_when_queue_is_full(backend: Backend) {
-    // One worker, capacity 1. Occupy the worker with a slow sweep, fill
-    // the queue slot, then probe: the probe must bounce with `overloaded`
-    // while both earlier requests still complete. (On the evented backend
-    // the single shard is busy executing the slow job, so the bounce is
-    // deferred until the next sweep — but the connection order still
-    // guarantees "queued" wins the slot and the probe bounces.)
-    let handle = deterministic_server(backend, 1, 1);
+fn overload_replies_appear_exactly_when_queue_is_full() {
+    // One shard, capacity 1. Occupy the shard with a slow sweep, then send
+    // "queued" and the probe: the probe must bounce with `overloaded`
+    // while both earlier requests still complete. The shard is busy
+    // executing the slow job, so the bounce is deferred until the next
+    // sweep — but the connection order guarantees "queued" wins the slot
+    // and the probe bounces.
+    let handle = deterministic_server(1, 1);
     let addr = handle.addr();
 
     let slow = std::thread::spawn(move || {
@@ -226,7 +192,7 @@ fn overload_replies_appear_exactly_when_queue_is_full(backend: Backend) {
         c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
         c.roundtrip(SLOW_LINE).unwrap()
     });
-    // Give the worker time to dequeue the slow job (queue now empty).
+    // Give the shard time to start the slow job (queue now empty).
     std::thread::sleep(Duration::from_millis(100));
 
     let queued = std::thread::spawn(move || {
@@ -259,13 +225,12 @@ fn overload_replies_appear_exactly_when_queue_is_full(backend: Backend) {
 }
 battery!(overload_replies_appear_exactly_when_queue_is_full);
 
-fn queued_past_deadline_is_refused_without_execution(backend: Backend) {
-    let handle = deterministic_server(backend, 1, 8);
+fn queued_past_deadline_is_refused_without_execution() {
+    let handle = deterministic_server(1, 8);
     let addr = handle.addr();
 
-    // Occupy the single worker: "late" then sits behind the slow job in
-    // the FIFO queue, so its 1 ms deadline expires long before a worker
-    // reaches it.
+    // Occupy the single shard: "late" then waits behind the slow job, so
+    // its 1 ms deadline expires long before the shard reaches it.
     let slow = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
@@ -297,8 +262,8 @@ fn queued_past_deadline_is_refused_without_execution(backend: Backend) {
 }
 battery!(queued_past_deadline_is_refused_without_execution);
 
-fn shutdown_drains_in_flight_work_before_the_socket_closes(backend: Backend) {
-    let handle = deterministic_server(backend, 2, 32);
+fn shutdown_drains_in_flight_work_before_the_socket_closes() {
+    let handle = deterministic_server(2, 32);
     let addr = handle.addr();
     let in_flight = 8;
 
@@ -376,8 +341,8 @@ battery!(shutdown_drains_in_flight_work_before_the_socket_closes);
 /// shard roster's (the coordinator's whole correctness argument rests on
 /// agents answering exactly what `pet-sim` would), and equal requests must
 /// produce byte-identical replies.
-fn reader_round_counts_match_a_local_shard_roster(backend: Backend) {
-    let handle = deterministic_server(backend, 2, 16);
+fn reader_round_counts_match_a_local_shard_roster() {
+    let handle = deterministic_server(2, 16);
     let addr = handle.addr();
     let mut client = Client::connect(addr).unwrap();
     client
@@ -429,11 +394,11 @@ fn reader_round_counts_match_a_local_shard_roster(backend: Backend) {
 }
 battery!(reader_round_counts_match_a_local_shard_roster);
 
-/// The degenerate deployment — one worker, one queue slot — under
+/// The degenerate deployment — one shard, one queue slot — under
 /// concurrent closed-loop load: every request is answered (ok or a clean
 /// `overloaded` bounce), nothing is lost or hung.
-fn capacity_one_queue_survives_concurrent_load(backend: Backend) {
-    let handle = deterministic_server(backend, 1, 1);
+fn capacity_one_queue_survives_concurrent_load() {
+    let handle = deterministic_server(1, 1);
     let addr = handle.addr();
     let sent = 6 * 8;
     let ok = Arc::new(AtomicUsize::new(0));
@@ -478,11 +443,11 @@ fn capacity_one_queue_survives_concurrent_load(backend: Backend) {
 battery!(capacity_one_queue_survives_concurrent_load);
 
 /// Shutdown issued while requests are verifiably *still queued* (the lone
-/// worker is pinned by a slow job): the ack must wait for the drain and
+/// shard is pinned by a slow job): the ack must wait for the drain and
 /// still report `drained:true`, and every queued request must be answered
 /// with its real result.
-fn shutdown_while_requests_are_queued_still_reports_drained(backend: Backend) {
-    let handle = deterministic_server(backend, 1, 8);
+fn shutdown_while_requests_are_queued_still_reports_drained() {
+    let handle = deterministic_server(1, 8);
     let addr = handle.addr();
 
     let slow = std::thread::spawn(move || {
@@ -490,8 +455,8 @@ fn shutdown_while_requests_are_queued_still_reports_drained(backend: Backend) {
         c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
         c.roundtrip(SLOW_LINE).unwrap()
     });
-    // Let the worker dequeue the slow job, then stack three requests in
-    // the queue behind it.
+    // Let the shard start the slow job, then stack three requests in the
+    // queue behind it.
     std::thread::sleep(Duration::from_millis(100));
     let queued: Vec<_> = (0..3)
         .map(|i| {
@@ -507,7 +472,7 @@ fn shutdown_while_requests_are_queued_still_reports_drained(backend: Backend) {
         .collect();
     std::thread::sleep(Duration::from_millis(80));
 
-    // The queue now verifiably holds work (single worker is mid-sweep).
+    // The queue now verifiably holds work (the single shard is mid-sweep).
     let mut controller = Client::connect(addr).unwrap();
     controller
         .set_read_timeout(Some(Duration::from_secs(120)))
@@ -531,8 +496,8 @@ fn shutdown_while_requests_are_queued_still_reports_drained(backend: Backend) {
 }
 battery!(shutdown_while_requests_are_queued_still_reports_drained);
 
-fn telemetry_snapshot_reports_red_metrics(backend: Backend) {
-    let handle = deterministic_server(backend, 2, 16);
+fn telemetry_snapshot_reports_red_metrics() {
+    let handle = deterministic_server(2, 16);
     let addr = handle.addr();
     let mut client = Client::connect(addr).unwrap();
     client
@@ -595,8 +560,8 @@ fn read_stream(client: &mut Client, updates: u32) -> Vec<String> {
 /// A subscription delivers exactly K delta lines (ids echoed, update
 /// indices in order) capped by one summary line, and the connection stays
 /// usable for ordinary requests afterwards.
-fn monitor_subscription_delivers_every_delta_then_summary(backend: Backend) {
-    let handle = deterministic_server(backend, 2, 16);
+fn monitor_subscription_delivers_every_delta_then_summary() {
+    let handle = deterministic_server(2, 16);
     let addr = handle.addr();
     let mut client = Client::connect(addr).unwrap();
     client
@@ -654,9 +619,9 @@ battery!(monitor_subscription_delivers_every_delta_then_summary);
 /// In deterministic mode the whole stream — every delta and the summary —
 /// is a pure function of the request, so two independently started servers
 /// produce byte-identical streams.
-fn monitor_streams_are_byte_identical_across_instances(backend: Backend) {
+fn monitor_streams_are_byte_identical_across_instances() {
     let run = || {
-        let handle = deterministic_server(backend, 2, 16);
+        let handle = deterministic_server(2, 16);
         let mut client = Client::connect(handle.addr()).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(60)))
@@ -677,8 +642,8 @@ battery!(monitor_streams_are_byte_identical_across_instances);
 /// Shutdown issued while a subscription is streaming: the drain completes
 /// the in-flight monitor job, so the subscriber still receives every delta
 /// and the summary — zero lost deltas — before the listener closes.
-fn monitor_shutdown_drains_the_full_stream(backend: Backend) {
-    let handle = deterministic_server(backend, 1, 4);
+fn monitor_shutdown_drains_the_full_stream() {
+    let handle = deterministic_server(1, 4);
     let addr = handle.addr();
 
     let updates = 10u32;
@@ -695,7 +660,7 @@ fn monitor_shutdown_drains_the_full_stream(backend: Backend) {
             .unwrap();
         read_stream(&mut client, updates)
     });
-    // Let the subscription reach the worker, then pull the plug.
+    // Let the subscription reach the shard, then pull the plug.
     std::thread::sleep(Duration::from_millis(100));
     let mut controller = Client::connect(addr).unwrap();
     controller
@@ -725,12 +690,11 @@ fn monitor_shutdown_drains_the_full_stream(backend: Backend) {
 }
 battery!(monitor_shutdown_drains_the_full_stream);
 
-fn explicit_seed_pins_the_estimate_bit_for_bit(backend: Backend) {
+fn explicit_seed_pins_the_estimate_bit_for_bit() {
     // Even outside deterministic mode, an explicit seed fully determines
     // the reply — the per-process entropy only covers derived seeds.
     let run = |deterministic: bool| {
         let handle = serve(&ServerConfig {
-            backend,
             deterministic,
             ..ServerConfig::default()
         })

@@ -38,7 +38,7 @@
 //! | [`pet_apps`] (as `pet::apps`) | Missing-tag monitor, capacity guard, trend tracker |
 //! | [`pet_firmware`] (as `pet::firmware`) | no_std tag chip (bitwise-only state machine) |
 //! | [`pet_sim`] (as `pet::sim`) | Multi-reader controller, trial runner, §5 experiments |
-//! | [`pet_server`] (as `pet::server`) | Estimation service: line-JSON protocol over threaded or sharded-evented backends, backpressure, deadlines |
+//! | [`pet_server`] (as `pet::server`) | Estimation service: line-JSON protocol over sharded non-blocking event loops, backpressure, deadlines |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

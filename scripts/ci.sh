@@ -123,22 +123,21 @@ cargo test -q -p pet --test streaming_conformance
 echo "==> PHY conformance (pricing purity, golden priced trace)"
 cargo test -q -p pet --test phy_conformance
 
-# Serving-layer gate: the concurrency battery (every test parameterized
-# over the threaded AND evented backends, plus the cross-backend
-# byte-parity test, the wire-protocol fuzzer, and the monitor-verb
-# subscription cases: full-stream delivery, byte-identical streams across
-# instances, shutdown drain) followed by closed-loop smokes. Non-zero exit
-# on any lost, malformed, or non-reproducible reply.
-echo "==> server integration battery (threaded + evented)"
+# Serving-layer gate: the concurrency battery (lost replies, determinism,
+# backpressure, deadlines, shutdown drain, and the monitor-verb
+# subscription cases), the wire-protocol fuzzer (every live reply
+# byte-identical to an in-process ServiceCore's), and the idle-shard test
+# (an idle server parks its shards, and connections add no threads),
+# followed by closed-loop smokes. Non-zero exit on any lost, malformed, or
+# non-reproducible reply.
+echo "==> server integration battery"
 cargo test -q -p pet-server
 
-# Cross-backend determinism: the same plan against both backends, each run
-# twice in deterministic mode (--verify-deterministic checks within-backend
-# reproducibility), then the two reply digests compared with each other and
-# with the committed digest. The digest folds every reply byte, so the
-# evented rewrite answering even one request differently from the threaded
-# reference fails here, and so does a change that alters every reply the
-# same way on both backends. The fleet smoke below holds its digest to a
+# Loadgen determinism: one plan run twice in deterministic mode
+# (--verify-deterministic checks the two runs agree), then its reply
+# digest compared with the committed digest. The digest folds every reply
+# byte, so a transport or service change that answers even one request
+# differently fails here. The fleet smoke below holds its digest to a
 # committed value too. A deliberate reply change updates LOADGEN_DIGEST or
 # FLEET_DIGEST, and the CHANGELOG says so.
 LOADGEN_DIGEST=0xab7acddd3efdcc36
@@ -149,7 +148,7 @@ require_digest() {
         exit 1
     }
 }
-echo "==> loadgen smoke (both backends, digests must match the committed one)"
+echo "==> loadgen smoke (digest must match the committed one)"
 # Both smokes below append their row to one scratch ledger, which the
 # perf-ledger stage reports on.
 LEDGER_TMP=$(mktemp -d)
@@ -162,50 +161,43 @@ CI_LEDGER="$LEDGER_TMP/ledger.jsonl"
 loadgen_digest() {
     local out status=0
     out=$(cargo run --release -q -p pet-cli --bin pet -- loadgen --local \
-        --backend "$1" --requests 10000 --connections 8 --threads 8 \
+        --requests 10000 --connections 8 --threads 8 \
         --pipeline 4 --tags 200 --rounds 4 --verify-deterministic \
         --ledger "$CI_LEDGER") || status=$?
     printf '%s\n' "$out" >&2
     [[ $status -eq 0 ]] || return "$status"
     awk '/reply digest/ { d = $3 } END { print d }' <<<"$out"
 }
-DIGEST_THREADED=$(loadgen_digest threaded)
-DIGEST_EVENTED=$(loadgen_digest evented)
-[[ -n "$DIGEST_THREADED" && "$DIGEST_THREADED" == "$DIGEST_EVENTED" ]] || {
-    echo "loadgen smoke: evented digest $DIGEST_EVENTED differs from" \
-        "threaded $DIGEST_THREADED on the same plan" >&2
-    exit 1
-}
-require_digest "loadgen smoke (threaded)" "$DIGEST_THREADED" "$LOADGEN_DIGEST"
-require_digest "loadgen smoke (evented)" "$DIGEST_EVENTED" "$LOADGEN_DIGEST"
-echo "loadgen smoke: backends agree on the committed digest ($DIGEST_THREADED)"
+DIGEST=$(loadgen_digest)
+require_digest "loadgen smoke" "$DIGEST" "$LOADGEN_DIGEST"
+echo "loadgen smoke: the committed digest ($DIGEST)"
 
-# Connection-scale gate: one evented server, 10k concurrent connections
+# Connection-scale gate: one server, 10k concurrent connections
 # from a separate loadgen process (each process needs its own fd budget —
 # in one process the pair would need >20k descriptors). Two runs, digests
 # compared by --verify-deterministic; any connect failure or lost reply is
 # a non-zero exit. Skipped only when the fd limit cannot hold 10k sockets.
 ulimit -n 20000 2>/dev/null || true
 if [[ $(ulimit -n) -ge 10100 ]]; then
-    echo "==> evented 10k-connection smoke"
+    echo "==> 10k-connection smoke"
     SMOKE_TMP=$(mktemp -d)
     cargo run --release -q -p pet-cli --bin pet -- serve \
-        --addr 127.0.0.1:0 --backend evented --workers 1 --queue 16384 \
-        --deterministic --addr-file "$SMOKE_TMP/evented.addr" \
-        >"$SMOKE_TMP/evented.log" 2>&1 &
+        --addr 127.0.0.1:0 --workers 1 --queue 16384 \
+        --deterministic --addr-file "$SMOKE_TMP/server.addr" \
+        >"$SMOKE_TMP/server.log" 2>&1 &
     SMOKE_PID=$!
     for _ in $(seq 1 100); do
-        [[ -s "$SMOKE_TMP/evented.addr" ]] && break
+        [[ -s "$SMOKE_TMP/server.addr" ]] && break
         sleep 0.1
     done
-    [[ -s "$SMOKE_TMP/evented.addr" ]] || {
-        echo "evented smoke server never published its address" >&2
-        cat "$SMOKE_TMP/evented.log" >&2
+    [[ -s "$SMOKE_TMP/server.addr" ]] || {
+        echo "10k smoke server never published its address" >&2
+        cat "$SMOKE_TMP/server.log" >&2
         exit 1
     }
-    SMOKE_ADDR=$(cat "$SMOKE_TMP/evented.addr")
+    SMOKE_ADDR=$(cat "$SMOKE_TMP/server.addr")
     cargo run --release -q -p pet-cli --bin pet -- loadgen \
-        --addr "$SMOKE_ADDR" --backend evented --connections 10000 \
+        --addr "$SMOKE_ADDR" --connections 10000 \
         --threads 8 --pipeline 2 --requests 20000 --verify-deterministic
     # Shut the server down over the wire (bash's /dev/tcp keeps this
     # dependency-free) and insist on a drained exit.
@@ -214,14 +206,14 @@ if [[ $(ulimit -n) -ge 10100 ]]; then
     IFS= read -r SMOKE_BYE <&3
     exec 3>&- 3<&-
     [[ "$SMOKE_BYE" == *'"drained":true'* ]] || {
-        echo "evented smoke: shutdown reply not drained: $SMOKE_BYE" >&2
+        echo "10k smoke: shutdown reply not drained: $SMOKE_BYE" >&2
         exit 1
     }
     wait "$SMOKE_PID"
     rm -rf "$SMOKE_TMP"
-    echo "evented smoke: 10k connections held, digests identical"
+    echo "10k smoke: 10k connections held, digests identical"
 else
-    echo "==> evented 10k-connection smoke SKIPPED (fd limit $(ulimit -n) < 10100)"
+    echo "==> 10k-connection smoke SKIPPED (fd limit $(ulimit -n) < 10100)"
 fi
 
 # Fleet-layer gate: the coordinator battery (bit-for-bit equivalence with
@@ -272,7 +264,7 @@ wait "${AGENT_PIDS[@]}"
 echo "fleet smoke: reproducible ($D1)"
 
 # Perf-ledger gate: `pet bench report` over the smokes' scratch ledger
-# must find the row each live run appended — one per loadgen backend and
+# must find the row each live run appended — one for the loadgen smoke and
 # one per fleet run — so both producers are exercised against live
 # servers (the golden report rendering runs with `cargo test -q` above).
 # When PET_CI_GATE=1 the regression gate also measures the fast pinned
@@ -287,12 +279,12 @@ LOADGEN_ROWS=$(grep -c '^server-loadgen,.*,throughput_rps,' \
     "$LEDGER_TMP/report/trends.csv" || true)
 FLEET_ROWS=$(grep -c '^fleet,.*,round_latency_mean_ns,' \
     "$LEDGER_TMP/report/trends.csv" || true)
-[[ "$LOADGEN_ROWS" == 2 && "$FLEET_ROWS" == 2 ]] || {
-    echo "perf ledger: expected 2 server-loadgen and 2 fleet rows," \
+[[ "$LOADGEN_ROWS" == 1 && "$FLEET_ROWS" == 2 ]] || {
+    echo "perf ledger: expected 1 server-loadgen and 2 fleet rows," \
         "found $LOADGEN_ROWS and $FLEET_ROWS" >&2
     exit 1
 }
-echo "perf ledger: 2 server-loadgen and 2 fleet rows reported"
+echo "perf ledger: 1 server-loadgen and 2 fleet rows reported"
 if [[ "${PET_CI_GATE:-0}" == "1" ]]; then
     echo "==> perf ledger: regression gate (pinned kernel subset, live)"
     GATE_TMP=$(mktemp -d)
