@@ -31,16 +31,16 @@ use pet_baselines::{CardinalityEstimator, Ezb, Fneb, Fsa, Lof, PetAdapter};
 use pet_core::bits::BitString;
 use pet_core::config::{Mitigation, PetConfig, SearchStrategy};
 use pet_core::front::Estimator;
-use pet_core::monitor::ChurnStream;
 use pet_core::oracle::CodeRoster;
 use pet_core::tree::Tree;
 use pet_ident::{FramedAloha, IdentificationProtocol, TreeWalk};
 use pet_phy::channel::{ChannelModel, LossyChannel};
 use pet_phy::{Air, PhyProfile, TimeModel};
+use pet_sim::cache::RosterCache;
 use pet_sim::experiments::robustness;
 use pet_stats::accuracy::Accuracy;
 use pet_stats::gray::{PHI, SIGMA_H};
-use pet_tags::dynamics::{ChurnError, ChurnSchedule, KeyTimeline};
+use pet_tags::dynamics::{ChurnError, ChurnSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -564,7 +564,7 @@ fn cmd_monitor_stream(args: &Args) -> Result<(), ArgError> {
             .into(),
         )
     })?;
-    let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(tags));
+    let mut stream = RosterCache::global().sequential_stream(tags, monitor, schedule);
     println!(
         "{:>7} {:>10} {:>12} {:>12} {:>10} {:>8}",
         "update", "truth", "estimate", "windowed", "delta", "alarm"

@@ -100,9 +100,11 @@
 //!   of white nodes is 0.29, 0.54, 0.74 and 0.86 at `k`, `k + 1`, `k + 2`
 //!   and `k + 3`. `k + 2` is the deepest level whose table, `4·2^(k+2)`
 //!   bytes, stays within `16·n` bytes from `n = 16` on: twice the codes.
-//! - *Lifetime.* The run that builds the index allocates the memo, zeroed,
-//!   and the rounds that run anyway fill it. Clones and cache hits share
-//!   it, and a key delta drops it with the index.
+//! - *Lifetime.* A bank's second indexed run allocates the memo, zeroed,
+//!   and the rounds that run anyway fill it; the first builds the index
+//!   alone, so a bank that runs once pays for no memo it would never read.
+//!   Clones and cache hits share it, and a key delta drops it with the
+//!   index.
 //!
 //! # Editing a bank by its churn
 //!
@@ -769,12 +771,12 @@ pub struct PassiveCodes {
     index: Arc<OnceLock<Indexed>>,
 }
 
-/// A passive bank's prefix index and the round memo beside it, built
-/// together.
+/// A passive bank's prefix index and the round memo beside it.
 #[derive(Debug)]
 struct Indexed {
     index: PrefixIndex,
-    memo: RoundMemo,
+    /// Built by the second run that repays the index.
+    memo: OnceLock<RoundMemo>,
 }
 
 impl CodeBank {
@@ -842,10 +844,11 @@ impl CodeBank {
         self.indexed().map(|indexed| &indexed.index)
     }
 
-    /// The passive codes' round memo, if a run has built their index.
+    /// The passive codes' round memo, if a second indexed run has built
+    /// it.
     #[must_use]
     pub fn round_memo(&self) -> Option<&RoundMemo> {
-        self.indexed().map(|indexed| &indexed.memo)
+        self.indexed().and_then(|indexed| indexed.memo.get())
     }
 
     fn indexed(&self) -> Option<&Indexed> {
@@ -856,21 +859,30 @@ impl CodeBank {
     }
 
     /// Readies a passive bank for a run of `rounds` lossless rounds under
-    /// `plans`: when no index exists yet and the run repays the build,
-    /// `rounds · 32 >= n` (see `INDEX_CODES_PER_ROUND`), builds the prefix
-    /// index and an empty round memo serving `plans`' height and strategy.
-    /// Short runs, such as a monitor update's 32 rounds over more than
-    /// 1,024 tags, never build them; active banks, whose codes change every
-    /// round, have none.
+    /// `plans`, when the run repays an index, `rounds · 32 >= n` (see
+    /// `INDEX_CODES_PER_ROUND`): the first such run builds the prefix
+    /// index, and the second an empty round memo beside it serving
+    /// `plans`' height and strategy, so a bank that runs once pays for no
+    /// memo. Short runs, such as a monitor update's 32 rounds over more
+    /// than 1,024 tags, build neither; active banks, whose codes change
+    /// every round, have none.
     pub fn prepare_run(&self, rounds: u32, plans: &RoundPlans) {
         if let Self::Passive(PassiveCodes { codes, index }) = self {
             let repaid = u64::from(rounds) * INDEX_CODES_PER_ROUND >= codes.len() as u64;
             if repaid && u32::try_from(codes.len()).is_ok() {
-                index.get_or_init(|| {
-                    let index = PrefixIndex::build(codes);
-                    let memo = RoundMemo::new(&index, plans);
-                    Indexed { index, memo }
+                let mut first = false;
+                let indexed = index.get_or_init(|| {
+                    first = true;
+                    Indexed {
+                        index: PrefixIndex::build(codes),
+                        memo: OnceLock::new(),
+                    }
                 });
+                if !first {
+                    indexed
+                        .memo
+                        .get_or_init(|| RoundMemo::new(&indexed.index, plans));
+                }
             }
         }
     }
@@ -886,16 +898,11 @@ impl CodeBank {
     ) -> RoundRecord {
         let codes = self.codes();
         match self.indexed() {
-            Some(Indexed { index, memo }) if memo.serves(plans) => {
-                memo.round(codes, index, path, plans, metrics)
-            }
-            indexed => fused_round(
-                codes,
-                indexed.map(|indexed| &indexed.index),
-                path,
-                plans,
-                metrics,
-            ),
+            Some(Indexed { index, memo }) => match memo.get() {
+                Some(memo) if memo.serves(plans) => memo.round(codes, index, path, plans, metrics),
+                _ => fused_round(codes, Some(index), path, plans, metrics),
+            },
+            None => fused_round(codes, None, path, plans, metrics),
         }
     }
 
@@ -1177,9 +1184,10 @@ mod tests {
         }
     }
 
-    /// A bank builds its index and memo only for a run that repays them,
-    /// keeps them for later runs of any length, and shares them with its
-    /// clones. The memo has a word per node two levels below the index.
+    /// A bank builds its index for the first run that repays it and its
+    /// memo for the second, keeps both for later runs of any length, and
+    /// shares them with its clones. The memo has a word per node two
+    /// levels below the index.
     #[test]
     fn prepare_run_builds_the_index_once_and_shares_it() {
         let plans = RoundPlans::new(&PetConfig::builder().height(16).build().unwrap());
@@ -1189,7 +1197,15 @@ mod tests {
         let clone = bank.clone();
         bank.prepare_run(32, &plans);
         let built = bank.prefix_index().expect("32 · 32 >= 1,000");
-        let memo = bank.round_memo().expect("built with the index");
+        assert!(
+            bank.round_memo().is_none(),
+            "one indexed run builds no memo"
+        );
+        bank.prepare_run(31, &plans);
+        assert!(bank.round_memo().is_none(), "nor does a short run");
+        bank.prepare_run(32, &plans);
+        assert!(std::ptr::eq(built, bank.prefix_index().unwrap()));
+        let memo = bank.round_memo().expect("the second indexed run builds it");
         // Codes below 2^10 with k = 9 levels: the memo takes the full
         // width, one level short of k + 2.
         assert_eq!(
@@ -1207,10 +1223,9 @@ mod tests {
         );
         // Height-64 codes 50 bits wide leave room for both extra levels.
         let wide = CodeBank::passive_shared(Arc::new((0..1_000).map(|c| c << 40).collect()));
-        wide.prepare_run(
-            32,
-            &RoundPlans::new(&PetConfig::builder().height(64).build().unwrap()),
-        );
+        let wide_plans = RoundPlans::new(&PetConfig::builder().height(64).build().unwrap());
+        wide.prepare_run(32, &wide_plans);
+        wide.prepare_run(32, &wide_plans);
         assert_eq!(wide.round_memo().unwrap().nodes(), 1 << (9 + 2));
     }
 
@@ -1240,6 +1255,8 @@ mod tests {
             let codes = roster_codes(&(0..n).collect::<Vec<_>>(), &config);
             let plans = RoundPlans::new(&config);
             let bank = CodeBank::passive_shared(Arc::new(codes.clone()));
+            // The first indexed run builds the index, the second the memo.
+            bank.prepare_run(u32::MAX, &plans);
             bank.prepare_run(u32::MAX, &plans);
             let memo = bank.round_memo().unwrap();
             let depth = height - memo.shift;
@@ -1504,6 +1521,8 @@ mod tests {
             for step in 0..6 {
                 if tag_mode == TagMode::PassivePreloaded {
                     let plans = RoundPlans::new(&config);
+                    // Two indexed runs: the index, then the memo.
+                    bank.prepare_run(100, &plans);
                     bank.prepare_run(100, &plans);
                     assert!(bank.prefix_index().is_some());
                     let (mut metrics, mut paths) =

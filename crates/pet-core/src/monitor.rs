@@ -21,11 +21,13 @@
 //!
 //! [`ChurnStream`] is the loop every churned monitor runs (the server's
 //! `monitor` verb, `pet monitor --tags`, the monitor sweep): it keeps one
-//! live [`CodeBank`] per stream and applies each update's net key change to
-//! it ([`CodeBank::apply_key_delta`]) instead of rebuilding the bank from
-//! every key, and [`Monitor::observe_bank`] re-estimates over it. The
-//! churn differential in the streaming-conformance suite pins every update
-//! equal to [`Monitor::observe_keys`] over the full key set, bit for bit.
+//! live [`CodeBank`] per stream, starting from the bank its caller hands
+//! it (the roster cache's, in all three), and applies each update's net
+//! key change to it ([`CodeBank::apply_key_delta`]) instead of rebuilding
+//! the bank from every key, and [`Monitor::observe_bank`] re-estimates
+//! over it. The churn differential in the streaming-conformance suite pins
+//! every update equal to [`Monitor::observe_keys`] over the full key set,
+//! bit for bit.
 //!
 //! The alarm reproduces the detection-probability framing of the
 //! missing-tag identification literature (arxiv 2510.18285) at the
@@ -37,9 +39,8 @@
 //! the z-test `pet-apps::monitor` runs too), so callers can trade the crisp
 //! threshold for a significance test.
 
-use crate::config::TagMode;
 use crate::front::Estimator;
-use crate::kernel::{self, CodeBank};
+use crate::kernel::CodeBank;
 use crate::session::EstimateReport;
 use crate::PetError;
 use pet_stats::erf::normal_cdf;
@@ -49,7 +50,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// Domain-separation salt for [`update_seed`] ("MONITOR" in ASCII), so a
 /// monitor's per-update seeds never collide with the sim runner's
@@ -349,6 +349,14 @@ impl Monitor {
 /// sorting them all). It holds the keys (8 B a tag), the bank's codes (8 B
 /// a tag) and the last update's leaving keys.
 ///
+/// The stream builds no bank: the caller hands it the bank of the
+/// timeline's starting keys, such as the roster cache's shared one or
+/// [`Estimator::bank_for_keys`]. Its codes are edited through
+/// [`std::sync::Arc::make_mut`], so the first non-empty delta copies codes
+/// it shares, drops the prefix index and round memo of its own clone only,
+/// and leaves every other holder's bank as it was; an update with no churn
+/// runs over the shared bank, index and memo included.
+///
 /// # Example
 ///
 /// ```
@@ -356,6 +364,7 @@ impl Monitor {
 /// use pet_core::PetConfig;
 /// use pet_stats::accuracy::Accuracy;
 /// use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
+/// use std::sync::Arc;
 ///
 /// let monitor = Monitor::new(MonitorConfig {
 ///     config: PetConfig::builder()
@@ -374,7 +383,11 @@ impl Monitor {
 ///     burst_at: Some(2),
 ///     burst_size: 600,
 /// };
-/// let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(1_000));
+/// let timeline = KeyTimeline::sequential(1_000);
+/// let bank = monitor
+///     .estimator()
+///     .bank_for_keys(Arc::new(timeline.keys().to_vec()));
+/// let mut stream = ChurnStream::new(monitor, schedule, timeline, bank);
 /// for _ in 0..4 {
 ///     stream.next_update().unwrap();
 /// }
@@ -389,20 +402,21 @@ pub struct ChurnStream {
 }
 
 impl ChurnStream {
-    /// Starts a stream over the timeline's current keys, building the
-    /// stream's bank from them once.
+    /// Starts a stream over the timeline's current keys from `bank`, the
+    /// bank of exactly those keys under the monitor's configuration and
+    /// hash family (its tag mode, manufacture seed and height).
     #[must_use]
-    pub fn new(monitor: Monitor, schedule: ChurnSchedule, timeline: KeyTimeline) -> Self {
-        let estimator = monitor.estimator();
-        let (config, family) = (estimator.config(), estimator.family());
-        let bank = match config.tag_mode() {
-            // Hash straight from the timeline's keys: a passive bank keeps
-            // no copy of them.
-            TagMode::PassivePreloaded => CodeBank::passive_shared(Arc::new(
-                kernel::build_passive_codes(timeline.keys(), config, family),
-            )),
-            TagMode::ActivePerRound => estimator.bank_for_keys(Arc::new(timeline.keys().to_vec())),
-        };
+    pub fn new(
+        monitor: Monitor,
+        schedule: ChurnSchedule,
+        timeline: KeyTimeline,
+        bank: CodeBank,
+    ) -> Self {
+        debug_assert_eq!(
+            bank.population(),
+            timeline.keys().len() as u64,
+            "the bank must hold the timeline's keys"
+        );
         Self {
             monitor,
             schedule,

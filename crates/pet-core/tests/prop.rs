@@ -38,8 +38,9 @@ const LARGE_HEIGHT: u32 = 32;
 /// 2^21 + 5 sequential tags' codes at [`LARGE_HEIGHT`] and a bank over
 /// them, built once per test binary: `⌊log₂ n⌋ = 21`, above the index's
 /// 20-level clamp. The first case to run builds the bank's index and round
-/// memo, so the memo serves that case's strategy alone, and the cases of
-/// the other strategy run over the index without it.
+/// memo (its two indexed runs), so the memo serves that case's strategy
+/// alone, and the cases of the other strategy run over the index without
+/// it.
 fn large_population() -> &'static (CodeRoster, CodeBank) {
     static LARGE: std::sync::OnceLock<(CodeRoster, CodeBank)> = std::sync::OnceLock::new();
     LARGE.get_or_init(|| {
@@ -57,8 +58,10 @@ fn large_population() -> &'static (CodeRoster, CodeBank) {
 /// fused kernel over the roster's sorted codes, without an index and
 /// through an indexed bank over them (`bank`, or one built here), and
 /// asserts identical round records and metrics. The bank runs the rounds
-/// twice, so the second pass reads what the first stored in its round
-/// memo. All paths consume the same stream: one path draw per round.
+/// three times: its first indexed run builds the index alone, its second
+/// builds the round memo and fills it, and the third pass reads what the
+/// second stored. All paths consume the same stream: one path draw per
+/// round.
 fn check_kernel_rounds(
     config: &PetConfig,
     mut roster: CodeRoster,
@@ -107,13 +110,17 @@ fn check_kernel_rounds(
             );
         }
     }
-    let mut memoized = AirMetrics::default();
-    for (path, k) in &rounds {
-        prop_assert_eq!(bank.lossless_round(path, &plans, &mut memoized), *k);
+    bank.prepare_run(u32::MAX, &plans);
+    prop_assert!(bank.round_memo().is_some());
+    for _ in 0..2 {
+        let mut memoized = AirMetrics::default();
+        for (path, k) in &rounds {
+            prop_assert_eq!(bank.lossless_round(path, &plans, &mut memoized), *k);
+        }
+        prop_assert_eq!(&memoized, &metrics);
     }
     prop_assert_eq!(air_a.metrics(), &metrics);
     prop_assert_eq!(&indexed, &metrics);
-    prop_assert_eq!(&memoized, &metrics);
     if fleet.is_some() {
         prop_assert_eq!(air_b.metrics(), &metrics);
     }

@@ -33,13 +33,13 @@ use crate::shard::{reader_round_config, ShardCache};
 use pet_core::bits::BitString;
 use pet_core::config::TagMode;
 use pet_core::front::Estimator;
-use pet_core::monitor::{ChurnStream, Monitor, MonitorConfig};
+use pet_core::monitor::{Monitor, MonitorConfig};
 use pet_core::oracle::{CodeRoster, ResponderOracle, RoundStart};
 use pet_hash::family::AnyFamily;
 use pet_obs::Summary;
 use pet_sim::cache::RosterCache;
 use pet_sim::experiments::robustness;
-use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
+use pet_tags::dynamics::ChurnSchedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -417,14 +417,17 @@ impl ServiceCore {
 
     /// Runs one bounded monitoring subscription: a synthetic population is
     /// churned by a [`ChurnSchedule`] and re-estimated `updates` times
-    /// through a [`ChurnStream`], which applies each update's churn to the
-    /// subscription's own code bank as a key delta. The reply is a single
-    /// string carrying one `"verb":"monitor-delta"` line per update plus a
-    /// final `"verb":"monitor"` summary line, joined by interior newlines —
-    /// both transports write reply strings verbatim (appending one final
-    /// newline), so the client sees `updates + 1` lines for the one
-    /// request. Determinism is inherited from [`seed_for_id`]: the whole
-    /// stream is a pure function of the request in deterministic mode.
+    /// through a [`pet_core::monitor::ChurnStream`], which starts from the
+    /// roster cache's keys and bank for those tags (the entry an `estimate`
+    /// of them hits) and applies each update's churn to its own copy of the
+    /// codes as a key delta, leaving the cached bank unchanged. The reply
+    /// is a single string carrying one `"verb":"monitor-delta"` line per
+    /// update plus a final `"verb":"monitor"` summary line, joined by
+    /// interior newlines — the transport writes reply strings verbatim
+    /// (appending one final newline), so the client sees `updates + 1`
+    /// lines for the one request. Determinism is inherited from
+    /// [`seed_for_id`]: the whole stream is a pure function of the request
+    /// in deterministic mode.
     fn execute_monitor(&self, id: &str, params: &MonitorParams) -> String {
         let seed = params
             .seed
@@ -447,7 +450,7 @@ impl ServiceCore {
             burst_at: params.burst_at.map(|u| u as usize),
             burst_size: params.burst_size,
         };
-        let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(params.tags));
+        let mut stream = self.cache.sequential_stream(params.tags, monitor, schedule);
 
         use std::fmt::Write as _;
         let escaped = crate::json::escape(id);
@@ -733,45 +736,93 @@ mod tests {
 
     /// `execute_monitor` applies each update's churn to one live bank as
     /// a key delta; its reply is byte for byte the rebuild's, in both tag
-    /// modes. 40 rounds over 700 tags build the passive bank's prefix
-    /// index, which the churn after it must drop.
+    /// modes, with a churned first update and with one that has none (rate
+    /// 0, a burst later). 40 rounds over 700 tags build the passive bank's
+    /// prefix index, which the churn after it must drop. The cases run on
+    /// a cold core and on a warm one, whose cached bank two estimates
+    /// first gave an index and a round memo. Neither core's subscriptions
+    /// change the cached bank: its codes are a fresh build's, its index
+    /// and memo the same allocations, the next estimate is a fresh core's,
+    /// and the cache built the bank once.
     #[test]
     fn monitor_replies_equal_the_rebuild_byte_for_byte() {
         use pet_core::config::PetConfig;
+        use pet_core::kernel::build_passive_codes;
         use pet_stats::accuracy::Accuracy;
+        use pet_tags::population::sequential_keys;
 
-        let core = ServiceCore::new(&ServerConfig {
-            deterministic: true,
-            ..ServerConfig::default()
-        });
         let line = r#"{"id":"m","verb":"monitor","tags":700,"updates":6,"window":3,"rounds":40,"churn_rate":25,"burst_at":3,"burst_size":450,"alarm_fraction":0.6,"seed":"5eed"}"#;
         let Verb::Monitor(parsed) = crate::proto::parse_request(line).unwrap().verb else {
             panic!("a monitor request");
         };
-        for (tag_mode, phy) in [
-            (TagMode::PassivePreloaded, None),
-            (TagMode::ActivePerRound, None),
-            (
-                TagMode::PassivePreloaded,
-                pet_phy::PhyProfile::named("gen2"),
-            ),
-        ] {
-            let params = MonitorParams {
-                config: PetConfig::builder()
-                    .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-                    .tag_mode(tag_mode)
-                    .phy(phy)
-                    .build()
-                    .unwrap(),
-                ..parsed.clone()
-            };
-            let reply = core.execute_monitor("m", &params);
-            assert_eq!(reply.lines().count(), 7, "{reply}");
+        let config = |tag_mode, phy| {
+            PetConfig::builder()
+                .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+                .tag_mode(tag_mode)
+                .phy(phy)
+                .build()
+                .unwrap()
+        };
+        let passive = config(TagMode::PassivePreloaded, None);
+        let estimate = EstimateParams {
+            tags: parsed.tags,
+            rounds: Some(parsed.rounds), // 40 · 32 >= 700
+            seed: Some(7),
+            config: passive,
+        };
+        let deterministic = ServerConfig {
+            deterministic: true,
+            ..ServerConfig::default()
+        };
+        let family = AnyFamily::default();
+        for warm in [false, true] {
+            let core = ServiceCore::new(&deterministic);
+            if warm {
+                core.execute_estimate("e", &estimate);
+                core.execute_estimate("e", &estimate);
+            }
+            let before = core.cache.sequential_bank(parsed.tags, &passive, family);
+            assert_eq!(before.round_memo().is_some(), warm, "two runs build a memo");
+            for (tag_mode, phy, churn_rate) in [
+                (TagMode::PassivePreloaded, None, parsed.churn_rate),
+                (TagMode::ActivePerRound, None, parsed.churn_rate),
+                (
+                    TagMode::PassivePreloaded,
+                    pet_phy::PhyProfile::named("gen2"),
+                    parsed.churn_rate,
+                ),
+                (TagMode::PassivePreloaded, None, 0),
+            ] {
+                let params = MonitorParams {
+                    config: config(tag_mode, phy),
+                    churn_rate,
+                    ..parsed.clone()
+                };
+                let reply = core.execute_monitor("m", &params);
+                assert_eq!(reply.lines().count(), 7, "{reply}");
+                assert_eq!(
+                    reply,
+                    rebuilt_monitor_reply("m", &params, 0x5eed),
+                    "{tag_mode:?}, churn {churn_rate}, warm {warm}"
+                );
+            }
+            let cached = core.cache.sequential_bank(parsed.tags, &passive, family);
+            let keys: Vec<u64> = sequential_keys(parsed.tags).collect();
+            assert_eq!(cached.codes(), build_passive_codes(&keys, &passive, family));
+            if warm {
+                fn same<T>(a: Option<&T>, b: Option<&T>) -> bool {
+                    matches!((a, b), (Some(a), Some(b)) if std::ptr::eq(a, b))
+                }
+                assert!(same(cached.prefix_index(), before.prefix_index()));
+                assert!(same(cached.round_memo(), before.round_memo()));
+            }
+            let fresh = ServiceCore::new(&deterministic);
             assert_eq!(
-                reply,
-                rebuilt_monitor_reply("m", &params, 0x5eed),
-                "{tag_mode:?}"
+                core.execute_estimate("e2", &estimate),
+                fresh.execute_estimate("e2", &estimate),
+                "warm {warm}"
             );
+            assert_eq!(core.cache.stats().misses, 1, "warm {warm}");
         }
     }
 

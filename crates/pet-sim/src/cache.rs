@@ -2,22 +2,27 @@
 //!
 //! Every experiment cell runs hundreds of independent trials over the *same*
 //! sequential population, and (for fixed-manufacture-seed configurations)
-//! the same preloaded code array. Before this cache, each trial rebuilt the
-//! `TagPopulation`, re-hashed every key, and re-sorted the codes from
-//! scratch. The cache shares two immutable artifacts across trials and
-//! cells, behind `Arc`s so concurrent trial workers clone pointers, not
-//! arrays:
+//! the same preloaded code array; every `estimate` request the server
+//! answers for one `tags` count does too, and so does the first update of
+//! every `monitor` subscription over those tags. The cache shares two
+//! immutable artifacts across them, behind `Arc`s so concurrent workers
+//! clone pointers, not arrays:
 //!
 //! - **Sequential key vectors** keyed by `n` — the EPC-derived `u64` keys of
 //!   `TagPopulation::sequential(n)`, which every sweep reuses for each of
-//!   its round counts and runs.
+//!   its round counts and runs, and from which every monitor subscription
+//!   starts its key stack ([`RosterCache::sequential_stream`]).
 //! - **Passive code banks** keyed by `(n, manufacture_seed, family, mode,
 //!   height)` — hashed and radix-sorted once, then shared by every trial of
 //!   every cell with the same configuration, together with the bank's
-//!   prefix index (`pet_core::kernel::PrefixIndex`) and round memo
-//!   (`pet_core::kernel::RoundMemo`) once the first run long enough to
-//!   repay them has built them, so later hits pay nothing and read the
-//!   rounds earlier hits stored.
+//!   prefix index (`pet_core::kernel::PrefixIndex`), built by the first run
+//!   long enough to repay it, and round memo
+//!   (`pet_core::kernel::RoundMemo`), built by the second, so later hits
+//!   pay nothing and read the rounds earlier hits stored. A monitor
+//!   subscription starts from the same bank: its first non-empty churn
+//!   copies the codes (`CodeBank::apply_key_delta` edits through
+//!   `Arc::make_mut`) and drops the index of its own clone only, so the
+//!   cached codes, index and memo never change.
 //!
 //! Reuse rules: cached codes are immutable and only valid for
 //! `TagMode::PassivePreloaded` banks (active mode re-hashes per round and
@@ -28,18 +33,26 @@
 //! its cost. Both maps are FIFO-bounded, so paper-scale sweeps with unique
 //! seeds cannot grow memory without bound.
 //!
+//! Locking: each entry is a once-cell. A miss inserts the empty cell under
+//! its map's lock and builds the value after releasing it, so a large
+//! build (a 10⁷-tag bank) stalls only the lookups of its own key, which
+//! wait for that one build instead of building again; lookups of every
+//! other key go on.
+//!
 //! Memory: a code entry holds its codes' `8·n` bytes and, once indexed,
 //! up to `4·(2^k + 1)` bytes of offset table (`k = ⌊log₂ n⌋` clamped to
-//! 4..=20) and up to `4·2^(k+2)` bytes of round memo. From `n = 16` on
-//! that is at most `4·(n + 1)` bytes of index and `16·n` bytes of memo:
-//! a cached bank is its codes (`8·n`) plus its index (`≤ 4·(n + 1)`) plus
-//! its memo (`≤ 16·n`), up to three and a half times its codes. A byte
-//! bound on the cache must count all three.
+//! 4..=20) and, from its second indexed run, up to `4·2^(k+2)` bytes of
+//! round memo. From `n = 16` on that is at most `4·(n + 1)` bytes of index
+//! and `16·n` bytes of memo: a cached bank is its codes (`8·n`) plus its
+//! index (`≤ 4·(n + 1)`) plus its memo (`≤ 16·n`), up to three and a half
+//! times its codes. A byte bound on the cache must count all three.
 
 use pet_core::config::{PetConfig, TagMode};
 use pet_core::kernel::CodeBank;
+use pet_core::monitor::{ChurnStream, Monitor};
 use pet_hash::bulk::{hash_codes_into, radix_sort_codes, RadixScratch};
 use pet_hash::family::{AnyFamily, HashKind};
+use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
 use pet_tags::population;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -72,53 +85,71 @@ struct Lookup<V> {
     evicted: bool,
 }
 
+/// One FIFO-bounded map of the cache. Each entry is a once-cell: a miss
+/// inserts the empty cell under the lock and fills it after the lock is
+/// released, so a long build never holds up lookups of other keys, and
+/// concurrent misses of one key wait on one build.
 struct Shelf<K, V> {
-    map: HashMap<K, V>,
+    cap: usize,
+    entries: Mutex<Entries<K, V>>,
+}
+
+struct Entries<K, V> {
+    map: HashMap<K, Arc<OnceLock<V>>>,
     order: VecDeque<K>,
 }
 
-// Manual impl: the derive would demand `K: Default` needlessly.
-impl<K, V> Default for Shelf<K, V> {
-    fn default() -> Self {
+impl<K: Clone + Eq + std::hash::Hash, V: Clone> Shelf<K, V> {
+    fn new(cap: usize) -> Self {
         Self {
-            map: HashMap::new(),
-            order: VecDeque::new(),
+            cap,
+            entries: Mutex::new(Entries {
+                map: HashMap::new(),
+                order: VecDeque::new(),
+            }),
         }
     }
-}
 
-impl<K: Clone + Eq + std::hash::Hash, V: Clone> Shelf<K, V> {
-    fn get_or_insert_with(&mut self, key: K, cap: usize, build: impl FnOnce() -> V) -> Lookup<V> {
-        if let Some(v) = self.map.get(&key) {
-            return Lookup {
-                value: v.clone(),
-                hit: true,
-                evicted: false,
-            };
-        }
-        let v = build();
-        // Capacity 0 disables storage entirely: without this guard the old
+    fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> Lookup<V> {
+        // Capacity 0 disables storage entirely: without this guard the
         // FIFO logic would insert then immediately evict on every lookup,
         // silently thrashing (build + churn) while caching nothing.
-        if cap == 0 {
+        if self.cap == 0 {
             return Lookup {
-                value: v,
+                value: build(),
                 hit: false,
                 evicted: false,
             };
         }
-        let mut evicted = false;
-        if self.order.len() >= cap {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-                evicted = true;
+        let (cell, evicted) = {
+            let mut entries = self.entries.lock().expect("cache poisoned");
+            match entries.map.get(&key) {
+                Some(cell) => (Arc::clone(cell), false),
+                None => {
+                    let evicted = entries.order.len() >= self.cap;
+                    if evicted {
+                        let old = entries.order.pop_front().expect("cap > 0");
+                        entries.map.remove(&old);
+                    }
+                    let cell = Arc::<OnceLock<V>>::default();
+                    entries.order.push_back(key.clone());
+                    entries.map.insert(key, Arc::clone(&cell));
+                    (cell, evicted)
+                }
             }
-        }
-        self.order.push_back(key.clone());
-        self.map.insert(key, v.clone());
+        };
+        // A hit is a lookup that did not build, including one that waited
+        // for another thread's build of the same key.
+        let mut hit = true;
+        let value = cell
+            .get_or_init(|| {
+                hit = false;
+                build()
+            })
+            .clone();
         Lookup {
-            value: v,
-            hit: false,
+            value,
+            hit,
             evicted,
         }
     }
@@ -127,10 +158,8 @@ impl<K: Clone + Eq + std::hash::Hash, V: Clone> Shelf<K, V> {
 /// The process-wide roster cache. Obtain it with [`RosterCache::global`],
 /// or build a locally scoped one with [`RosterCache::with_capacities`].
 pub struct RosterCache {
-    keys_cap: usize,
-    codes_cap: usize,
-    keys: Mutex<Shelf<usize, Arc<Vec<u64>>>>,
-    codes: Mutex<Shelf<CodesKey, CodeBank>>,
+    keys: Shelf<usize, Arc<Vec<u64>>>,
+    codes: Shelf<CodesKey, CodeBank>,
     stats: Mutex<CacheStats>,
 }
 
@@ -159,10 +188,8 @@ impl RosterCache {
     #[must_use]
     pub fn with_capacities(keys_cap: usize, codes_cap: usize) -> Self {
         Self {
-            keys_cap,
-            codes_cap,
-            keys: Mutex::default(),
-            codes: Mutex::default(),
+            keys: Shelf::new(keys_cap),
+            codes: Shelf::new(codes_cap),
             stats: Mutex::default(),
         }
     }
@@ -172,11 +199,7 @@ impl RosterCache {
     pub fn sequential_keys(&self, n: usize) -> Arc<Vec<u64>> {
         let lookup = self
             .keys
-            .lock()
-            .expect("cache poisoned")
-            .get_or_insert_with(n, self.keys_cap, || {
-                Arc::new(population::sequential_keys(n).collect())
-            });
+            .get_or_insert_with(n, || Arc::new(population::sequential_keys(n).collect()));
         if pet_obs::enabled() {
             pet_obs::counter(
                 if lookup.hit {
@@ -207,26 +230,22 @@ impl RosterCache {
                     mode: config.tag_mode(),
                     height: config.height(),
                 };
-                let lookup = self
-                    .codes
-                    .lock()
-                    .expect("cache poisoned")
-                    .get_or_insert_with(cache_key, self.codes_cap, || {
-                        // Sequential hashing: trial workers already saturate
-                        // the cores, so nested fan-out would oversubscribe
-                        // (the SIMD lane dispatch still applies).
-                        let mut codes = Vec::new();
-                        let mut scratch = RadixScratch::new();
-                        hash_codes_into(
-                            &family,
-                            config.manufacture_seed(),
-                            &keys,
-                            config.height(),
-                            &mut codes,
-                        );
-                        radix_sort_codes(&mut codes, config.height(), &mut scratch);
-                        CodeBank::passive_shared(Arc::new(codes))
-                    });
+                let lookup = self.codes.get_or_insert_with(cache_key, || {
+                    // Sequential hashing: trial workers already saturate
+                    // the cores, so nested fan-out would oversubscribe
+                    // (the SIMD lane dispatch still applies).
+                    let mut codes = Vec::new();
+                    let mut scratch = RadixScratch::new();
+                    hash_codes_into(
+                        &family,
+                        config.manufacture_seed(),
+                        &keys,
+                        config.height(),
+                        &mut codes,
+                    );
+                    radix_sort_codes(&mut codes, config.height(), &mut scratch);
+                    CodeBank::passive_shared(Arc::new(codes))
+                });
                 {
                     let mut stats = self.stats.lock().expect("cache poisoned");
                     if lookup.hit {
@@ -259,6 +278,26 @@ impl RosterCache {
                 scratch: RadixScratch::new(),
             },
         }
+    }
+
+    /// A [`ChurnStream`] over `n` sequential tags that starts from this
+    /// cache's keys and its bank for them under the monitor's
+    /// configuration and hash family, the entry an `estimate` of those
+    /// tags hits. A passive code is a pure function of (key, manufacture
+    /// seed, family, height); `n` fixes the keys and the entry's key holds
+    /// the other three, so the stream runs bit for bit as one that built
+    /// its own bank. The stream copies the codes on its first non-empty
+    /// churn, and the cached bank never changes.
+    pub fn sequential_stream(
+        &self,
+        n: usize,
+        monitor: Monitor,
+        schedule: ChurnSchedule,
+    ) -> ChurnStream {
+        let estimator = monitor.estimator();
+        let bank = self.sequential_bank(n, estimator.config(), estimator.family());
+        let timeline = KeyTimeline::from_sequential_keys(&self.sequential_keys(n));
+        ChurnStream::new(monitor, schedule, timeline, bank)
     }
 
     /// Snapshot of the hit/miss/eviction counters (passive code lookups
@@ -305,10 +344,11 @@ mod tests {
     }
 
     /// One cached bank serves Binary, then Linear, then Binary with two
-    /// re-probes, each run twice on one path stream. The round memo serves
-    /// the strategy of the run that built it: the Linear runs neither read
-    /// nor fill it, and the re-probing runs read what the first runs
-    /// stored. Every run equals the same run over a fresh bank.
+    /// re-probes, each run twice on one path stream. The first Binary run
+    /// builds the prefix index alone and the second the round memo, which
+    /// serves the strategy of the run that built it: the Linear runs
+    /// neither read nor fill it, and the re-probing runs read what the
+    /// second run stored. Every run equals the same run over a fresh bank.
     #[test]
     fn one_cached_bank_serves_every_strategy() {
         use pet_core::config::{Mitigation, SearchStrategy};
@@ -336,12 +376,20 @@ mod tests {
                 let case = format!("{:?}, pass {pass}", config.search());
                 assert_eq!(got.estimate.to_bits(), want.estimate.to_bits(), "{case}");
                 assert_eq!((&got.records, &got.metrics), (&want.records, &want.metrics));
-                let memo = bank.round_memo().expect("200 · 32 >= 3,000");
+                assert!(bank.prefix_index().is_some(), "200 · 32 >= 3,000");
+                let after = bank.round_memo().map(|memo| memo.known());
                 match (config.search(), known) {
-                    (SearchStrategy::Linear, known) => assert_eq!(Some(memo.known()), known),
-                    (SearchStrategy::Binary, None) => assert!(memo.known() > 0, "{case}"),
-                    // The stream repeats the first runs' paths.
-                    (SearchStrategy::Binary, known) => assert_eq!(Some(memo.known()), known),
+                    (SearchStrategy::Binary, None) if pass == 0 => {
+                        assert_eq!(after, None, "{case}")
+                    }
+                    (SearchStrategy::Binary, None) => {
+                        assert!(after.is_some_and(|known| known > 0), "{case}");
+                    }
+                    // The stream repeats the Binary runs' paths.
+                    (_, known) => {
+                        assert!(known.is_some(), "{case}");
+                        assert_eq!(after, known, "{case}");
+                    }
                 }
             }
         }
@@ -349,8 +397,9 @@ mod tests {
     }
 
     /// A hit after one long run reuses the prefix index that run built —
-    /// the same allocation — and a short run on a one-shot bank builds
-    /// none.
+    /// the same allocation — and a second long run builds the round memo
+    /// beside it, shared the same way. A short run on a one-shot bank
+    /// builds neither.
     #[test]
     fn hits_reuse_the_index_a_long_run_built() {
         let config = PetConfig::builder()
@@ -365,13 +414,17 @@ mod tests {
         assert_eq!(table(&first), None, "banks start unindexed");
         estimator.run_bank(&mut first, 64, &mut rng); // 64 · 32 >= 2,000
         let built = table(&first).expect("the long run builds the index");
+        assert!(first.round_memo().is_none(), "and no memo");
         let mut hit = cache.sequential_bank(2_000, &config, estimator.family());
         estimator.run_bank(&mut hit, 4, &mut rng);
         assert_eq!(table(&hit), Some(built), "the hit reuses the table");
-        let memo = first.round_memo().expect("built with the index");
+        assert!(hit.round_memo().is_none(), "a short run builds no memo");
+        estimator.run_bank(&mut hit, 64, &mut rng);
+        assert_eq!(table(&hit), Some(built));
+        let memo = first.round_memo().expect("the second long run builds it");
         assert!(
             std::ptr::eq(hit.round_memo().unwrap(), memo),
-            "and the memo"
+            "and every clone shares it"
         );
         assert_eq!(cache.stats().hits, 1);
 
@@ -408,9 +461,9 @@ mod tests {
             let _ = cache.sequential_bank(64, &config, fam);
         }
         {
-            let shelf = cache.codes.lock().unwrap();
-            assert!(shelf.map.len() <= CODES_CAP);
-            assert_eq!(shelf.map.len(), shelf.order.len());
+            let entries = cache.codes.entries.lock().unwrap();
+            assert!(entries.map.len() <= CODES_CAP);
+            assert_eq!(entries.map.len(), entries.order.len());
         }
         assert_eq!(
             cache.stats().evictions,
@@ -458,17 +511,15 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 3, 0));
-        assert!(cache.codes.lock().unwrap().map.is_empty(), "nothing stored");
-        assert!(
-            cache.codes.lock().unwrap().order.is_empty(),
-            "no FIFO churn"
-        );
-        assert!(cache.keys.lock().unwrap().map.is_empty());
+        let entries = cache.codes.entries.lock().unwrap();
+        assert!(entries.map.is_empty(), "nothing stored");
+        assert!(entries.order.is_empty(), "no FIFO churn");
+        assert!(cache.keys.entries.lock().unwrap().map.is_empty());
     }
 
     /// Concurrent trial workers share one cached artifact: every thread
-    /// gets a pointer to the same allocation, and the build happens at
-    /// most a handful of times (once per losing racer at worst).
+    /// gets the same codes, and the build happens once: the first lookup
+    /// inserts the entry's cell, and the others wait for its build.
     #[test]
     fn cross_thread_sharing_returns_one_allocation() {
         let cache = std::sync::Arc::new(RosterCache::default());
@@ -493,8 +544,50 @@ mod tests {
         // The keys shelf is shared: same Arc for every later request.
         assert!(Arc::ptr_eq(&reference, &cache.sequential_keys(512)));
         let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 8);
-        assert!(stats.misses >= 1, "someone built it");
+        assert_eq!((stats.hits, stats.misses), (7, 1), "one thread built it");
+    }
+
+    /// A miss builds after releasing its shelf's lock: while one thread's
+    /// build of a key blocks, another thread's lookup of a cached key
+    /// finishes. Every wait is bounded, so a build under the lock fails
+    /// the test instead of hanging it.
+    #[test]
+    fn a_miss_builds_outside_the_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let limit = Duration::from_secs(10);
+        let shelf: &Shelf<u32, u32> = &Shelf::new(4);
+        assert!(!shelf.get_or_insert_with(1, || 10).hit);
+        let (started, building) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let (found, hit) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let builder = scope.spawn(move || {
+                shelf.get_or_insert_with(2, || {
+                    started.send(()).unwrap();
+                    // Outwaits the hit, so that a hit blocked behind
+                    // this build times out first and then completes.
+                    released.recv_timeout(2 * limit).expect("released");
+                    20
+                })
+            });
+            building.recv_timeout(limit).expect("the build started");
+            scope.spawn(move || {
+                let lookup = shelf.get_or_insert_with(1, || unreachable!("1 is cached"));
+                found.send((lookup.value, lookup.hit)).unwrap();
+            });
+            let during = hit.recv_timeout(limit);
+            release.send(()).unwrap();
+            assert_eq!(during, Ok((10, true)), "the hit waited for the build");
+            let built = builder.join().unwrap();
+            assert_eq!((built.value, built.hit), (20, false));
+        });
+        assert!(
+            shelf
+                .get_or_insert_with(2, || unreachable!("2 is cached"))
+                .hit
+        );
     }
 
     #[test]

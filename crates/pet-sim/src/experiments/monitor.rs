@@ -13,11 +13,12 @@
 //! — the measured latency is the window's smoothing delay, not a churn
 //! penalty.
 
+use crate::cache::RosterCache;
 use crate::runner::run_trials;
 use pet_core::config::PetConfig;
-use pet_core::monitor::{ChurnStream, Monitor, MonitorConfig};
+use pet_core::monitor::{Monitor, MonitorConfig};
 use pet_stats::accuracy::Accuracy;
-use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
+use pet_tags::dynamics::ChurnSchedule;
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -106,7 +107,7 @@ fn trial_outcome(params: &MonitorSweepParams, rate: usize, trial_seed: u64) -> f
         burst_at: Some(params.burst_at),
         burst_size,
     };
-    let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(params.tags));
+    let mut stream = RosterCache::global().sequential_stream(params.tags, monitor, schedule);
     let mut first_alarm: Option<usize> = None;
     for update in 0..params.updates {
         let u = stream.next_update().expect("estimation succeeds");

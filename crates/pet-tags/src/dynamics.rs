@@ -327,6 +327,18 @@ impl KeyTimeline {
         }
     }
 
+    /// [`Self::sequential`]`(keys.len())` from a copy of its keys, which
+    /// `keys` must be (say, a cache's copy of them), without deriving them
+    /// again.
+    #[must_use]
+    pub fn from_sequential_keys(keys: &[u64]) -> Self {
+        Self {
+            keys: keys.to_vec(),
+            next_serial: 0,
+            left: Vec::new(),
+        }
+    }
+
     /// The current keys, in [`Timeline`]'s population order.
     #[must_use]
     pub fn keys(&self) -> &[u64] {
@@ -504,6 +516,27 @@ mod tests {
             rebuilt.extend(&joined);
             assert_eq!(rebuilt, keys.keys(), "{events:?}");
             assert!(keys.keys().iter().copied().eq(tags.population().keys()));
+        }
+    }
+
+    /// A timeline started from a copy of the sequential keys is the
+    /// sequential timeline: the same keys, and the same deltas and keys
+    /// after every update.
+    #[test]
+    fn from_sequential_keys_equals_sequential() {
+        use ChurnEvent::{Join, Leave};
+        for n in [0, 1, 50, 1_000] {
+            let keys: Vec<u64> = sequential_keys(n).collect();
+            let mut copied = KeyTimeline::from_sequential_keys(&keys);
+            let mut derived = KeyTimeline::sequential(n);
+            assert_eq!(copied.keys(), derived.keys(), "n = {n}");
+            for events in [&[Leave(5), Join(5)][..], &[Join(9), Leave(30)], &[]] {
+                let delta = copied.update(events);
+                let (left, joined) = (delta.left.to_vec(), delta.joined.to_vec());
+                let want = derived.update(events);
+                assert_eq!((&left[..], &joined[..]), (want.left, want.joined));
+                assert_eq!(copied.keys(), derived.keys(), "n = {n}, {events:?}");
+            }
         }
     }
 

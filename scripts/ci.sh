@@ -324,6 +324,27 @@ SHARED=$(comm -12 <(ledger_keys "$REPRO_LEDGER") <(ledger_keys results/ledger.js
 }
 echo "repro ledger: $REPRO_ROWS rows stamped, none keyed like a committed row"
 
+# Repro sweep gate: the full `repro monitor detection`, run in a scratch
+# directory, must regenerate the committed results/monitor.csv and
+# results/detection.csv byte for byte. Every trial of the monitor sweep
+# starts its stream from the process-wide roster cache's bank, so a stream
+# that changed a cached bank, or started from the wrong entry, moves the
+# monitor rows.
+echo "==> repro monitor detection (CSVs equal the committed ones)"
+SWEEP_TMP=$(mktemp -d)
+trap 'rm -rf "$LEDGER_TMP" "$FLEET_TMP" "$REPRO_TMP" "$SWEEP_TMP"' EXIT
+(cd "$SWEEP_TMP" && "$REPRO_BIN" monitor detection >/dev/null)
+for csv in monitor detection; do
+    cmp "$SWEEP_TMP/results/$csv.csv" "results/$csv.csv" || {
+        echo "repro $csv: regenerated results/$csv.csv differs:" >&2
+        cat "$SWEEP_TMP/results/$csv.csv" >&2
+        echo "committed results/$csv.csv:" >&2
+        cat "results/$csv.csv" >&2
+        exit 1
+    }
+done
+echo "repro sweeps: monitor.csv and detection.csv equal the committed files"
+
 echo "==> cargo fmt --check (first-party crates)"
 for crate in "${CRATES[@]}"; do
     cargo fmt -p "$crate" --check

@@ -9,27 +9,32 @@
 //!    ([`Estimator::try_run_oracle`] over a [`CodeRoster`]) under the
 //!    derived [`update_seed`], and the windowed value is bit-for-bit the
 //!    [`windowed_mean`] fold of those raw estimates.
-//! 2. **Churn differential** (property): every update of [`ChurnStream`],
-//!    which applies each update's churn to a live code bank as a key
-//!    delta, is bit-for-bit the rebuild — [`Timeline`] plus
-//!    [`Monitor::observe_keys`] over every key — for both tag modes,
-//!    including runs long enough to build the bank's
-//!    prefix index, which churn must then drop.
-//! 3. **Golden churn trace**: a fixed-seed [`ChurnStream`] run with steady
-//!    join/leave churn plus one missing-tag burst pins every per-update
-//!    estimate, windowed value, differential, and the alarm-fire update in
-//!    `tests/golden/monitor_trace.csv`. Re-bless after an intentional
-//!    protocol change with `PET_BLESS=1 cargo test -p pet --test
-//!    streaming_conformance`.
+//! 2. **Churn differential** (property): every update of `ChurnStream`,
+//!    which starts from the roster cache's bank and applies each update's
+//!    churn to its own copy as a key delta, is bit-for-bit the rebuild —
+//!    [`Timeline`] plus [`Monitor::observe_keys`] over every key — for
+//!    both tag modes, including runs long enough to build the bank's
+//!    prefix index, which churn must then drop; and the cached keys and
+//!    codes stay those of the starting population.
+//! 3. **Golden churn trace**: a fixed-seed `ChurnStream` run, started from
+//!    the process-wide roster cache as `pet monitor` and the sweep start,
+//!    with steady join/leave churn plus one missing-tag burst, pins every
+//!    per-update estimate, windowed value, differential, and the
+//!    alarm-fire update in `tests/golden/monitor_trace.csv`. Re-bless after
+//!    an intentional protocol change with `PET_BLESS=1 cargo test -p pet
+//!    --test streaming_conformance`.
 //! 4. **Replay determinism**: producing the trace twice from scratch gives
 //!    identical bytes — the property the server's byte-identical monitor
 //!    streams and the sim sweep's ledger rows stand on.
 
 use pet::prelude::*;
 use pet_core::config::TagMode;
-use pet_core::monitor::{update_seed, windowed_mean, ChurnStream, Monitor, MonitorConfig};
+use pet_core::kernel::build_passive_codes;
+use pet_core::monitor::{update_seed, windowed_mean, Monitor, MonitorConfig};
 use pet_core::oracle::CodeRoster;
-use pet_tags::dynamics::{ChurnSchedule, KeyTimeline, Timeline};
+use pet_hash::family::AnyFamily;
+use pet_sim::cache::RosterCache;
+use pet_tags::dynamics::{ChurnSchedule, Timeline};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -129,15 +134,18 @@ proptest! {
             _ => ChurnSchedule::steady(rate(n)),
         };
         prop_assert_eq!(schedule.validate(n, UPDATES), Ok(()));
+        let cache = RosterCache::default();
+        let start: Vec<u64> = TagPopulation::sequential(n).keys().collect();
         for tag_mode in [TagMode::PassivePreloaded, TagMode::ActivePerRound] {
+            let config = PetConfig::builder()
+                .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+                .tag_mode(tag_mode)
+                .zero_probe(zero_probe)
+                .build()
+                .unwrap();
             let monitor = || {
                 Monitor::new(MonitorConfig {
-                    config: PetConfig::builder()
-                        .accuracy(Accuracy::new(0.2, 0.2).unwrap())
-                        .tag_mode(tag_mode)
-                        .zero_probe(zero_probe)
-                        .build()
-                        .unwrap(),
+                    config,
                     rounds,
                     window,
                     alarm_fraction: 0.5,
@@ -148,7 +156,7 @@ proptest! {
             };
             let mut rebuild = monitor();
             let mut timeline = Timeline::new(TagPopulation::sequential(n));
-            let mut stream = ChurnStream::new(monitor(), schedule, KeyTimeline::sequential(n));
+            let mut stream = cache.sequential_stream(n, monitor(), schedule);
             for update in 0..UPDATES {
                 for event in schedule.events_at(update) {
                     timeline.apply(event);
@@ -164,6 +172,12 @@ proptest! {
                     "update {update}, {tag_mode:?}:\n{got:?}\n{want:?}"
                 );
                 prop_assert_eq!(stream.population(), keys.len());
+            }
+            prop_assert_eq!(&*cache.sequential_keys(n), &start);
+            if tag_mode == TagMode::PassivePreloaded {
+                let cached = cache.sequential_bank(n, &config, AnyFamily::default());
+                let fresh = build_passive_codes(&start, &config, AnyFamily::default());
+                prop_assert_eq!(cached.codes(), &fresh[..]);
             }
         }
     }
@@ -186,7 +200,7 @@ fn churn_trace() -> String {
         burst_at: Some(6),
         burst_size: 400,
     };
-    let mut stream = ChurnStream::new(monitor, schedule, KeyTimeline::sequential(600));
+    let mut stream = RosterCache::global().sequential_stream(600, monitor, schedule);
     let mut out = String::from("update,population,estimate,windowed,delta,alarm\n");
     for _ in 0..10usize {
         let u = stream.next_update().unwrap();
