@@ -1,14 +1,14 @@
 //! Capacity guarding: "is the room over its limit?" with controlled error.
 //!
-//! Two one-sided tests around an occupancy limit. When neither side is
-//! significant the guard says so (`Uncertain`) instead of guessing — the
-//! honest behaviour for populations near the limit, where no estimator of
-//! finite budget can decide reliably.
+//! Two one-sided tests around an occupancy limit, both read from one
+//! [`ReferenceTest`] against the limit. When neither side is significant
+//! the guard says so (`Uncertain`) instead of guessing — the honest
+//! behaviour for populations near the limit, where no estimator of finite
+//! budget can decide reliably.
 
 use pet_core::config::PetConfig;
 use pet_core::front::Estimator;
-use pet_stats::erf::normal_cdf;
-use pet_stats::gray::{z_statistic, GrayDistribution};
+use pet_core::monitor::ReferenceTest;
 use pet_tags::population::TagPopulation;
 use rand::Rng;
 
@@ -29,7 +29,7 @@ pub struct CapacityGuard {
     limit: u64,
     significance: f64,
     config: PetConfig,
-    limit_mean_prefix: f64,
+    test: ReferenceTest,
 }
 
 impl CapacityGuard {
@@ -46,12 +46,13 @@ impl CapacityGuard {
             significance > 0.0 && significance <= 0.5,
             "significance must lie in (0, 0.5]"
         );
-        let limit_mean_prefix = GrayDistribution::new(limit, config.height()).mean_prefix();
+        let test = ReferenceTest::new(limit as f64, config.height())
+            .expect("a positive limit is a valid reference");
         Self {
             limit,
             significance,
             config,
-            limit_mean_prefix,
+            test,
         }
     }
 
@@ -61,14 +62,15 @@ impl CapacityGuard {
         self.limit
     }
 
-    /// Decision core on an observed mean prefix (exposed for tests).
+    /// Decision core on an observed mean prefix (exposed for tests). A run
+    /// whose zero probe heard an empty region (no round) is `Under`.
     #[must_use]
     pub fn judge(&self, mean_prefix: f64, rounds: u32) -> CapacityVerdict {
-        let z = z_statistic(mean_prefix, self.limit_mean_prefix, rounds);
+        let p = self.test.p_value(mean_prefix, rounds);
         // Upper tail: significantly above the limit's statistic.
-        if 1.0 - normal_cdf(z) < self.significance {
+        if 1.0 - p < self.significance {
             CapacityVerdict::Over
-        } else if normal_cdf(z) < self.significance {
+        } else if p < self.significance {
             CapacityVerdict::Under
         } else {
             CapacityVerdict::Uncertain
@@ -145,7 +147,7 @@ mod tests {
     #[test]
     fn judge_ordering() {
         let guard = CapacityGuard::new(10_000, 0.05, config(0));
-        let at_limit = GrayDistribution::new(10_000, 32).mean_prefix();
+        let at_limit = pet_stats::gray::GrayDistribution::new(10_000, 32).mean_prefix();
         assert_eq!(guard.judge(at_limit, 1_000), CapacityVerdict::Uncertain);
         assert_eq!(guard.judge(at_limit + 1.0, 1_000), CapacityVerdict::Over);
         assert_eq!(guard.judge(at_limit - 1.0, 1_000), CapacityVerdict::Under);

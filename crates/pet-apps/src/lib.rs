@@ -8,8 +8,6 @@
 //! estimator's known sampling law (the mean gray-node statistic is
 //! asymptotically normal with deviation `σ(h)/√m`, §4.2):
 //!
-//! - [`monitor`]: missing-tag (loss/theft) detection — a one-sided test of
-//!   "is the population significantly below the book inventory?".
 //! - [`guard`]: capacity guarding — two one-sided tests around an occupancy
 //!   limit, with an explicit *uncertain* verdict in between.
 //! - [`trend`]: population trend tracking across repeated estimates, with
@@ -17,10 +15,14 @@
 //! - [`category`]: per-category (e.g. per-supplier) estimates via Gen2
 //!   Select scoping.
 //!
+//! Missing-tag detection needs no type of its own here: an audit is one
+//! estimate judged by `pet_core::monitor::ReferenceTest`, the test the
+//! guard and the streaming monitor run too.
+//!
 //! # Example
 //!
 //! ```
-//! use pet_apps::monitor::MissingTagMonitor;
+//! use pet_apps::guard::{CapacityGuard, CapacityVerdict};
 //! use pet_core::config::PetConfig;
 //! use pet_stats::accuracy::Accuracy;
 //! use pet_tags::population::TagPopulation;
@@ -30,11 +32,11 @@
 //!     .accuracy(Accuracy::new(0.10, 0.05).unwrap())
 //!     .build()
 //!     .unwrap();
-//! // Book inventory says 10,000 pallets; alarm if ≥10% are missing.
-//! let monitor = MissingTagMonitor::new(10_000, 0.01, config).unwrap();
+//! // The dock holds 10,000 pallets; 7,000 are clearly under the limit.
+//! let guard = CapacityGuard::new(10_000, 0.01, config);
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let verdict = monitor.check(&TagPopulation::sequential(10_000), &mut rng);
-//! assert!(!verdict.alarm, "full shelf must not alarm: {verdict:?}");
+//! let verdict = guard.check(&TagPopulation::sequential(7_000), &mut rng);
+//! assert_eq!(verdict, CapacityVerdict::Under);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,10 +44,8 @@
 
 pub mod category;
 pub mod guard;
-pub mod monitor;
 pub mod trend;
 
 pub use category::{estimate_by, estimate_by_manager, CategoryReport};
 pub use guard::{CapacityGuard, CapacityVerdict};
-pub use monitor::{MissingTagMonitor, MonitorVerdict};
 pub use trend::{TrendPoint, TrendTracker};

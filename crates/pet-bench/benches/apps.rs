@@ -1,5 +1,6 @@
 //! Application-layer benches: missing-tag detection power curve and the
-//! adaptive-session ablation, plus timing of one calibrated monitor check.
+//! adaptive-session ablation, plus timing of one calibrated audit (an
+//! estimate judged by its reference test).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pet_sim::experiments::{ablations, detection};
@@ -38,8 +39,9 @@ fn bench_apps(c: &mut Criterion) {
     let mut group = c.benchmark_group("apps");
     group.sample_size(20);
     group.bench_function("monitor_check_10k", |b| {
-        use pet_apps::monitor::MissingTagMonitor;
         use pet_core::config::PetConfig;
+        use pet_core::front::Estimator;
+        use pet_core::monitor::ReferenceTest;
         use pet_stats::accuracy::Accuracy;
         use pet_tags::population::TagPopulation;
         use rand::{rngs::StdRng, SeedableRng};
@@ -47,10 +49,14 @@ fn bench_apps(c: &mut Criterion) {
             .accuracy(Accuracy::new(0.10, 0.10).unwrap())
             .build()
             .unwrap();
-        let monitor = MissingTagMonitor::new(10_000, 0.01, config).unwrap();
+        let test = ReferenceTest::new(10_000.0, config.height()).unwrap();
+        let estimator = Estimator::new(config);
         let population = TagPopulation::sequential(9_200);
         let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| black_box(monitor.check(&population, &mut rng)));
+        b.iter(|| {
+            let report = estimator.estimate_population(&population, &mut rng);
+            black_box(test.p_value(report.mean_prefix_len, report.rounds) < 0.01)
+        });
     });
     group.finish();
 }

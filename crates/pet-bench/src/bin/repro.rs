@@ -415,14 +415,12 @@ fn main() {
         bench_server(&out_dir, quick);
     }
 
-    pet_bench::plots::write_all(&out_dir).expect("write plot scripts");
     if let Some(path) = &telemetry_path {
         pet_obs::shutdown();
         println!("telemetry events written to {path}");
     }
     println!(
-        "\ndone in {secs:.1}s — CSVs under {dir}/, SVGs under {dir}/svg/, \
-         gnuplot scripts under {dir}/plots/",
+        "\ndone in {secs:.1}s — CSVs under {dir}/, SVGs under {dir}/svg/",
         secs = clock.elapsed().as_secs_f64(),
         dir = out_dir.display()
     );

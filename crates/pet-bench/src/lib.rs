@@ -8,7 +8,6 @@
 #![warn(missing_docs)]
 
 pub mod ledger;
-pub mod plots;
 pub mod suite;
 pub mod svg;
 
@@ -615,7 +614,7 @@ pub fn report_detection(
     rows: &[pet_sim::experiments::detection::DetectionRow],
     out_dir: &Path,
 ) -> io::Result<()> {
-    println!("\n== Missing-tag detection power curve (pet-apps monitor) ==");
+    println!("\n== Missing-tag detection power curve (one-shot audit) ==");
     println!(
         "{:>14} {:>14} {:>16}",
         "missing θ", "alarm rate", "predicted"

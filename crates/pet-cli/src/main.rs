@@ -31,6 +31,7 @@ use pet_baselines::{CardinalityEstimator, Ezb, Fneb, Fsa, Lof, PetAdapter};
 use pet_core::bits::BitString;
 use pet_core::config::{Mitigation, PetConfig, SearchStrategy};
 use pet_core::front::Estimator;
+use pet_core::monitor::{detectable_fraction, ReferenceTest};
 use pet_core::oracle::CodeRoster;
 use pet_core::tree::Tree;
 use pet_ident::{FramedAloha, IdentificationProtocol, TreeWalk};
@@ -436,10 +437,10 @@ fn cmd_compare(args: &Args) -> Result<(), ArgError> {
 }
 
 fn cmd_monitor(args: &Args) -> Result<(), ArgError> {
-    // Two modes share the verb: the one-shot z-test audit
-    // (--expected/--present, the original `pet-apps` monitor) and the
-    // streaming estimation loop (--tags ..., `pet-core::monitor`), local
-    // or against a running server (--addr).
+    // Two modes share the verb: the one-shot audit (--expected/--present:
+    // one estimate judged by the reference test) and the streaming
+    // estimation loop (--tags ..., `pet-core::monitor`), local or against
+    // a running server (--addr).
     if args.get("tags")?.is_some() || args.get("addr")?.is_some() {
         return cmd_monitor_stream(args);
     }
@@ -448,24 +449,31 @@ fn cmd_monitor(args: &Args) -> Result<(), ArgError> {
     let present: usize = args.require("present")?;
     let alpha: f64 = args.get_or("alpha", 0.01)?;
     let seed: u64 = args.get_or("seed", 0x40)?;
+    if expected == 0 {
+        return Err(ArgError("expected inventory must be positive".into()));
+    }
+    if !(alpha > 0.0 && alpha <= 0.5) {
+        return Err(ArgError("false-alarm rate must lie in (0, 0.5]".into()));
+    }
     let config = PetConfig::paper_default();
-    let monitor = pet_apps::monitor::MissingTagMonitor::new(expected, alpha, config)
-        .map_err(|e| ArgError(e.to_string()))?;
+    let test = ReferenceTest::new(expected as f64, config.height())
+        .expect("a positive inventory is a valid reference");
     let mut rng = StdRng::seed_from_u64(seed);
-    let verdict = monitor.check(
+    let report = Estimator::new(config).estimate_population(
         &pet_tags::population::TagPopulation::sequential(present),
         &mut rng,
     );
+    let p_value = test.p_value(report.mean_prefix_len, report.rounds);
     println!("book inventory : {expected}");
-    println!("estimate       : {:.0}", verdict.estimate);
+    println!("estimate       : {:.0}", report.estimate);
     println!(
         "missing (est.) : {:.1}%",
-        verdict.missing_fraction.max(0.0) * 100.0
+        (1.0 - report.estimate / expected as f64).max(0.0) * 100.0
     );
-    println!("p-value        : {:.4}", verdict.p_value);
+    println!("p-value        : {p_value:.4}");
     println!(
         "verdict        : {}",
-        if verdict.alarm {
+        if p_value < alpha {
             "ALARM — tags are missing"
         } else {
             "consistent with full inventory"
@@ -473,7 +481,7 @@ fn cmd_monitor(args: &Args) -> Result<(), ArgError> {
     );
     println!(
         "(smallest deficit detectable with 95% power at this budget: {:.1}%)",
-        monitor.detectable_fraction(0.95) * 100.0
+        detectable_fraction(config.rounds(), alpha, 0.95) * 100.0
     );
     Ok(())
 }

@@ -35,16 +35,21 @@
 //! the first update) and a configurable fraction — when the windowed
 //! estimate drops below `alarm_fraction × reference`, the update raises
 //! `alarm`. Each update also carries the one-sided p-value of its observed
-//! statistic under "nothing is missing" ([`pet_stats::gray::z_statistic`],
-//! the z-test `pet-apps::monitor` runs too), so callers can trade the crisp
-//! threshold for a significance test.
+//! statistic under "nothing is missing" ([`ReferenceTest`]), so callers can
+//! trade the crisp threshold for a significance test.
+//!
+//! [`ReferenceTest`] is the one missing-tag test of the workspace: the
+//! stream's per-update p-value, the one-shot audit (an
+//! [`Estimator::estimate_population`] run judged by `p < α`: `repro
+//! detection`, `pet monitor --expected`) and `pet-apps`'s capacity guard
+//! all run it, and [`detectable_fraction`] is its closed-form power.
 
 use crate::front::Estimator;
 use crate::kernel::CodeBank;
 use crate::session::EstimateReport;
 use crate::PetError;
-use pet_stats::erf::normal_cdf;
-use pet_stats::gray::{z_statistic, GrayDistribution};
+use pet_stats::erf::{erf_inv, normal_cdf};
+use pet_stats::gray::{GrayDistribution, SIGMA_H};
 use pet_tags::dynamics::{ChurnSchedule, KeyTimeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,7 +79,7 @@ pub enum MonitorError {
     ZeroRounds,
     /// The alarm fraction must lie in (0, 1).
     BadAlarmFraction(f64),
-    /// An explicit reference population must be positive and finite.
+    /// A reference population must be finite and at least one tag.
     BadReference(f64),
 }
 
@@ -89,7 +94,7 @@ impl fmt::Display for MonitorError {
             Self::BadReference(v) => {
                 write!(
                     f,
-                    "reference population must be positive and finite, got {v}"
+                    "reference population must be finite and at least one tag, got {v}"
                 )
             }
         }
@@ -97,6 +102,85 @@ impl fmt::Display for MonitorError {
 }
 
 impl std::error::Error for MonitorError {}
+
+/// The one-sided test of a run's mean prefix length `L̄` against a
+/// reference population `n₀`: fewer tags give shorter responsive prefixes,
+/// so a small `p = Φ(z)`, `z = (L̄ − E[L | n₀]) / (σ(h)/√m)`, is evidence
+/// that tags are missing. It rests on the asymptotic normal law of the
+/// round mean (§4.2).
+///
+/// The null `E[L | n₀]` is exact ([`GrayDistribution::mean_prefix`] of the
+/// reference rounded to a whole tag count) and computed once, at
+/// construction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReferenceTest {
+    reference: f64,
+    null_mean_prefix: f64,
+}
+
+impl ReferenceTest {
+    /// The test against `reference` tags under a tree of `height` bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MonitorError::BadReference`] unless `reference` is finite
+    /// and at least one tag.
+    pub fn new(reference: f64, height: u32) -> Result<Self, MonitorError> {
+        if reference.is_finite() && reference >= 1.0 {
+            Ok(Self::exact(reference, height))
+        } else {
+            Err(MonitorError::BadReference(reference))
+        }
+    }
+
+    /// The test against `reference ≥ 1` tags (`as` saturates the cast
+    /// above `u64::MAX`, where f64 has no integer resolution anyway).
+    fn exact(reference: f64, height: u32) -> Self {
+        let n = reference.round().max(1.0) as u64;
+        Self {
+            reference,
+            null_mean_prefix: GrayDistribution::new(n, height).mean_prefix(),
+        }
+    }
+
+    /// The reference population.
+    #[must_use]
+    pub fn reference(&self) -> f64 {
+        self.reference
+    }
+
+    /// One-sided p-value of a run's mean prefix length over `rounds`
+    /// rounds under "the population equals the reference". 0 when no
+    /// round ran because the zero probe heard an empty region: the
+    /// reference is at least one tag, so silence rules it out.
+    #[must_use]
+    pub fn p_value(&self, mean_prefix_len: f64, rounds: u32) -> f64 {
+        if rounds == 0 {
+            return 0.0;
+        }
+        let se = SIGMA_H / f64::from(rounds).sqrt();
+        normal_cdf((mean_prefix_len - self.null_mean_prefix) / se)
+    }
+}
+
+/// Smallest missing fraction that a [`ReferenceTest`] over `rounds` rounds,
+/// alarming at `p < false_alarm_rate`, detects with probability ≥ `power`:
+/// the closed-form power analysis. Detecting a fraction θ needs the mean
+/// shift `|log₂(1−θ)|` to exceed `(|z_α| + z_power)·σ(h)/√m`, with the
+/// one-sided quantiles `z_α = Φ⁻¹(α)` and `z_power = Φ⁻¹(power)`.
+///
+/// # Panics
+///
+/// Panics if `power` is not in (0, 1).
+#[must_use]
+pub fn detectable_fraction(rounds: u32, false_alarm_rate: f64, power: f64) -> f64 {
+    assert!(power > 0.0 && power < 1.0, "power must be in (0, 1)");
+    let se = SIGMA_H / f64::from(rounds).sqrt();
+    let z_alpha = std::f64::consts::SQRT_2 * erf_inv(2.0 * false_alarm_rate - 1.0);
+    let z_power = std::f64::consts::SQRT_2 * erf_inv(2.0 * power - 1.0);
+    let shift = (z_alpha.abs() + z_power) * se;
+    1.0 - 2f64.powf(-shift)
+}
 
 /// Configuration of a streaming [`Monitor`].
 #[derive(Debug, Clone)]
@@ -190,9 +274,9 @@ pub struct Monitor {
     rounds: u32,
     window: usize,
     alarm_fraction: f64,
-    /// `(reference, E[L] at the reference)`, latched on the first update
-    /// when not configured.
-    reference: Option<(f64, f64)>,
+    /// The test against the reference population, latched on the first
+    /// update when not configured.
+    reference: Option<ReferenceTest>,
     base_seed: u64,
     /// The last `W` raw estimates, oldest first.
     history: VecDeque<f64>,
@@ -218,12 +302,10 @@ impl Monitor {
         if !(config.alarm_fraction > 0.0 && config.alarm_fraction < 1.0) {
             return Err(MonitorError::BadAlarmFraction(config.alarm_fraction));
         }
-        let height = config.config.height();
-        let reference = match config.reference {
-            None => None,
-            Some(r) if r.is_finite() && r >= 1.0 => Some((r, null_mean_prefix(r, height))),
-            Some(r) => return Err(MonitorError::BadReference(r)),
-        };
+        let reference = config
+            .reference
+            .map(|r| ReferenceTest::new(r, config.config.height()))
+            .transpose()?;
         Ok(Self {
             estimator: Estimator::new(config.config),
             rounds: config.rounds,
@@ -253,7 +335,7 @@ impl Monitor {
     /// the first update latched it).
     #[must_use]
     pub fn reference(&self) -> Option<f64> {
-        self.reference.map(|(r, _)| r)
+        self.reference.as_ref().map(ReferenceTest::reference)
     }
 
     /// Number of updates observed so far.
@@ -310,17 +392,10 @@ impl Monitor {
         let delta = self.previous.map_or(0.0, |prev| estimate - prev);
         self.previous = Some(estimate);
         let height = self.estimator.config().height();
-        let (reference, null_prefix) = *self.reference.get_or_insert_with(|| {
-            let latched = estimate.max(1.0);
-            (latched, null_mean_prefix(latched, height))
-        });
-        // Zero rounds means the zero probe heard an empty region.
-        let p_value = if report.rounds == 0 {
-            0.0
-        } else {
-            let z = z_statistic(report.mean_prefix_len, null_prefix, report.rounds);
-            normal_cdf(z)
-        };
+        let test = *self
+            .reference
+            .get_or_insert_with(|| ReferenceTest::exact(estimate.max(1.0), height));
+        let reference = test.reference();
         Ok(MonitorUpdate {
             index,
             seed,
@@ -328,7 +403,7 @@ impl Monitor {
             windowed,
             delta,
             reference,
-            p_value,
+            p_value: test.p_value(report.mean_prefix_len, report.rounds),
             alarm: windowed < self.alarm_fraction * reference,
             rounds: report.rounds,
             mean_prefix_len: report.mean_prefix_len,
@@ -464,19 +539,6 @@ pub fn windowed_mean(estimates: impl IntoIterator<Item = f64>) -> f64 {
         count += 1;
     }
     sum / f64::from(count.max(1))
-}
-
-/// Exact `E[L]` for a reference population (rounded to a whole tag count),
-/// the null center of the per-update z-test.
-fn null_mean_prefix(reference: f64, height: u32) -> f64 {
-    let n = reference.round().max(1.0);
-    // f64 above 2^53 loses integer resolution anyway; clamp for the cast.
-    let n = if n >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        n as u64
-    };
-    GrayDistribution::new(n, height).mean_prefix()
 }
 
 #[cfg(test)]
@@ -672,5 +734,118 @@ mod tests {
             healthy.p_value
         );
         assert!(depleted.p_value < 0.01);
+    }
+
+    /// The test counts standard errors `σ(h)/√m` from the exact null mean.
+    #[test]
+    fn p_value_counts_standard_errors() {
+        let test = ReferenceTest::new(10_000.0, 32).unwrap();
+        let null = GrayDistribution::new(10_000, 32).mean_prefix();
+        assert_eq!(test.null_mean_prefix.to_bits(), null.to_bits());
+        let at = |z: f64, rounds| test.p_value(null + z * SIGMA_H / 8.0, rounds);
+        assert!((at(0.0, 64) - 0.5).abs() < 1e-15);
+        assert!((at(1.0, 64) - normal_cdf(1.0)).abs() < 1e-12);
+        assert!((at(-2.0, 64) - normal_cdf(-2.0)).abs() < 1e-12);
+        // Four times the rounds halves the standard error.
+        assert!((at(1.0, 256) - normal_cdf(2.0)).abs() < 1e-12);
+    }
+
+    /// A reference must be finite and at least one tag; a whole tag count
+    /// is its own null.
+    #[test]
+    fn construction_validation() {
+        for bad in [0.0, 0.5, -3.0, f64::INFINITY, f64::NAN] {
+            let err = ReferenceTest::new(bad, 32).unwrap_err();
+            assert!(
+                matches!(err, MonitorError::BadReference(v) if v.to_bits() == bad.to_bits()),
+                "{bad}: {err:?}"
+            );
+        }
+        let test = ReferenceTest::new(10.0, 32).unwrap();
+        assert_eq!(test.reference(), 10.0);
+        assert_eq!(
+            test.null_mean_prefix.to_bits(),
+            GrayDistribution::new(10, 32).mean_prefix().to_bits()
+        );
+    }
+
+    fn audit_config(seed: u64) -> PetConfig {
+        PetConfig::builder()
+            .accuracy(Accuracy::new(0.05, 0.05).unwrap())
+            .manufacture_seed(seed)
+            .build()
+            .unwrap()
+    }
+
+    /// The one-shot audit as `repro detection` runs it: one estimate over
+    /// `present` tags under the trial's own seed, alarming at `p < alpha`.
+    fn audit_alarms(expected: u64, present: usize, alpha: f64, seed: u64) -> bool {
+        let config = audit_config(seed);
+        let test = ReferenceTest::new(expected as f64, config.height()).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let report = Estimator::new(config).estimate_population(
+            &pet_tags::population::TagPopulation::sequential(present),
+            &mut rng,
+        );
+        test.p_value(report.mean_prefix_len, report.rounds) < alpha
+    }
+
+    /// False-alarm calibration: with the full inventory present, the alarm
+    /// rate must match the significance level.
+    #[test]
+    fn false_alarm_rate_is_calibrated() {
+        let trials = 200;
+        let alarms = (0..trials)
+            .filter(|&t| audit_alarms(20_000, 20_000, 0.05, t))
+            .count();
+        let rate = alarms as f64 / trials as f64;
+        // 5% nominal; binomial 3σ slack at 200 trials is ±4.6%.
+        assert!(rate < 0.12, "false alarm rate {rate}");
+    }
+
+    /// Power: a 15% deficit must be caught essentially always at the
+    /// (5%, 5%) budget (m ≈ 2,600 rounds ⇒ se ≈ 0.037 bits; the shift
+    /// log₂(0.85) ≈ −0.234 is >6 standard errors).
+    #[test]
+    fn large_deficit_always_alarms() {
+        let trials = 50;
+        let caught = (0..trials)
+            .filter(|&t| audit_alarms(20_000, 17_000, 0.05, 1_000 + t))
+            .count() as u64;
+        assert!(
+            caught >= trials - 2,
+            "missed deficits: caught {caught}/{trials}"
+        );
+    }
+
+    /// The closed-form power analysis brackets reality: the detectable
+    /// fraction at 95% power is smaller than 15% (which the audit above
+    /// catches ~always) and larger than 0.1% (undetectable).
+    #[test]
+    fn detectable_fraction_is_sane() {
+        let rounds = audit_config(0).rounds();
+        let theta = detectable_fraction(rounds, 0.05, 0.95);
+        assert!(theta > 0.001 && theta < 0.15, "detectable fraction {theta}");
+        // More power demanded → larger detectable fraction.
+        assert!(detectable_fraction(rounds, 0.05, 0.99) > detectable_fraction(rounds, 0.05, 0.50));
+    }
+
+    /// A shorter observed prefix is stronger evidence of missing tags: the
+    /// audit's verdict flips from healthy to alarm at α = 5%.
+    #[test]
+    fn judge_is_monotone_in_observed_prefix() {
+        let test = ReferenceTest::new(10_000.0, 32).unwrap();
+        let null = GrayDistribution::new(10_000, 32).mean_prefix();
+        let healthy = test.p_value(null, 1_000);
+        let short = test.p_value(null - 0.5, 1_000);
+        assert!(healthy > short);
+        assert!(healthy >= 0.05, "healthy inventory alarmed: {healthy}");
+        assert!(short < 0.05, "short prefix missed: {short}");
+    }
+
+    #[test]
+    #[should_panic(expected = "power must be in (0, 1)")]
+    fn bad_power_rejected() {
+        let _ = detectable_fraction(100, 0.05, 1.0);
     }
 }

@@ -145,23 +145,32 @@ impl EvShared {
     }
 }
 
-/// The evented server's handle (wrapped by [`crate::server::ServerHandle`]).
-pub(crate) struct EventedHandle {
+/// A running server. Dropping the handle does **not** stop the server;
+/// call [`ServerHandle::shutdown`] (or send the `shutdown` verb) and then
+/// [`ServerHandle::join`].
+pub struct ServerHandle {
     shared: Arc<EvShared>,
     acceptor: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
 }
 
-impl EventedHandle {
-    pub(crate) fn addr(&self) -> SocketAddr {
+impl ServerHandle {
+    /// The bound address (resolves port 0).
+    #[must_use]
+    pub fn addr(&self) -> SocketAddr {
         self.shared.addr
     }
 
-    pub(crate) fn metrics(&self) -> Summary {
+    /// A snapshot of the server's RED metrics.
+    #[must_use]
+    pub fn metrics(&self) -> Summary {
         self.shared.core.snapshot()
     }
 
-    pub(crate) fn shutdown(&self) {
+    /// Initiates the same graceful shutdown as the `shutdown` verb:
+    /// refuses new work, blocks until in-flight work has drained, then
+    /// closes the listener.
+    pub fn shutdown(&self) {
         self.shared.core.begin_shutdown();
         self.shared.wake_shards();
         self.shared.wait_all_drained();
@@ -169,7 +178,12 @@ impl EventedHandle {
         self.shared.wake_listener();
     }
 
-    pub(crate) fn join(mut self) -> Summary {
+    /// Waits for the acceptor and the shards to finish (call after
+    /// [`Self::shutdown`] or once a client has sent the `shutdown` verb),
+    /// then returns the final metrics. Connections still open are closed;
+    /// their clients have already received a reply for every request they
+    /// sent.
+    pub fn join(mut self) -> Summary {
         if let Some(t) = self.acceptor.take() {
             let _ = t.join();
         }
@@ -180,12 +194,12 @@ impl EventedHandle {
     }
 }
 
-/// Starts the evented backend on an already-bound listener.
+/// Starts the acceptor and the shards on an already-bound listener.
 pub(crate) fn serve_evented(
     config: &ServerConfig,
     listener: TcpListener,
     core: Arc<ServiceCore>,
-) -> std::io::Result<EventedHandle> {
+) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let nshards = config.workers;
     let shared = Arc::new(EvShared {
@@ -216,7 +230,7 @@ pub(crate) fn serve_evented(
             .expect("spawn acceptor")
     };
 
-    Ok(EventedHandle {
+    Ok(ServerHandle {
         shared,
         acceptor: Some(acceptor),
         shard_threads,

@@ -21,7 +21,7 @@ const MAX_DEPTH: u32 = 16;
 /// Object entries are kept as a `Vec` in input order and looked up
 /// linearly: protocol objects have a handful of keys, and a flat pair list
 /// parses with one allocation where a tree map costs a node per insert —
-/// this type sits on the per-request hot path of both serving backends.
+/// this type sits on every request's path.
 /// Duplicate keys are still rejected at parse time, so lookups are
 /// unambiguous.
 #[derive(Debug, Clone, PartialEq)]

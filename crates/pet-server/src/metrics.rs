@@ -7,15 +7,11 @@
 //! through the `pet_obs` free functions, so when a global JSONL sink *is*
 //! installed the server's events stream there too.
 //!
-//! This sits on the per-request hot path of both serving backends, so the
-//! known names — every verb in `proto::VERB_NAMES`, the list
-//! [`Verb::name`] reads, and the five error codes — are kept as plain
-//! atomic counters and the latency histogram behind one short mutex; a
-//! [`pet_obs::Summary`] is materialized only when
-//! [`ServerMetrics::snapshot`] is asked for one. A name outside that list
-//! falls back to a locked map so nothing is ever dropped.
-//!
-//! [`Verb::name`]: crate::proto::Verb::name
+//! This sits on every request's path, so each verb (counted at its index
+//! in `proto::VERB_NAMES`, the list [`Verb::name`] reads) and each of the
+//! five error codes is a plain atomic counter, and the latency histogram
+//! sits behind one short mutex; a [`pet_obs::Summary`] is materialized
+//! only when [`ServerMetrics::snapshot`] is asked for one.
 //!
 //! Metric names:
 //!
@@ -25,9 +21,8 @@
 //! - span `server.request` — queue-to-reply latency (duration; log₂
 //!   histogram via [`pet_obs::Histogram`])
 
-use crate::proto::{ErrorCode, VERB_NAMES};
+use crate::proto::{ErrorCode, Verb, VERB_NAMES};
 use pet_obs::{Event, Histogram, SpanStats, Summary};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -46,7 +41,6 @@ struct LatencyAccum {
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     req: [AtomicU64; VERB_NAMES.len()],
-    req_other: Mutex<BTreeMap<&'static str, u64>>,
     ok: AtomicU64,
     overload: AtomicU64,
     err: [AtomicU64; 5],
@@ -58,21 +52,12 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Records an accepted request of `verb`.
-    pub fn request(&self, verb: &'static str) {
+    pub fn request(&self, verb: &Verb) {
         self.events.fetch_add(1, Ordering::Relaxed);
-        if let Some(i) = VERB_NAMES.iter().position(|v| *v == verb) {
-            self.req[i].fetch_add(1, Ordering::Relaxed);
-        } else {
-            *self
-                .req_other
-                .lock()
-                .expect("metrics poisoned")
-                .entry(verb)
-                .or_default() += 1;
-        }
+        self.req[verb.index()].fetch_add(1, Ordering::Relaxed);
         if pet_obs::enabled() {
             forward(&Event::Counter {
-                name: format!("server.req.{verb}").into(),
+                name: format!("server.req.{}", verb.name()).into(),
                 delta: 1,
             });
         }
@@ -157,9 +142,6 @@ impl ServerMetrics {
                 summary.set_counter(&format!("server.req.{verb}"), total);
             }
         }
-        for (verb, total) in self.req_other.lock().expect("metrics poisoned").iter() {
-            summary.set_counter(&format!("server.req.{verb}"), *total);
-        }
         let ok = self.ok.load(Ordering::Relaxed);
         if ok > 0 {
             summary.set_counter("server.ok", ok);
@@ -222,13 +204,18 @@ fn forward(event: &Event) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{parse_request, ONE_REQUEST_PER_VERB};
+
+    fn estimate() -> Verb {
+        parse_request(ONE_REQUEST_PER_VERB[0]).unwrap().verb
+    }
 
     #[test]
     fn red_counters_accumulate() {
         let m = ServerMetrics::default();
-        m.request("estimate");
-        m.request("estimate");
-        m.request("shutdown");
+        m.request(&estimate());
+        m.request(&estimate());
+        m.request(&Verb::Shutdown);
         m.ok(Duration::from_micros(120));
         m.ok(Duration::from_micros(250));
         m.error(ErrorCode::Overloaded);
@@ -248,9 +235,9 @@ mod tests {
     #[test]
     fn snapshot_is_point_in_time() {
         let m = ServerMetrics::default();
-        m.request("estimate");
+        m.request(&estimate());
         let before = m.snapshot();
-        m.request("estimate");
+        m.request(&estimate());
         assert_eq!(before.counter("server.req.estimate"), 1);
         assert_eq!(m.snapshot().counter("server.req.estimate"), 2);
     }
@@ -258,7 +245,7 @@ mod tests {
     #[test]
     fn event_totals_match_recorded_events() {
         let m = ServerMetrics::default();
-        m.request("estimate"); // 1 event
+        m.request(&estimate()); // 1 event
         m.ok(Duration::from_micros(10)); // counter + span = 2 events
         m.error(ErrorCode::Overloaded); // overload + err counter = 2 events
         m.error(ErrorCode::Internal); // 1 event
@@ -268,21 +255,13 @@ mod tests {
     #[test]
     fn every_verb_counts_on_the_fast_path() {
         let m = ServerMetrics::default();
-        for verb in VERB_NAMES {
-            m.request(verb);
+        for line in ONE_REQUEST_PER_VERB {
+            m.request(&parse_request(line).unwrap().verb);
         }
-        assert!(m.req_other.lock().unwrap().is_empty());
         assert!(m.req.iter().all(|n| n.load(Ordering::Relaxed) == 1));
         let s = m.snapshot();
         for verb in VERB_NAMES {
             assert_eq!(s.counter(&format!("server.req.{verb}")), 1, "{verb}");
         }
-    }
-
-    #[test]
-    fn unknown_verbs_are_still_counted() {
-        let m = ServerMetrics::default();
-        m.request("future-verb");
-        assert_eq!(m.snapshot().counter("server.req.future-verb"), 1);
     }
 }

@@ -125,7 +125,7 @@ pub(crate) const VERB_NAMES: [&str; 6] = [
 
 impl Verb {
     /// Position of the verb's wire name in `VERB_NAMES`.
-    fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             Self::Estimate(_) => 0,
             Self::Robustness(_) => 1,
@@ -707,6 +707,17 @@ pub fn ok_reply(id: &str, verb: &str, body: &str) -> String {
     }
 }
 
+/// One valid request line per verb, in `VERB_NAMES` order.
+#[cfg(test)]
+pub(crate) const ONE_REQUEST_PER_VERB: [&str; VERB_NAMES.len()] = [
+    r#"{"id":"v","verb":"estimate","tags":10}"#,
+    r#"{"id":"v","verb":"robustness"}"#,
+    r#"{"id":"v","verb":"reader-round","tags":10,"zones":2,"deploy_seed":7,"coverage":[1],"path":3}"#,
+    r#"{"id":"v","verb":"monitor","tags":10}"#,
+    r#"{"id":"v","verb":"telemetry-snapshot"}"#,
+    r#"{"id":"v","verb":"shutdown"}"#,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,15 +862,7 @@ mod tests {
     /// points back at it.
     #[test]
     fn verb_names_round_trip_through_index() {
-        let lines = [
-            r#"{"id":"v","verb":"estimate","tags":10}"#,
-            r#"{"id":"v","verb":"robustness"}"#,
-            r#"{"id":"v","verb":"reader-round","tags":10,"zones":2,"deploy_seed":7,"coverage":[1],"path":3}"#,
-            r#"{"id":"v","verb":"monitor","tags":10}"#,
-            r#"{"id":"v","verb":"telemetry-snapshot"}"#,
-            r#"{"id":"v","verb":"shutdown"}"#,
-        ];
-        for (i, line) in lines.iter().enumerate() {
+        for (i, line) in ONE_REQUEST_PER_VERB.iter().enumerate() {
             let verb = parse_request(line).unwrap().verb;
             assert_eq!(verb.index(), i, "{line}");
             assert_eq!(verb.name(), VERB_NAMES[i]);

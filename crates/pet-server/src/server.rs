@@ -32,50 +32,12 @@
 //! work queue — observability and the off switch keep working under full
 //! overload.
 
-use crate::event_loop::EventedHandle;
 use crate::service::ServiceCore;
-use pet_obs::Summary;
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::sync::Arc;
 
+pub use crate::event_loop::ServerHandle;
 pub use crate::service::{seed_for_id, ServerConfig, MAX_LINE_BYTES};
-
-/// A running server. Dropping the handle does **not** stop the server;
-/// call [`ServerHandle::shutdown`] (or send the `shutdown` verb) and then
-/// [`ServerHandle::join`].
-pub struct ServerHandle {
-    inner: EventedHandle,
-}
-
-impl ServerHandle {
-    /// The bound address (resolves port 0).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.addr()
-    }
-
-    /// A snapshot of the server's RED metrics.
-    #[must_use]
-    pub fn metrics(&self) -> Summary {
-        self.inner.metrics()
-    }
-
-    /// Initiates the same graceful shutdown as the `shutdown` verb:
-    /// refuses new work, blocks until in-flight work has drained, then
-    /// closes the listener.
-    pub fn shutdown(&self) {
-        self.inner.shutdown();
-    }
-
-    /// Waits for the acceptor and the shards to finish (call after
-    /// [`Self::shutdown`] or once a client has sent the `shutdown` verb),
-    /// then returns the final metrics. Connections still open are closed;
-    /// their clients have already received a reply for every request they
-    /// sent.
-    pub fn join(self) -> Summary {
-        self.inner.join()
-    }
-}
 
 /// Binds and starts the service: an acceptor thread plus
 /// [`ServerConfig::workers`] shard threads.
@@ -92,7 +54,5 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     assert!(config.queue_capacity > 0, "queue capacity must be positive");
     let listener = TcpListener::bind(&config.addr)?;
     let core = Arc::new(ServiceCore::new(config));
-    Ok(ServerHandle {
-        inner: crate::event_loop::serve_evented(config, listener, core)?,
-    })
+    crate::event_loop::serve_evented(config, listener, core)
 }

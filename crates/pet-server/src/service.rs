@@ -230,7 +230,7 @@ impl ServiceCore {
     /// Routes one parsed request: control verbs answered here, work verbs
     /// handed back for the transport to queue.
     pub fn dispatch(&self, request: Request) -> Dispatch {
-        self.metrics.request(request.verb.name());
+        self.metrics.request(&request.verb);
         match &request.verb {
             Verb::TelemetrySnapshot => {
                 let started = Instant::now();

@@ -1,12 +1,15 @@
-//! Missing-tag detection power curve (extension; `pet-apps::monitor`).
+//! Missing-tag detection power curve (extension; the one-shot audit).
 //!
 //! Sweeps the true missing fraction and measures the alarm rate of the
-//! calibrated monitor, against its closed-form normal-theory prediction.
-//! The θ = 0 column doubles as the false-alarm calibration check.
+//! calibrated audit — one estimate per trial, alarming when its
+//! [`ReferenceTest`] p-value against the book inventory falls below α —
+//! against its closed-form normal-theory prediction. The θ = 0 column
+//! doubles as the false-alarm calibration check.
 
 use crate::runner::run_trials;
-use pet_apps::monitor::MissingTagMonitor;
 use pet_core::config::PetConfig;
+use pet_core::front::Estimator;
+use pet_core::monitor::ReferenceTest;
 use pet_stats::accuracy::Accuracy;
 use pet_stats::erf::normal_cdf;
 use pet_stats::gray::SIGMA_H;
@@ -21,7 +24,7 @@ pub struct DetectionParams {
     pub expected: u64,
     /// Missing fractions to sweep (0 = calibration point).
     pub missing_fractions: Vec<f64>,
-    /// Monitor false-alarm rate α.
+    /// Audit false-alarm rate α.
     pub alpha: f64,
     /// (ε, δ) of the underlying PET estimates (sets the round budget).
     pub epsilon: f64,
@@ -76,11 +79,13 @@ pub fn run(params: &DetectionParams) -> Vec<DetectionRow> {
                     .manufacture_seed(trial_seed)
                     .build()
                     .expect("valid config");
-                let monitor = MissingTagMonitor::new(params.expected, params.alpha, config)
-                    .expect("valid monitor");
+                let test = ReferenceTest::new(params.expected as f64, config.height())
+                    .expect("positive book inventory");
                 let mut rng = StdRng::seed_from_u64(trial_seed);
-                let verdict = monitor.check(&TagPopulation::sequential(present), &mut rng);
-                f64::from(u8::from(verdict.alarm))
+                let report = Estimator::new(config)
+                    .estimate_population(&TagPopulation::sequential(present), &mut rng);
+                let alarm = test.p_value(report.mean_prefix_len, report.rounds) < params.alpha;
+                f64::from(u8::from(alarm))
             });
             // Predicted: the statistic shifts by log₂(1−θ); alarm when
             // Z < z_α + |shift|/se.

@@ -35,17 +35,6 @@ pub const PHI: f64 = 1.259_408_384_545_19;
 /// `σ(h) = √(π²/(6 ln²2) + 1/12) ≈ 1.87271` (paper Eq. (11)).
 pub const SIGMA_H: f64 = 1.872_711_423_543_584;
 
-/// The z-statistic of a mean prefix length `L̄` observed over `rounds`
-/// rounds against the mean `E[L | n]` of a hypothesised population:
-/// `(L̄ − E[L | n]) / (σ(h)/√m)`, from the asymptotic normal law of the
-/// round mean. The missing-tag detectors and the capacity guard test it
-/// against a one-sided normal tail.
-#[must_use]
-pub fn z_statistic(mean_prefix: f64, null_mean_prefix: f64, rounds: u32) -> f64 {
-    let se = SIGMA_H / f64::from(rounds).sqrt();
-    (mean_prefix - null_mean_prefix) / se
-}
-
 /// Flajolet–Martin bias constant for the LoF baseline's first-empty-slot
 /// statistic: `E(R) ≈ log₂(φ_FM·n)` with `φ_FM ≈ 0.77351`.
 pub const FM_PHI: f64 = 0.77351;
@@ -222,17 +211,6 @@ mod tests {
             .sqrt();
         assert!((SIGMA_H - s).abs() < 1e-12);
         assert!((SIGMA_H - 1.87271).abs() < 1e-4);
-    }
-
-    /// The statistic counts standard errors `σ(h)/√m` from the null mean.
-    #[test]
-    fn z_statistic_counts_standard_errors() {
-        assert_eq!(z_statistic(12.5, 12.5, 64), 0.0);
-        let se = SIGMA_H / 8.0;
-        assert!((z_statistic(12.5 + se, 12.5, 64) - 1.0).abs() < 1e-12);
-        assert!((z_statistic(12.5 - 2.0 * se, 12.5, 64) + 2.0).abs() < 1e-12);
-        // Four times the rounds halves the standard error.
-        assert!((z_statistic(12.5 + se, 12.5, 256) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -28,14 +28,14 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`pet_core`] (as `pet::core`) | The PET protocol: tree, paths, readers, tag logic, sessions |
+//! | [`pet_core`] (as `pet::core`) | The PET protocol: tree, paths, readers, tag logic, sessions; the streaming monitor and the missing-tag reference test |
 //! | [`pet_tags`] (as `pet::tags`) | EPC-96 identities, populations, churn, zone mobility |
 //! | [`pet_phy`] (as `pet::phy`) | Slotted MAC, channel models, air-cost accounting |
 //! | [`pet_hash`] (as `pet::hash`) | MD5/SHA-1 (from scratch), mixers, geometric hashing |
 //! | [`pet_stats`] (as `pet::stats`) | erf/quantiles, accuracy→rounds, gray-node distribution |
 //! | [`pet_baselines`] (as `pet::baselines`) | FNEB, LoF, USE, UPE, EZB behind one trait |
 //! | [`pet_ident`] (as `pet::ident`) | Aloha + tree-walk identification (the Θ(n) alternative) |
-//! | [`pet_apps`] (as `pet::apps`) | Missing-tag monitor, capacity guard, trend tracker |
+//! | [`pet_apps`] (as `pet::apps`) | Capacity guard, trend tracker, per-category estimates |
 //! | [`pet_firmware`] (as `pet::firmware`) | no_std tag chip (bitwise-only state machine) |
 //! | [`pet_sim`] (as `pet::sim`) | Multi-reader controller, trial runner, §5 experiments |
 //! | [`pet_server`] (as `pet::server`) | Estimation service: line-JSON protocol over sharded non-blocking event loops, backpressure, deadlines |

@@ -1,7 +1,8 @@
 //! Continuous inventory auditing with the application layer: a warehouse
 //! runs anonymous PET estimates every hour and feeds them into
 //!
-//! - a [`MissingTagMonitor`] (calibrated theft/loss alarm),
+//! - a [`ReferenceTest`] against the book inventory (calibrated theft/loss
+//!   alarm),
 //! - a [`CapacityGuard`] (dock-occupancy limit), and
 //! - a [`TrendTracker`] (is stock draining faster than shipments explain?).
 //!
@@ -10,8 +11,8 @@
 //! ```
 
 use pet::apps::guard::{CapacityGuard, CapacityVerdict};
-use pet::apps::monitor::MissingTagMonitor;
 use pet::apps::trend::{TrendPoint, TrendTracker};
+use pet::core::monitor::{detectable_fraction, ReferenceTest};
 use pet::prelude::*;
 
 fn main() {
@@ -22,8 +23,10 @@ fn main() {
         .accuracy(accuracy)
         .build()
         .expect("valid config");
-    let monitor =
-        MissingTagMonitor::new(book_inventory, 0.01, config).expect("valid monitor parameters");
+    let alpha = 0.01;
+    let missing =
+        ReferenceTest::new(book_inventory as f64, config.height()).expect("valid book inventory");
+    let estimator = Estimator::new(config);
     let guard = CapacityGuard::new(dock_limit, 0.05, config);
     let mut trend = TrendTracker::new();
     let mut rng = StdRng::seed_from_u64(0xA0D1);
@@ -31,7 +34,7 @@ fn main() {
     println!("Warehouse audit — book inventory {book_inventory}, dock limit {dock_limit}");
     println!(
         "Monitor can detect a deficit of {:.1}% with 95% power per check.\n",
-        monitor.detectable_fraction(0.95) * 100.0
+        detectable_fraction(config.rounds(), alpha, 0.95) * 100.0
     );
     println!(
         "{:<6} {:>10} {:>10} {:>16} {:>12} {:>12}",
@@ -45,11 +48,12 @@ fn main() {
             actual = (actual as f64 * 0.985) as usize;
         }
         let stock = TagPopulation::sequential(actual);
-        let verdict = monitor.check(&stock, &mut rng);
+        let report = estimator.estimate_population(&stock, &mut rng);
+        let alarm = missing.p_value(report.mean_prefix_len, report.rounds) < alpha;
         let capacity = guard.check(&stock, &mut rng);
         trend.push(TrendPoint {
             time: f64::from(hour),
-            estimate: verdict.estimate,
+            estimate: report.estimate,
             rounds: config.rounds(),
         });
         let (lo, hi) = trend.points().last().unwrap().confidence_interval(0.05);
@@ -57,8 +61,8 @@ fn main() {
             "{:<6} {:>10} {:>10.0} {:>16} {:>12} {:>6.0}–{:<6.0}",
             format!("{:02}:00", hour),
             actual,
-            verdict.estimate,
-            if verdict.alarm { "ALARM" } else { "ok" },
+            report.estimate,
+            if alarm { "ALARM" } else { "ok" },
             match capacity {
                 CapacityVerdict::Under => "under",
                 CapacityVerdict::Over => "OVER",

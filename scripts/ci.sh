@@ -22,6 +22,23 @@ cargo build --release
 echo "==> cargo build --examples"
 cargo build --examples
 
+# Example gate: every example must also run to completion in release, so
+# one that panics or asserts on its own output fails here instead of only
+# compiling (all nine take ≈ 2 s). Output is shown only on a failure.
+echo "==> run every example (release, exit 0)"
+cargo build --release --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    status=0
+    out=$("target/release/examples/$name" 2>&1) || status=$?
+    [[ $status -eq 0 ]] || {
+        printf '%s\n' "$out" >&2
+        echo "example $name exited with status $status" >&2
+        exit 1
+    }
+    echo "example $name: exit 0"
+done
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -1,5 +1,7 @@
 //! Dynamic tag sets and multi-reader mobility (§4.6.3), end to end.
 
+use pet::apps::guard::{CapacityGuard, CapacityVerdict};
+use pet::core::monitor::{Monitor, MonitorConfig, ReferenceTest};
 use pet::prelude::*;
 use pet::sim::Deployment;
 use pet::tags::dynamics::{ChurnEvent, Timeline};
@@ -127,4 +129,42 @@ fn controller_detects_empty_region() {
     let report = deployment.estimate(&config, 16, ChannelModel::Perfect, &mut rng);
     assert_eq!(report.estimate, 0.0);
     assert_eq!(report.controller_slots, 1, "one probe slot");
+}
+
+/// When the zero probe hears an empty region no round runs, and every
+/// decision that tests against a reference reads p = 0: the one-shot
+/// audit alarms with estimate 0, the capacity guard answers `Under`, and
+/// the stream alarms. (A z-test over zero rounds has an infinite standard
+/// error and would read Φ(−0) = 0.5.)
+#[test]
+fn zero_probed_empty_region_reads_p_zero_everywhere() {
+    let config = PetConfig::builder()
+        .accuracy(Accuracy::new(0.1, 0.05).unwrap())
+        .zero_probe(true)
+        .build()
+        .unwrap();
+    let empty = TagPopulation::sequential(0);
+
+    let test = ReferenceTest::new(10_000.0, config.height()).unwrap();
+    let report = Estimator::new(config).estimate_population(&empty, &mut StdRng::seed_from_u64(1));
+    assert_eq!((report.rounds, report.estimate), (0, 0.0));
+    let p = test.p_value(report.mean_prefix_len, report.rounds);
+    assert_eq!(p, 0.0, "the audit alarms at every false-alarm rate");
+
+    let guard = CapacityGuard::new(10_000, 0.05, config);
+    let verdict = guard.check(&empty, &mut StdRng::seed_from_u64(1));
+    assert_eq!(verdict, CapacityVerdict::Under);
+
+    let mut monitor = Monitor::new(MonitorConfig {
+        config,
+        rounds: 64,
+        window: 1,
+        alarm_fraction: 0.5,
+        reference: Some(10_000.0),
+        base_seed: 1,
+    })
+    .unwrap();
+    let update = monitor.observe_keys(&[]).unwrap();
+    assert_eq!((update.p_value, update.estimate), (0.0, 0.0));
+    assert!(update.alarm);
 }
